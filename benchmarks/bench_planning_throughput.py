@@ -7,10 +7,13 @@ Measures the two rates the fast-path work targets (see
   microbenchmark: brute-force planning one operator over the full
   discrete grid, scalar loop vs batched ``predict_time_grid``;
 - **sub-plans costed per second** -- whole-query planning throughput on
-  TPC-H for five planner configurations: scalar brute force, vectorized
+  TPC-H for seven planner configurations: scalar brute force, vectorized
   brute force, lattice-batched costing (one stacked kernel per DP
-  level), vectorized + within-run memo + resource plan cache, and
-  batched + memo + cache (the production default);
+  level), vectorized + within-run memo + resource plan cache, batched +
+  memo + cache (the brute-force production default), and scalar and
+  grid hill climbing (the paper's default resource planner, Algorithm 1
+  evaluating one configuration at a time vs replayed over one batched
+  grid costing);
 - **workload queries per second** -- serial vs thread-pool vs
   process-sharded ``WorkloadRunner`` throughput over the evaluation
   queries;
@@ -144,40 +147,70 @@ def bench_config_costing(repeats):
     }
 
 
+BRUTE_FORCE = ResourcePlanningMethod.BRUTE_FORCE
+HILL_CLIMB = ResourcePlanningMethod.HILL_CLIMB
+
 PLANNER_VARIANTS = {
     "scalar": dict(
+        resource_method=BRUTE_FORCE,
         vectorized_resource_planning=False,
         memoize_within_run=False,
         cache_mode=None,
         batched_costing=False,
     ),
     "vectorized": dict(
+        resource_method=BRUTE_FORCE,
         vectorized_resource_planning=True,
         memoize_within_run=False,
         cache_mode=None,
         batched_costing=False,
     ),
     "batched": dict(
+        resource_method=BRUTE_FORCE,
         vectorized_resource_planning=True,
         memoize_within_run=False,
         cache_mode=None,
         batched_costing=True,
     ),
     "memoized": dict(
+        resource_method=BRUTE_FORCE,
         vectorized_resource_planning=True,
         memoize_within_run=True,
         batched_costing=False,
     ),
     "batched_memoized": dict(
+        resource_method=BRUTE_FORCE,
         vectorized_resource_planning=True,
         memoize_within_run=True,
         batched_costing=True,
+    ),
+    # Hill climbing without memo or cache, so every sub-plan runs a
+    # climb: one cost-model call per configuration read vs one batched
+    # grid costing per climb.
+    "hill_climb_scalar": dict(
+        resource_method=HILL_CLIMB,
+        vectorized_resource_planning=False,
+        memoize_within_run=False,
+        cache_mode=None,
+        batched_costing=False,
+    ),
+    "hill_climb_vectorized": dict(
+        resource_method=HILL_CLIMB,
+        vectorized_resource_planning=True,
+        memoize_within_run=False,
+        cache_mode=None,
+        batched_costing=False,
     ),
 }
 
 #: Variants the --assert-overhead CI gate replays (the fast paths a
 #: regression would actually hurt); gated when present in the baseline.
-GATED_VARIANTS = ("memoized", "batched", "batched_memoized")
+GATED_VARIANTS = (
+    "memoized",
+    "batched",
+    "batched_memoized",
+    "hill_climb_vectorized",
+)
 
 
 def bench_subplan_throughput(queries, repeats):
@@ -186,17 +219,21 @@ def bench_subplan_throughput(queries, repeats):
     plan_fns = {}
     variant_outcomes = {}
     for name, options in PLANNER_VARIANTS.items():
-        planner = RaqoPlanner(
-            catalog,
-            resource_method=ResourcePlanningMethod.BRUTE_FORCE,
-            **options,
-        )
+        planner = RaqoPlanner(catalog, **options)
 
         def plan_all(planner=planner):
             return [planner.optimize(query) for query in queries]
 
         variant_outcomes[name] = plan_all()  # warm before timing
         plan_fns[name] = plan_all
+    climbs = [
+        [
+            (o.cost, o.counters.resource_iterations)
+            for o in variant_outcomes[name]
+        ]
+        for name in ("hill_climb_scalar", "hill_climb_vectorized")
+    ]
+    assert climbs[0] == climbs[1], "grid hill climb diverged from scalar"
     timings = _time_interleaved(plan_fns, repeats)
     results = {}
     for name in PLANNER_VARIANTS:
@@ -236,6 +273,10 @@ def bench_subplan_throughput(queries, repeats):
         results[name]["speedup_vs_vectorized"] = (
             vectorized_s / results[name]["planning_s"]
         )
+    results["hill_climb_vectorized"]["speedup_vs_scalar_climb"] = (
+        results["hill_climb_scalar"]["planning_s"]
+        / results["hill_climb_vectorized"]["planning_s"]
+    )
     return results
 
 
@@ -339,11 +380,7 @@ def _gate_rates(variants, queries, catalog, repeats, extra_fns=None):
     plan_fns = {}
     sub_plans = {}
     for variant in variants:
-        planner = RaqoPlanner(
-            catalog,
-            resource_method=ResourcePlanningMethod.BRUTE_FORCE,
-            **PLANNER_VARIANTS[variant],
-        )
+        planner = RaqoPlanner(catalog, **PLANNER_VARIANTS[variant])
 
         def plan_all(planner=planner):
             return [planner.optimize(query) for query in queries]
@@ -367,9 +404,9 @@ def assert_overhead(max_drop_pct, baseline_path, repeats):
     """Gate: fresh fast-path throughput vs the checked-in baseline.
 
     Replays the *baseline's own query set* through every gated planner
-    variant recorded in the baseline (memoized, batched, and
-    batched + memoized when present -- the production fast paths, null
-    tracer) and fails when any fresh ``sub_plans_per_s`` rate falls more
+    variant recorded in the baseline (memoized, batched, batched +
+    memoized and grid hill climbing when present -- the production fast
+    paths, null tracer) and fails when any fresh ``sub_plans_per_s`` rate falls more
     than ``max_drop_pct`` percent below the recorded one. This is the
     overhead budget for both the observability layer and the batched
     costing kernel: instrumentation and batching bookkeeping must stay
@@ -572,7 +609,7 @@ def main(argv=None):
         levels = row["dp_levels_per_s"]
         levels_txt = f", {levels:8,.0f} DP levels/s" if levels else ""
         print(
-            f"  {name:<16} {row['sub_plans_per_s']:10,.0f} "
+            f"  {name:<21} {row['sub_plans_per_s']:10,.0f} "
             f"sub-plans/s, {row['configs_per_s']:12,.0f} "
             f"configs/s{levels_txt}{suffix}"
         )

@@ -3,16 +3,13 @@
 The paper evaluates on the TPC-H join graph ("we used the same tables and the
 same join edges and join selectivities ... as specified in the benchmark")
 and on randomly generated join graphs. Both are represented here as an
-undirected multigraph-free graph of :class:`JoinEdge` objects, backed by
-:mod:`networkx` for connectivity queries.
+undirected multigraph-free graph of :class:`JoinEdge` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
-
-import networkx as nx
 
 
 class JoinGraphError(Exception):
@@ -57,14 +54,15 @@ class JoinGraph:
     """Undirected graph of join edges between named tables."""
 
     def __init__(self, edges: Iterable[JoinEdge] = ()) -> None:
-        self._graph = nx.Graph()
         self._edges: Dict[FrozenSet[str], JoinEdge] = {}
+        #: Table -> directly joinable tables.
+        self._adjacency: Dict[str, Set[str]] = {}
         #: Connectivity answers by table set. The DP planners probe
         #: every subset of every lattice level (often across many
-        #: queries over one catalog), and the networkx subgraph + BFS
-        #: behind each probe dominates batched planning time. Entries
-        #: are idempotent, so concurrent refills by parallel workload
-        #: threads are benign; ``add_edge`` invalidates.
+        #: queries over one catalog), and the search behind each probe
+        #: dominates batched planning time. Entries are idempotent, so
+        #: concurrent refills by parallel workload threads are benign;
+        #: ``add_edge`` invalidates.
         self._connected_cache: Dict[FrozenSet[str], bool] = {}
         for edge in edges:
             self.add_edge(edge)
@@ -76,7 +74,8 @@ class JoinGraph:
                 f"duplicate join edge {edge.left!r}-{edge.right!r}"
             )
         self._edges[edge.key] = edge
-        self._graph.add_edge(edge.left, edge.right)
+        self._adjacency.setdefault(edge.left, set()).add(edge.right)
+        self._adjacency.setdefault(edge.right, set()).add(edge.left)
         self._connected_cache.clear()
 
     def edges(self) -> List[JoinEdge]:
@@ -115,13 +114,11 @@ class JoinGraph:
 
     def neighbors(self, table: str) -> Set[str]:
         """Tables directly joinable with ``table``."""
-        if table not in self._graph:
-            return set()
-        return set(self._graph.neighbors(table))
+        return set(self._adjacency.get(table, ()))
 
     def tables(self) -> Set[str]:
         """All tables mentioned by at least one edge."""
-        return set(self._graph.nodes)
+        return set(self._adjacency)
 
     def is_connected(self, tables: Iterable[str]) -> bool:
         """True when ``tables`` induce a connected subgraph.
@@ -138,11 +135,16 @@ class JoinGraph:
         cached = self._connected_cache.get(key)
         if cached is not None:
             return cached
-        if any(table not in self._graph for table in table_list):
-            connected = False
-        else:
-            subgraph = self._graph.subgraph(table_list)
-            connected = bool(nx.is_connected(subgraph))
+        # Search the induced subgraph from one table; absent tables are
+        # never reached.
+        reached = {table_list[0]}
+        pending = [table_list[0]]
+        while pending:
+            for neighbour in self._adjacency.get(pending.pop(), ()):
+                if neighbour in key and neighbour not in reached:
+                    reached.add(neighbour)
+                    pending.append(neighbour)
+        connected = len(reached) == len(key)
         self._connected_cache[key] = connected
         return connected
 
@@ -165,7 +167,7 @@ class JoinGraph:
 
         Used by the workload generators to produce joinable queries.
         """
-        if seed not in self._graph:
+        if seed not in self._adjacency:
             raise JoinGraphError(f"unknown table {seed!r}")
         if size < 1:
             raise JoinGraphError(f"size must be >= 1, got {size}")

@@ -63,6 +63,40 @@ class ResourceDimension:
         """True when ``value`` lies within the bounds (inclusive)."""
         return self.minimum <= value <= self.maximum
 
+    def index_of(self, value: float) -> Optional[int]:
+        """The position of ``value`` in :meth:`values`, or None when it
+        is not exactly one of them."""
+        index = int(round((value - self.minimum) / self.step))
+        if 0 <= index < self.num_values and (
+            self.minimum + index * self.step == value
+        ):
+            return index
+        return None
+
+    def is_step_exact(self) -> bool:
+        """True when hill climbing's ``value +/- step`` moves, in the
+        climb's own float arithmetic, walk :meth:`values` exactly.
+
+        Every move from an entry must either land exactly on the
+        neighbouring entry (and pass the bounds test) or, at either end,
+        fail the bounds test. Undoing a probe is the opposite move, so
+        it lands back on the entry too.
+        """
+        values = self.values()
+        last = len(values) - 1
+        for index, value in enumerate(values):
+            for direction in (-1, 1):
+                moved = value + self.step * float(direction)
+                neighbour = index + direction
+                if 0 <= neighbour <= last:
+                    if moved != values[neighbour] or not self.contains(
+                        moved
+                    ):
+                        return False
+                elif self.contains(moved):
+                    return False
+        return True
+
 
 @dataclass(frozen=True)
 class ConfigurationGrid:
@@ -117,6 +151,11 @@ def _build_configuration_grid(
     return ConfigurationGrid(
         counts=counts, sizes=sizes, total_memory_gb=total
     )
+
+
+@functools.lru_cache(maxsize=256)
+def _grid_is_step_exact(cluster: "ClusterConditions") -> bool:
+    return all(dim.is_step_exact() for dim in cluster.dimensions)
 
 
 @dataclass(frozen=True, init=False)
@@ -225,9 +264,13 @@ class ClusterConditions:
                 f"{self.container_gb_step}"
             )
 
-    @property
+    @functools.cached_property
     def dimensions(self) -> Tuple[ResourceDimension, ResourceDimension]:
-        """The two resource axes in Algorithm 1 order."""
+        """The two resource axes in Algorithm 1 order.
+
+        Built once per instance: every axis lookup (``dimension``,
+        ``contains``, ``clamp``) goes through it.
+        """
         return (
             ResourceDimension(
                 name="num_containers",
@@ -327,6 +370,14 @@ class ClusterConditions:
         ``grid_size`` scalar invocations.
         """
         return _build_configuration_grid(self)
+
+    @property
+    def step_exact(self) -> bool:
+        """True when hill climbing from a grid point only ever visits
+        grid points (:meth:`ResourceDimension.is_step_exact` on every
+        axis), so a climb can be replayed over :meth:`config_grid`
+        indices. Checked once per distinct cluster condition."""
+        return _grid_is_step_exact(self)
 
     def scaled(
         self, max_containers: int, max_container_gb: float

@@ -235,13 +235,22 @@ class OperatorCostModel:
         the same multiply-add sequence as :meth:`predict`, so the batch
         matches the scalar path value for value. NaN predictions surface
         as ``inf`` and the same positive floor is applied.
+
+        Like :meth:`predict_grid_stacked`, it accumulates the feature
+        values un-broadcast: data-only features stay scalars until the
+        add, and no ``(N, F)`` feature matrix is built.
         """
-        features = self.feature_map.batch(
-            small_gb, large_gb, sizes, counts
-        )
-        acc = np.zeros(features.shape[0])
-        for column, coefficient in enumerate(self.coefficients):
-            acc = acc + coefficient * features[:, column]
+        cs = np.asarray(sizes, dtype=float)
+        nc = np.asarray(counts, dtype=float)
+        try:
+            values = self.feature_map.transform(small_gb, large_gb, cs, nc)
+        except Exception:
+            values = tuple(
+                self.feature_map.batch(small_gb, large_gb, cs, nc).T
+            )
+        acc = np.zeros(cs.shape[0])
+        for value, coefficient in zip(values, self.coefficients):
+            acc += coefficient * np.asarray(value, dtype=float)
         raw = self.intercept + acc
         raw = np.where(np.isnan(raw), math.inf, raw)
         return np.maximum(raw, MIN_PREDICTED_TIME_S)

@@ -164,11 +164,15 @@ class RaqoCoster:
       planned cost without touching the plan cache or the planner.
       The memo lives on the :class:`PlanningContext`, so its lifetime is
       exactly one planning run.
-    - ``vectorized``: brute-force resource planning costs the whole
-      configuration grid through the model's batched
-      ``predict_time_grid`` (a few array operations for learned models)
-      instead of one scalar call per configuration. The winner is
-      bit-identical to the scalar scan; only the wall-clock changes.
+    - ``vectorized``: resource planning costs the whole configuration
+      grid through the model's batched ``predict_time_grid`` (a few
+      array operations for learned models) instead of one scalar call
+      per configuration. Brute force takes the argmin; hill climbing
+      replays Algorithm 1 over the costed grid (see
+      :func:`hill_climb_resource_plan`) and still charges
+      ``resource_iterations`` with the configurations the climb reads.
+      Plans, costs and counters are bit-identical to the scalar path;
+      only the wall-clock changes.
     """
 
     model: JoinCostEstimator
@@ -278,13 +282,14 @@ class RaqoCoster:
         # Loop-invariant lookups hoisted out of the per-candidate scan:
         # model keys are pure per-algorithm strings, and the BHJ wall is
         # `feasible_bhj_start(...) is None`, which only compares
-        # small_gb / hash_memory_fraction against the largest container.
+        # small_gb / hash_memory_fraction against the largest container
+        # size on the grid.
         model_keys = {
             algorithm: self.model.model_key(algorithm)
             for algorithm in dict.fromkeys(batch.algorithms)
         }
         bhj_fraction = self.model.hash_memory_fraction
-        bhj_max_gb = context.cluster.dimension("container_gb").maximum
+        bhj_max_gb = context.cluster.dimension("container_gb").values()[-1]
 
         # Phase 1 -- partition, visiting candidates in scalar order.
         kernel_rows: List[int] = []
@@ -671,7 +676,6 @@ class RaqoCoster:
         counters = context.counters
 
         def objective(config: ResourceConfiguration) -> float:
-            counters.resource_iterations += 1
             time_s = self.model.predict_time(
                 algorithm, small_gb, large_gb, config
             )
@@ -691,9 +695,8 @@ class RaqoCoster:
             return time_s
 
         def grid_objective(grid) -> np.ndarray:
-            # One batched model call for the whole grid; counted exactly
-            # like the scalar scan (one iteration per configuration).
-            counters.resource_iterations += grid.num_configs
+            # One batched model call for the whole grid; each lane equals
+            # `objective` at that configuration bit for bit.
             times = self.model.predict_time_grid(
                 algorithm, small_gb, large_gb, grid
             )
@@ -726,19 +729,25 @@ class RaqoCoster:
             if start is None:
                 return None
 
+        grid_cost_fn = grid_objective if self.vectorized else None
+
         def search() -> Optional[ResourcePlanOutcome]:
             if self.method is ResourcePlanningMethod.BRUTE_FORCE:
-                if self.vectorized:
-                    return brute_force_resource_plan(
-                        objective,
-                        cluster,
-                        vectorized=True,
-                        grid_cost_fn=grid_objective,
-                    )
-                return brute_force_resource_plan(objective, cluster)
-            return hill_climb_resource_plan(
-                objective, cluster, start=start
-            )
+                outcome = brute_force_resource_plan(
+                    objective,
+                    cluster,
+                    vectorized=self.vectorized,
+                    grid_cost_fn=grid_cost_fn,
+                )
+            else:
+                outcome = hill_climb_resource_plan(
+                    objective, cluster, start=start, grid_cost_fn=grid_cost_fn
+                )
+            # The configurations the search read: the whole grid for
+            # brute force, Algorithm 1's reads for a climb (not the grid
+            # lanes it costed), on the scalar and vectorized paths alike.
+            counters.resource_iterations += outcome.iterations
+            return outcome
 
         if not context.tracer.active:
             return search()
@@ -792,6 +801,11 @@ class RaqoPlanner:
     ``optimize`` returns a
     :class:`~repro.planner.cost_interface.PlanningResult` whose plan
     carries per-operator resource configurations (for RAQO).
+
+    ``vectorized_resource_planning`` (the default) costs each resource
+    search's configuration grid in one batched model call, for brute
+    force and hill climbing alike; turning it off runs the scalar
+    per-configuration reference, with identical plans and counters.
     """
 
     def __init__(

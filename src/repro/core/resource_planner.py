@@ -24,7 +24,11 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.cluster.cluster import ClusterConditions, ConfigurationGrid
+from repro.cluster.cluster import (
+    ClusterConditions,
+    ConfigurationGrid,
+    ResourceDimension,
+)
 from repro.cluster.containers import ResourceConfiguration
 
 #: A per-operator cost function over resource configurations.
@@ -131,6 +135,7 @@ def hill_climb_resource_plan(
     cluster: ClusterConditions,
     start: Optional[ResourceConfiguration] = None,
     memoize: bool = True,
+    grid_cost_fn: Optional[GridCostFunction] = None,
 ) -> ResourcePlanOutcome:
     """The paper's Algorithm 1: greedy per-dimension hill climbing.
 
@@ -151,16 +156,37 @@ def hill_climb_resource_plan(
     A visited-set guard terminates the (rare) oscillation the greedy
     combined-step update can produce; the algorithm otherwise follows the
     pseudocode line by line.
+
+    ``grid_cost_fn`` (e.g. a cost model's ``predict_time_grid``) costs
+    the whole configuration grid in one batched call; the climb is then
+    replayed over grid indices, reading those costs instead of calling
+    ``cost_fn``. That is only equivalent when the climb cannot leave
+    the grid, so it requires a start on the grid and step-exact axes
+    (:attr:`ClusterConditions.step_exact`); otherwise the scalar climb
+    runs. Given a ``grid_cost_fn`` whose lanes equal ``cost_fn`` bit
+    for bit, the outcome -- configuration, cost and ``iterations`` -- is
+    identical on both paths: ``iterations`` counts the configurations
+    Algorithm 1 reads, not the grid lanes costed.
     """
     if start is not None and not cluster.contains(start):
         raise ResourcePlanningError(
             f"start {start} lies outside the cluster conditions"
         )
-    dims = cluster.dimensions
-    steps = cluster.step_sizes  # Algorithm 1 line 1: GetDiscreteSteps
     current: List[float] = list(
         (start or cluster.minimum_configuration).as_vector()
     )
+    dims = cluster.dimensions
+    if grid_cost_fn is not None and cluster.step_exact:
+        position = [
+            index
+            for index in map(ResourceDimension.index_of, dims, current)
+            if index is not None
+        ]
+        if len(position) == len(dims):  # the start lies on the grid
+            return _grid_hill_climb(
+                grid_cost_fn, cluster, position, memoize
+            )
+    steps = cluster.step_sizes  # Algorithm 1 line 1: GetDiscreteSteps
     iterations = 0
     visited: Set[Tuple[float, ...]] = set()
     memo: Dict[Tuple[float, ...], float] = {}
@@ -213,6 +239,71 @@ def hill_climb_resource_plan(
             )
 
 
+def _grid_hill_climb(
+    grid_cost_fn: GridCostFunction,
+    cluster: ClusterConditions,
+    position: List[int],
+    memoize: bool,
+) -> ResourcePlanOutcome:
+    """Algorithm 1 replayed over grid indices; see
+    :func:`hill_climb_resource_plan`.
+
+    On step-exact axes a +/-step move is a +/-1 index move, so the loop
+    below is the scalar loop line for line, with ``current`` held as an
+    index per axis (and ``at``, its row in the grid) and every
+    evaluation a read of the once-costed grid.
+    """
+    grid = cluster.config_grid()
+    lane_costs = np.asarray(grid_cost_fn(grid), dtype=float)
+    if lane_costs.shape != (grid.num_configs,):
+        raise ResourcePlanningError(
+            f"grid cost function returned shape {lane_costs.shape}, "
+            f"expected ({grid.num_configs},)"
+        )
+    costs: List[float] = lane_costs.tolist()
+    lengths = [dim.num_values for dim in cluster.dimensions]
+    # Row-major over the axes, like ClusterConditions.config_grid().
+    strides = [math.prod(lengths[d + 1 :]) for d in range(len(lengths))]
+    axes = list(zip(range(len(lengths)), strides, lengths))
+    at = sum(index * stride for index, stride in zip(position, strides))
+    #: Every configuration read, in order (the scalar climb's
+    #: ``evaluate`` calls).
+    reads: List[int] = []
+    read = reads.append
+    visited: Set[int] = set()
+    while True:
+        visited.add(at)
+        read(at)
+        current_cost = costs[at]  # line 5
+        best_cost = current_cost  # line 6
+        for dim_index, stride, length in axes:  # line 7
+            index = position[dim_index]
+            best_move = 0  # line 8
+            # Lines 9-17 for CANDIDATE_STEPS = (-1.0, 1.0), in order.
+            if index > 0:
+                read(at - stride)
+                temp = costs[at - stride]
+                if temp < best_cost:
+                    best_cost = temp
+                    best_move = -1
+            if index + 1 < length:
+                read(at + stride)
+                temp = costs[at + stride]
+                if temp < best_cost:
+                    best_cost = temp
+                    best_move = 1
+            if best_move:  # line 18
+                position[dim_index] = index + best_move  # line 19
+                at += best_move * stride
+        if best_cost >= current_cost or at in visited:  # line 20-21
+            return ResourcePlanOutcome(
+                config=grid.config_at(at),
+                cost=best_cost if best_cost < current_cost else current_cost,
+                # Distinct reads are what the scalar climb's memo costs.
+                iterations=len(set(reads)) if memoize else len(reads),
+            )
+
+
 def feasible_bhj_start(
     small_gb: float,
     hash_memory_fraction: float,
@@ -231,14 +322,17 @@ def feasible_bhj_start(
     # Look the memory axis up by name: positional indexing would silently
     # pick the wrong axis if the dimension list is reordered or extended.
     dim = cluster.dimension("container_gb")
-    if needed_gb > dim.maximum:
+    # The wall is the largest size on the grid, not the axis maximum: a
+    # maximum between two steps (say 10.5 with step 1) is not offered.
+    largest_gb = dim.values()[-1]
+    if needed_gb > largest_gb:
         return None
     # Round the needed size up to the next discrete step.
     if needed_gb <= dim.minimum:
         container_gb = dim.minimum
     else:
         steps_up = math.ceil((needed_gb - dim.minimum) / dim.step - 1e-12)
-        container_gb = min(dim.minimum + steps_up * dim.step, dim.maximum)
+        container_gb = min(dim.minimum + steps_up * dim.step, largest_gb)
     return ResourceConfiguration(
         num_containers=cluster.min_containers,
         container_gb=container_gb,

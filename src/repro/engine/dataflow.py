@@ -16,8 +16,6 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
-import networkx as nx
-
 from repro.catalog.statistics import StatisticsEstimator
 from repro.engine.joins import (
     JoinAlgorithm,
@@ -65,41 +63,74 @@ class DataflowDAG:
     """A DAG of stages with shuffle/broadcast edges."""
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
         self._stages: Dict[str, Stage] = {}
+        #: Stage -> downstream stages; both levels keep insertion order,
+        #: which fixes the topological order of :meth:`stages`.
+        self._successors: Dict[str, Dict[str, None]] = {}
 
     def add_stage(self, stage: Stage) -> None:
         """Register a stage vertex."""
         if stage.name in self._stages:
             raise ValueError(f"duplicate stage {stage.name!r}")
         self._stages[stage.name] = stage
-        self._graph.add_node(stage.name)
+        self._successors[stage.name] = {}
 
     def add_edge(self, upstream: str, downstream: str) -> None:
         """Add a data dependency between two stages."""
         for name in (upstream, downstream):
             if name not in self._stages:
                 raise ValueError(f"unknown stage {name!r}")
-        self._graph.add_edge(upstream, downstream)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(upstream, downstream)
+        if self._reaches(downstream, upstream):
             raise ValueError(
                 f"edge {upstream!r} -> {downstream!r} creates a cycle"
             )
+        self._successors[upstream][downstream] = None
+
+    def _reaches(self, source: str, target: str) -> bool:
+        """True when a path (possibly empty) leads from source to target."""
+        seen = {source}
+        pending = [source]
+        while pending:
+            name = pending.pop()
+            if name == target:
+                return True
+            for child in self._successors[name]:
+                if child not in seen:
+                    seen.add(child)
+                    pending.append(child)
+        return False
 
     def stage(self, name: str) -> Stage:
         """Lookup a stage by name."""
         return self._stages[name]
 
     def stages(self) -> List[Stage]:
-        """All stages in topological order."""
-        return [
-            self._stages[name] for name in nx.topological_sort(self._graph)
-        ]
+        """All stages in topological order.
+
+        Kahn's algorithm by generations: the stages with no pending
+        upstream in insertion order, then the stages they release, in
+        the order their edges were added.
+        """
+        indegree = dict.fromkeys(self._successors, 0)
+        for children in self._successors.values():
+            for child in children:
+                indegree[child] += 1
+        generation = [name for name, count in indegree.items() if not count]
+        order: List[str] = []
+        while generation:
+            order.extend(generation)
+            released: List[str] = []
+            for name in generation:
+                for child in self._successors[name]:
+                    indegree[child] -= 1
+                    if not indegree[child]:
+                        released.append(child)
+            generation = released
+        return [self._stages[name] for name in order]
 
     def successors(self, name: str) -> List[str]:
         """Downstream stage names."""
-        return sorted(self._graph.successors(name))
+        return sorted(self._successors[name])
 
     @property
     def total_tasks(self) -> int:

@@ -10,12 +10,14 @@ standard query planning."
 For each of Q12, Q3, Q2, All and each planner we report the plain QO
 runtime, the RAQO runtime (hill climbing, no caching -- the Fig 12
 configuration), and the number of resource configurations explored.
+Runtimes are medians of N runs, QO and RAQO timed in turn.
 """
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 from repro.catalog import tpch
 from repro.catalog.queries import Query
@@ -63,7 +65,19 @@ def run(
     queries: Tuple[Query, ...] = tpch.EVALUATION_QUERIES,
     repetitions: int = 3,
 ) -> TpchPlanningResult:
-    """Run the Fig 12 grid; runtimes averaged over ``repetitions``."""
+    """Run the Fig 12 grid; each runtime is the median of
+    ``repetitions`` runs.
+
+    QO and RAQO are timed interleaved, one run of each per repetition,
+    so a slow stretch of the machine lands on both sides of the
+    comparison instead of on whichever planner ran during it. The
+    median, not the best run, is reported: on a machine that switches
+    between a fast and a slow speed, the best of a few runs is often a
+    fast-speed run on one side only, and that flipped the 5% RAQO
+    overhead of the FastRandomized Q12 cell in about one trial in ten.
+    """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     catalog = tpch.tpch_catalog(SCALE_FACTOR)
     rows = []
     for planner_kind in (PlannerKind.FAST_RANDOMIZED, PlannerKind.SELINGER):
@@ -75,8 +89,9 @@ def run(
             catalog, planner_kind=planner_kind, cache_mode=None
         )
         for query in queries:
-            qo_ms = _avg_runtime_ms(qo, query, repetitions)
-            raqo_ms = _avg_runtime_ms(raqo, query, repetitions)
+            qo_ms, raqo_ms = _median_runtimes_ms(
+                (qo, raqo), query, repetitions
+            )
             result = raqo.optimize(query)
             rows.append(
                 PlanningRow(
@@ -91,18 +106,22 @@ def run(
     return TpchPlanningResult(rows=tuple(rows))
 
 
-def _avg_runtime_ms(
-    planner: RaqoPlanner, query: Query, repetitions: int
-) -> float:
-    # One untimed warm-up first: the process's first optimize() pays
-    # one-time costs (cost-model fitting, numpy first-touch) that would
-    # otherwise land entirely on whichever grid cell happens to run
-    # first and invert the QO-vs-RAQO overhead comparison.
-    planner.optimize(query)
-    total = 0.0
+def _median_runtimes_ms(
+    planners: Tuple[RaqoPlanner, ...], query: Query, repetitions: int
+) -> Tuple[float, ...]:
+    """Median planning time of each planner over ``repetitions`` runs,
+    in ms, with the planners taking turns."""
+    # One untimed warm-up each first: the process's first optimize()
+    # pays one-time costs (cost-model fitting, numpy first-touch) that
+    # would otherwise land entirely on whichever grid cell happens to
+    # run first and invert the QO-vs-RAQO overhead comparison.
+    for planner in planners:
+        planner.optimize(query)
+    runs: List[List[float]] = [[] for _ in planners]
     for _ in range(repetitions):
-        total += planner.optimize(query).wall_time_s
-    return total / repetitions * 1000.0
+        for planner, times in zip(planners, runs):
+            times.append(planner.optimize(query).wall_time_s)
+    return tuple(statistics.median(times) * 1000.0 for times in runs)
 
 
 def main() -> TpchPlanningResult:

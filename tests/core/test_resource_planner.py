@@ -6,14 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.plan_checks import validate_plan
+from repro.catalog import tpch
+from repro.catalog.queries import Query
 from repro.cluster.cluster import ClusterConditions
 from repro.cluster.containers import ResourceConfiguration
+from repro.core.raqo import (
+    RaqoCoster,
+    RaqoPlanner,
+    ResourcePlanningMethod,
+    default_cost_model,
+)
 from repro.core.resource_planner import (
     ResourcePlanningError,
     brute_force_resource_plan,
     feasible_bhj_start,
     hill_climb_resource_plan,
 )
+from repro.engine.joins import JoinAlgorithm
+from repro.planner.cost_interface import PlanningContext
+from repro.planner.plan import CandidateBatch
 
 
 def quadratic_bowl(optimum_nc, optimum_cs):
@@ -256,3 +268,79 @@ class TestFeasibleBhjStart:
     def test_negative_size_rejected(self, paper_cluster):
         with pytest.raises(ResourcePlanningError):
             feasible_bhj_start(-1.0, 1.15, paper_cluster)
+
+
+class TestBhjWallUsesLargestGridSize:
+    """``max_container_gb=10.5`` with 1 GB steps offers sizes 1..10 GB,
+    so a BHJ whose hash table needs 10.3 GB fits no offered container.
+    Every resource-planning path must call it infeasible."""
+
+    CLUSTER = ClusterConditions(max_containers=10, max_container_gb=10.5)
+    #: TPC-H scale at which orders (the smaller Q12 input) needs
+    #: 10.3 GB of hash memory under the Hive profile.
+    SCALE_FACTOR = 70.0
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return default_cost_model()
+
+    def test_no_bhj_start(self, model):
+        small_gb = 10.3 * model.hash_memory_fraction
+        assert (
+            feasible_bhj_start(
+                small_gb, model.hash_memory_fraction, self.CLUSTER
+            )
+            is None
+        )
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize("method", ["hill_climb", "brute_force"])
+    def test_every_path_costs_bhj_infeasible(
+        self, model, method, vectorized, batched
+    ):
+        small_gb = 10.3 * model.hash_memory_fraction
+
+        class Sizes:
+            def join_io_gb(self, left, right):
+                return small_gb, 4 * small_gb
+
+        coster = RaqoCoster(
+            model,
+            method=ResourcePlanningMethod(method),
+            vectorized=vectorized,
+        )
+        context = PlanningContext(estimator=Sizes(), cluster=self.CLUSTER)
+        left, right = frozenset({"a"}), frozenset({"b"})
+        if batched:
+            # Vectorized brute force takes the stacked cost_batch kernel.
+            batch = CandidateBatch.build(
+                [(left, right, JoinAlgorithm.BROADCAST_HASH)],
+                context.join_io_gb,
+            )
+            result = coster.cost_batch(batch, context)
+            assert not result.feasible[0]
+            assert result.configs == (None,)
+        else:
+            cost, config = coster.join_cost(
+                left, right, JoinAlgorithm.BROADCAST_HASH, context
+            )
+            assert not cost.is_finite
+            assert config is None
+        assert context.counters.resource_iterations == 0
+
+    @pytest.mark.parametrize("method", ["hill_climb", "brute_force"])
+    def test_selinger_plans_a_sort_merge_join(self, method):
+        catalog = tpch.tpch_catalog(self.SCALE_FACTOR)
+        planner = RaqoPlanner(
+            catalog,
+            cluster=self.CLUSTER,
+            resource_method=ResourcePlanningMethod(method),
+        )
+        result = planner.optimize(Query("q12", ("orders", "lineitem")))
+        (join,) = list(result.plan.joins_postorder())
+        assert join.algorithm is JoinAlgorithm.SORT_MERGE
+        assert self.CLUSTER.contains(join.resources)
+        validate_plan(
+            result.plan, cluster=self.CLUSTER, require_resources=True
+        )

@@ -15,16 +15,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import ClusterConditions
+from repro.cluster.containers import ResourceConfiguration
 from repro.core.cost_model import (
     EXTENDED_FEATURES,
     JoinCostEstimator,
     PAPER_FEATURES,
     SimulatorCostModel,
 )
-from repro.core.raqo import default_cost_model
-from repro.core.resource_planner import brute_force_resource_plan
+from repro.core.pareto import PlanObjective
+from repro.core.raqo import (
+    RaqoCoster,
+    ResourcePlanningMethod,
+    default_cost_model,
+)
+from repro.core.resource_planner import (
+    brute_force_resource_plan,
+    feasible_bhj_start,
+    hill_climb_resource_plan,
+)
 from repro.engine.joins import JoinAlgorithm
 from repro.engine.profiles import HIVE_PROFILE, SPARK_PROFILE
+from repro.planner.cost_interface import PlanningContext
 
 PROFILES = {"hive": HIVE_PROFILE, "spark": SPARK_PROFILE}
 
@@ -39,6 +50,28 @@ clusters = st.builds(
 data_sizes = st.floats(min_value=0.01, max_value=200.0)
 algorithms = st.sampled_from(list(JoinAlgorithm))
 profile_names = st.sampled_from(sorted(PROFILES))
+
+#: Hill-climb clusters: longer count axes (climbs of many rounds) and,
+#: besides dyadic sizes, 0.1 and 0.3 GB steps, whose float moves drift
+#: off the grid, so the grid climb has to fall back to the scalar one.
+climb_clusters = st.builds(
+    ClusterConditions,
+    max_containers=st.integers(min_value=1, max_value=60),
+    max_container_gb=st.floats(min_value=1.0, max_value=16.0),
+    container_step=st.integers(min_value=1, max_value=3),
+    container_gb_step=st.sampled_from((0.1, 0.3, 0.5, 1.0, 2.0)),
+)
+#: Learned models and the simulator oracle, for both engine profiles.
+estimator_names = st.sampled_from(
+    [f"{kind}:{name}" for kind in ("learned", "simulator") for name in PROFILES]
+)
+
+
+def _estimator(name):
+    kind, profile = name.split(":")
+    if kind == "learned":
+        return default_cost_model(PROFILES[profile])
+    return SimulatorCostModel(PROFILES[profile])
 
 
 def _scalar_times(model, algorithm, ss, ls, cluster):
@@ -282,3 +315,243 @@ class TestBruteForceEquivalence:
         )
         assert fast == scalar
         assert fast.config.num_containers == 2
+
+
+class TestStepExactness:
+    def test_integer_steps_are_exact(self, paper_cluster):
+        assert paper_cluster.step_exact
+
+    def test_dyadic_step_is_exact(self):
+        cluster = ClusterConditions(
+            max_containers=4, max_container_gb=3.0, container_gb_step=0.5
+        )
+        assert cluster.step_exact
+
+    def test_non_dyadic_step_drifts_off_the_grid(self):
+        # 1.1 + 0.1 == 1.2000000000000002, not the grid's 1.0 + 2 * 0.1.
+        cluster = ClusterConditions(
+            max_containers=4, max_container_gb=3.0, container_gb_step=0.1
+        )
+        assert not cluster.step_exact
+
+    def test_in_bounds_step_past_the_grid_is_not_exact(self):
+        # Every move between 2.1, 2.6, 3.1 and 3.6 is exact, but 4.1 - 2.1
+        # rounds below 2, so the grid stops at 3.6 GB while 3.6 + 0.5
+        # lands on 4.1 and passes the climb's bounds test.
+        cluster = ClusterConditions(
+            max_containers=2,
+            min_container_gb=2.1,
+            max_container_gb=4.1,
+            container_gb_step=0.5,
+        )
+        assert cluster.dimension("container_gb").values() == [
+            2.1,
+            2.6,
+            3.1,
+            3.6,
+        ]
+        assert not cluster.step_exact
+        climb = hill_climb_resource_plan(
+            lambda config: -config.container_gb,
+            cluster,
+            grid_cost_fn=lambda grid: -grid.sizes,
+        )
+        assert climb.config.container_gb == 4.1
+
+    def test_maximum_between_steps_is_exact(self):
+        # Sizes 1..10; 10 + 1 fails the bounds test like a missing index.
+        cluster = ClusterConditions(
+            max_containers=10, max_container_gb=10.5
+        )
+        assert cluster.step_exact
+
+    def test_index_of(self, paper_cluster):
+        dim = paper_cluster.dimension("container_gb")
+        assert dim.index_of(1.0) == 0
+        assert dim.index_of(10.0) == 9
+        assert dim.index_of(2.5) is None
+        assert dim.index_of(11.0) is None
+
+
+def _model_costs(model, algorithm, ss, ls):
+    def cost_fn(config):
+        return model.predict_time(algorithm, ss, ls, config)
+
+    def grid_cost_fn(grid):
+        return model.predict_time_grid(algorithm, ss, ls, grid)
+
+    return cost_fn, grid_cost_fn
+
+
+class _FixedSizes:
+    """A statistics stand-in reporting one (small, large) input pair."""
+
+    def __init__(self, small_gb, large_gb):
+        self.sizes = (small_gb, large_gb)
+
+    def join_io_gb(self, left_tables, right_tables):
+        return self.sizes
+
+
+class TestHillClimbEquivalence:
+    """The grid climb replays Algorithm 1 exactly: same configuration,
+    cost and iteration count as the scalar climb."""
+
+    @given(
+        cluster=climb_clusters,
+        ss=data_sizes,
+        ls=data_sizes,
+        algorithm=algorithms,
+        estimator_name=estimator_names,
+        memoize=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_outcome_identical(
+        self, cluster, ss, ls, algorithm, estimator_name, memoize
+    ):
+        ss, ls = sorted((ss, ls))
+        model = _estimator(estimator_name)
+        start = None
+        if algorithm is JoinAlgorithm.BROADCAST_HASH:
+            # Start where the coster starts a BHJ climb (None: the memory
+            # wall rules the operator out; the climb then starts at the
+            # minimum on an all-infinite plateau).
+            start = feasible_bhj_start(
+                ss, model.hash_memory_fraction, cluster
+            )
+        cost_fn, grid_cost_fn = _model_costs(model, algorithm, ss, ls)
+        scalar = hill_climb_resource_plan(
+            cost_fn, cluster, start=start, memoize=memoize
+        )
+        grid = hill_climb_resource_plan(
+            cost_fn,
+            cluster,
+            start=start,
+            memoize=memoize,
+            grid_cost_fn=grid_cost_fn,
+        )
+        assert grid == scalar
+
+    def test_grid_path_reads_only_the_grid(self, paper_cluster):
+        model = default_cost_model()
+        _, grid_cost_fn = _model_costs(
+            model, JoinAlgorithm.SORT_MERGE, 5.0, 77.0
+        )
+
+        def never(config):
+            raise AssertionError("the grid climb called cost_fn")
+
+        climb = hill_climb_resource_plan(
+            never, paper_cluster, grid_cost_fn=grid_cost_fn
+        )
+        assert climb.iterations > 0
+
+    def test_non_dyadic_step_falls_back(self):
+        cluster = ClusterConditions(
+            max_containers=6, max_container_gb=4.0, container_gb_step=0.3
+        )
+        model = default_cost_model()
+        cost_fn, _ = _model_costs(model, JoinAlgorithm.SORT_MERGE, 2.0, 9.0)
+
+        def never(grid):
+            raise AssertionError("a drifting climb used the grid")
+
+        fallback = hill_climb_resource_plan(
+            cost_fn, cluster, grid_cost_fn=never
+        )
+        assert fallback == hill_climb_resource_plan(cost_fn, cluster)
+
+    def test_off_grid_start_falls_back(self):
+        cluster = ClusterConditions(
+            max_containers=10, max_container_gb=10.5
+        )
+        start = ResourceConfiguration(num_containers=1, container_gb=10.5)
+
+        def never(grid):
+            raise AssertionError("an off-grid start used the grid")
+
+        def cost_fn(config):
+            return config.container_gb
+
+        climb = hill_climb_resource_plan(
+            cost_fn, cluster, start=start, grid_cost_fn=never
+        )
+        assert climb == hill_climb_resource_plan(
+            cost_fn, cluster, start=start
+        )
+        # Stepping down from 10.5 never meets the 1..10 GB grid.
+        assert climb.config.container_gb == 1.5
+
+    def test_without_memo_every_read_counts(self, paper_cluster):
+        model = default_cost_model()
+        cost_fn, grid_cost_fn = _model_costs(
+            model, JoinAlgorithm.SORT_MERGE, 5.0, 77.0
+        )
+        memo = hill_climb_resource_plan(
+            cost_fn, paper_cluster, grid_cost_fn=grid_cost_fn
+        )
+        plain = hill_climb_resource_plan(
+            cost_fn, paper_cluster, memoize=False, grid_cost_fn=grid_cost_fn
+        )
+        assert plain.config == memo.config
+        assert plain.iterations > memo.iterations
+        assert plain == hill_climb_resource_plan(
+            cost_fn, paper_cluster, memoize=False
+        )
+
+    def test_bad_grid_shape_rejected(self, paper_cluster):
+        from repro.core.resource_planner import ResourcePlanningError
+
+        with pytest.raises(ResourcePlanningError, match="shape"):
+            hill_climb_resource_plan(
+                lambda config: 1.0,
+                paper_cluster,
+                grid_cost_fn=lambda grid: np.zeros(3),
+            )
+
+    @given(
+        cluster=climb_clusters,
+        ss=data_sizes,
+        ls=data_sizes,
+        algorithm=algorithms,
+        estimator_name=estimator_names,
+        objective=st.sampled_from(
+            [
+                PlanObjective.fastest(),
+                PlanObjective.weighted(0.5),
+                PlanObjective.cheapest(),
+            ]
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_coster_identical(
+        self, cluster, ss, ls, algorithm, estimator_name, objective
+    ):
+        """Through RaqoCoster: same Cost bits, configuration and
+        ``resource_iterations`` with and without the grid objective."""
+        ss, ls = sorted((ss, ls))
+        model = _estimator(estimator_name)
+        observed = []
+        for vectorized in (False, True):
+            coster = RaqoCoster(
+                model,
+                method=ResourcePlanningMethod.HILL_CLIMB,
+                money_weight=objective.money_weight,
+                time_weight=objective.time_weight,
+                vectorized=vectorized,
+            )
+            context = PlanningContext(
+                estimator=_FixedSizes(ss, ls), cluster=cluster
+            )
+            cost, config = coster.join_cost(
+                frozenset({"a"}), frozenset({"b"}), algorithm, context
+            )
+            observed.append(
+                (
+                    cost.time_s.hex(),
+                    cost.money.hex(),
+                    config,
+                    context.counters,
+                )
+            )
+        assert observed[0] == observed[1]

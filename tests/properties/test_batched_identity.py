@@ -162,3 +162,62 @@ class TestBatchedScalarIdentity:
         )
         for rb, rs in zip(batched, scalar):
             assert rb.counters.memo_hits == rs.counters.memo_hits
+
+
+def _exact(result):
+    """Everything a planning run reports, floats as hex: the plan with
+    each operator's resources, the Cost bits and every counter."""
+    return (
+        plan_signature(result.plan),
+        [join.resources for join in result.plan.joins_postorder()],
+        result.cost.time_s.hex(),
+        result.cost.money.hex(),
+        result.counters,
+        result.batch_sizes,
+    )
+
+
+class TestGridHillClimbIdentity:
+    """Hill climbing over the once-costed grid (the default,
+    ``vectorized_resource_planning=True``) vs the scalar climb."""
+
+    @pytest.mark.parametrize(
+        "planner_kind", [PlannerKind.SELINGER, PlannerKind.FAST_RANDOMIZED]
+    )
+    def test_tpch_identical(self, catalog, planner_kind):
+        runs = [
+            _plan_all(
+                catalog,
+                list(tpch.EVALUATION_QUERIES),
+                batched=True,
+                tracer_seed=7,
+                planner_kind=planner_kind,
+                resource_method=ResourcePlanningMethod.HILL_CLIMB,
+                randomized_iterations=2,
+                vectorized_resource_planning=vectorized,
+            )
+            for vectorized in (True, False)
+        ]
+        (grid, grid_tree), (scalar, scalar_tree) = runs
+        assert [_exact(r) for r in grid] == [_exact(r) for r in scalar]
+        assert grid_tree == scalar_tree
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_schema_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        cat = random_catalog(RandomSchemaConfig(num_tables=6), rng)
+        queries = [random_query(cat, 5, rng) for _ in range(3)]
+        runs = [
+            _plan_all(
+                cat,
+                queries,
+                batched=True,
+                tracer_seed=7,
+                resource_method=ResourcePlanningMethod.HILL_CLIMB,
+                vectorized_resource_planning=vectorized,
+            )
+            for vectorized in (True, False)
+        ]
+        (grid, grid_tree), (scalar, scalar_tree) = runs
+        assert [_exact(r) for r in grid] == [_exact(r) for r in scalar]
+        assert grid_tree == scalar_tree
