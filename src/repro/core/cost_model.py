@@ -319,8 +319,9 @@ class OperatorCostModel:
         expressions are elementwise arithmetic and the accumulation
         runs coefficient by coefficient, so each lane performs exactly
         the IEEE operation sequence of the scalar call -- bit-identical
-        results. Transforms that reject array inputs fall back to the
-        per-row scalar path.
+        results. Like :meth:`predict_grid_stacked`, the feature values
+        are accumulated un-broadcast. Transforms that reject array
+        inputs fall back to the per-row scalar path.
         """
         ss = np.asarray(small_gbs, dtype=float)
         ls = np.asarray(large_gbs, dtype=float)
@@ -330,10 +331,6 @@ class OperatorCostModel:
             return np.zeros(0)
         try:
             values = self.feature_map.transform(ss, ls, cs, nc)
-            columns = [
-                np.broadcast_to(np.asarray(v, dtype=float), ss.shape)
-                for v in values
-            ]
         except Exception:
             return np.asarray(
                 [
@@ -349,8 +346,8 @@ class OperatorCostModel:
                 ]
             )
         acc = np.zeros(ss.shape)
-        for column, coefficient in zip(columns, self.coefficients):
-            acc = acc + coefficient * column
+        for value, coefficient in zip(values, self.coefficients):
+            acc += coefficient * np.asarray(value, dtype=float)
         raw = self.intercept + acc
         raw = np.where(np.isnan(raw), math.inf, raw)
         return np.maximum(raw, MIN_PREDICTED_TIME_S)

@@ -15,12 +15,16 @@ modes are provided, as in the paper:
 - ``NEAREST`` -- the nearest neighbour within a data-delta threshold;
 - ``WEIGHTED_AVERAGE`` -- the distance-weighted average of all neighbours
   within the threshold, snapped back onto the cluster's discrete grid.
+
+A NaN key always misses, in every mode: it compares unequal to every
+key, so no entry can lie "within" any threshold of it.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -168,7 +172,7 @@ class ResourcePlanCache:
         mode: LookupMode = LookupMode.NEAREST,
         threshold_gb: float = 0.0,
     ) -> None:
-        if threshold_gb < 0:
+        if not threshold_gb >= 0:  # also rejects NaN
             raise ValueError(
                 f"threshold_gb must be >= 0, got {threshold_gb}"
             )
@@ -184,24 +188,31 @@ class ResourcePlanCache:
             self._indexes[model_key] = index
         return index
 
-    def lookup(
+    def peek(
         self,
         model_key: str,
         data_gb: float,
         cluster: Optional[ClusterConditions] = None,
     ) -> Optional[ResourceConfiguration]:
-        """Return a cached configuration for these data characteristics.
+        """What :meth:`lookup` would return, without touching the stats.
 
-        All modes try an exact match first (the paper: "both variants
-        first look for exact match before trying the interpolation").
-        ``cluster`` is used by the weighted-average mode to snap the
-        interpolated configuration back onto the discrete grid, and by
-        all modes to reject cached entries that no longer fit the current
-        cluster conditions.
+        The batched coster peeks a whole candidate batch first and
+        charges each hit or miss afterwards, where the per-candidate
+        lookup would have.
         """
-        index = self._index(model_key)
+        if math.isnan(data_gb):
+            return None
+        index = self._indexes.get(model_key)
+        if index is None:
+            return None
         result = index.exact(data_gb)
-        if result is None and self.mode is not LookupMode.EXACT:
+        # With a zero threshold the neighbour scan could only find the
+        # keys exact() already checked, so it is skipped.
+        if (
+            result is None
+            and self.mode is not LookupMode.EXACT
+            and self.threshold_gb > 0
+        ):
             neighbors = index.neighbors_within(
                 data_gb, self.threshold_gb
             )
@@ -215,6 +226,24 @@ class ResourcePlanCache:
         if result is not None and cluster is not None:
             if not cluster.contains(result):
                 result = None
+        return result
+
+    def lookup(
+        self,
+        model_key: str,
+        data_gb: float,
+        cluster: Optional[ClusterConditions] = None,
+    ) -> Optional[ResourceConfiguration]:
+        """Return a cached configuration for these data characteristics.
+
+        All modes try an exact match first (the paper: "both variants
+        first look for exact match before trying the interpolation").
+        ``cluster`` is used by the weighted-average mode to snap the
+        interpolated configuration back onto the discrete grid, and by
+        all modes to reject cached entries that no longer fit the current
+        cluster conditions. Counts one hit or miss in :attr:`stats`.
+        """
+        result = self.peek(model_key, data_gb, cluster)
         if result is None:
             self.stats.misses += 1
         else:

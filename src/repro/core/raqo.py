@@ -20,13 +20,14 @@ query/resource plan by consulting the optimizer").
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import enum
 import math
 import threading
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -82,6 +83,53 @@ DEFAULT_QO_RESOURCES = ResourceConfiguration(
 DEFAULT_CLUSTER = ClusterConditions(
     max_containers=100, max_container_gb=10.0
 )
+
+
+class _PendingKeys:
+    """Smaller-input keys of batch candidates that may still insert into
+    the plan cache, indexed per model key.
+
+    :meth:`near` answers ``any(abs(key - other) <= threshold)`` over the
+    keys added so far -- whether a lookup of ``key`` could see one of
+    their inserts -- without scanning them all. A zero threshold is a
+    set membership test; a positive one bisects a sorted list and
+    re-checks the two neighbours with that same expression (the rounded
+    difference is monotone in ``other``, so the nearest key on each side
+    decides). NaN and infinite keys never pass the expression at a
+    finite threshold, so they are set aside and only scanned when the
+    key or the threshold is itself not finite.
+    """
+
+    def __init__(self, threshold: float) -> None:
+        self.threshold = threshold
+        self._exact: Dict[str, Set[float]] = {}
+        self._sorted: Dict[str, List[float]] = {}
+        self._non_finite: Dict[str, List[float]] = {}
+
+    def add(self, model_key: str, key: float) -> None:
+        if not math.isfinite(key):
+            self._non_finite.setdefault(model_key, []).append(key)
+        elif self.threshold == 0:
+            self._exact.setdefault(model_key, set()).add(key)
+        else:
+            bisect.insort(self._sorted.setdefault(model_key, []), key)
+
+    def near(self, model_key: str, key: float) -> bool:
+        threshold = self.threshold
+        if threshold == 0:
+            # abs(key - other) <= 0 holds only for equal finite keys.
+            return key in self._exact.get(model_key, ())
+        keys = self._sorted.get(model_key, [])
+        if math.isfinite(key) and math.isfinite(threshold):
+            position = bisect.bisect_left(keys, key)
+            return any(
+                abs(key - other) <= threshold
+                for other in keys[max(position - 1, 0):position + 1]
+            )
+        return any(
+            abs(key - other) <= threshold
+            for other in keys + self._non_finite.get(model_key, [])
+        )
 
 
 class ResourcePlanningMethod(enum.Enum):
@@ -215,11 +263,12 @@ class RaqoCoster:
 
     # Candidate classifications used by :meth:`cost_batch`. Finished
     # candidates (memo hits and within-batch aliases) need no further
-    # work; CACHED/WALL candidates resolved inline (cache hit / BHJ
+    # work; CACHED/WALL candidates resolved inline (plan-cache hit / BHJ
     # memory wall); KERNEL candidates go through the stacked grid
-    # kernel; TAIL candidates must replay the scalar path sequentially
-    # because their cache lookup depends on an earlier candidate's
-    # insert.
+    # kernel; TAIL candidates wait until the kernel has inserted, since
+    # their cache lookup may see an earlier candidate's insert. The tail
+    # walk serves its cache hits in bulk (they become CACHED) and
+    # replays only misses and infeasible hits through the scalar path.
     _DONE, _CACHED, _WALL, _KERNEL, _TAIL = range(5)
 
     def cost_batch(
@@ -231,10 +280,18 @@ class RaqoCoster:
         cache hits, and kernel rows; the kernel then costs all rows of
         one algorithm against the full resource grid in a single
         ``predict_time_grid_batch`` call (N candidates x G
-        configurations, zero-copy shared grid axes). Candidates whose
-        plan-cache lookup could observe an insert made by an *earlier*
-        candidate of the same batch are deferred to a sequential tail
-        that replays the exact scalar semantics, so every observable --
+        configurations, zero-copy shared grid axes). Every live
+        candidate is peeked against the plan cache as it stood before
+        the batch, and all found configurations are checked for
+        feasibility in one ``predict_time_rows`` call per algorithm.
+
+        A candidate whose lookup could observe an insert made by an
+        *earlier* candidate of the same batch is deferred to a tail,
+        walked in candidate order after the kernel has inserted: each
+        run of consecutive cache hits is costed in one
+        ``predict_time_rows`` call per algorithm, and only a miss or an
+        infeasible hit replays the scalar :meth:`_plan_and_cost` (which
+        plans and inserts) before the walk resumes. Every observable --
         chosen configurations, costs, counters, cache statistics, and
         traced span trees -- is bit-identical to costing the candidates
         one at a time. Hill climbing and non-vectorized costers fall
@@ -248,6 +305,8 @@ class RaqoCoster:
         counters = context.counters
         counters.batched_calls += 1
         context.batch_sizes.append(len(batch))
+        cache = self.cache
+        cluster = context.cluster
         n = len(batch)
         times = np.full(n, math.inf)
         money = np.full(n, math.inf)
@@ -258,15 +317,6 @@ class RaqoCoster:
         memo_keys: List[Optional[Tuple]] = [None] * n
         #: First in-batch candidate computing each memo key.
         batch_first: Dict[Tuple, int] = {}
-        #: (model_key -> smaller-input keys) of candidates that may
-        #: still insert into the plan cache (kernel rows and tail).
-        pending: Dict[str, List[float]] = {}
-        if self.cache is not None and (
-            self.cache.mode is not LookupMode.EXACT
-        ):
-            threshold = self.cache.threshold_gb
-        else:
-            threshold = 0.0
 
         def commit(
             index: int, result: Tuple[Cost, Optional[ResourceConfiguration]]
@@ -288,21 +338,23 @@ class RaqoCoster:
             algorithm: self.model.model_key(algorithm)
             for algorithm in dict.fromkeys(batch.algorithms)
         }
+        # Per-candidate columns as Python lists (tolist() keeps every
+        # float's bits), read many times below.
+        algorithms = batch.algorithms
+        keys = [model_keys[algorithm] for algorithm in algorithms]
+        smalls = batch.small_gb.tolist()
+        larges = batch.large_gb.tolist()
         bhj_fraction = self.model.hash_memory_fraction
-        bhj_max_gb = context.cluster.dimension("container_gb").values()[-1]
+        bhj_max_gb = cluster.dimension("container_gb").values()[-1]
 
-        # Phase 1 -- partition, visiting candidates in scalar order.
-        kernel_rows: List[int] = []
+        # Phase 1a -- memo hits and in-batch aliases; the rest is live.
+        live: List[int] = []
         for i in range(n):
-            algorithm = batch.algorithms[i]
-            small_gb = float(batch.small_gb[i])
-            large_gb = float(batch.large_gb[i])
-            model_key = model_keys[algorithm]
             if self.memoize:
                 memo_key = (
-                    model_key,
-                    small_gb,
-                    large_gb,
+                    keys[i],
+                    smalls[i],
+                    larges[i],
                     self.money_weight,
                     self.time_weight,
                 )
@@ -326,43 +378,58 @@ class RaqoCoster:
                     continue
                 batch_first[memo_key] = i
                 memo_keys[i] = memo_key
-            if self.cache is not None and any(
-                abs(small_gb - other) <= threshold
-                for other in pending.get(model_key, ())
-            ):
-                # The scalar loop would have inserted the pending
-                # candidate's configuration before this lookup ran;
-                # replay this candidate sequentially after the kernel.
-                kinds[i] = self._TAIL
-                pending.setdefault(model_key, []).append(small_gb)
-                continue
-            config = self._cached_config(
-                algorithm, small_gb, large_gb, context
-            )
-            if config is not None:
-                # Cache hits are validated feasible by _cached_config.
-                cache_hit[i] = True
-                kinds[i] = self._CACHED
-                time_s = self.model.predict_time(
-                    algorithm, small_gb, large_gb, config
-                )
-                if not math.isfinite(time_s):
-                    commit(i, (INFEASIBLE_COST, None))
+            live.append(i)
+
+        # Phase 1b -- peek every live candidate. Until the kernel
+        # inserts, a non-tail lookup sees the cache as it was before the
+        # batch, so peeks taken now are what those lookups return. The
+        # peeks of candidates that end up in the tail go unused.
+        peeked: Dict[int, ResourceConfiguration] = {}
+        if cache is not None:
+            for i in live:
+                config = cache.peek(keys[i], smalls[i], cluster)
+                if config is not None:
+                    peeked[i] = config
+        hit_costs = self._cost_at(batch, peeked)
+
+        # Phase 1c -- partition, visiting candidates in scalar order and
+        # charging each lookup where the scalar loop would have.
+        pending = _PendingKeys(
+            cache.threshold_gb
+            if cache is not None and cache.mode is not LookupMode.EXACT
+            else 0.0
+        )
+        kernel_rows: List[int] = []
+        for i in live:
+            small_gb = smalls[i]
+            model_key = keys[i]
+            if cache is not None:
+                if pending.near(model_key, small_gb):
+                    # The scalar loop would have inserted the pending
+                    # candidate's configuration before this lookup ran.
+                    kinds[i] = self._TAIL
+                    pending.add(model_key, small_gb)
                     continue
-                commit(
-                    i,
-                    (
-                        Cost(
-                            time_s=time_s,
-                            money=self.price_model.cost_of_gb_seconds(
-                                config.gb_seconds(time_s)
-                            ),
-                        ),
-                        config,
-                    ),
-                )
-                continue
-            if algorithm is JoinAlgorithm.BROADCAST_HASH:
+                config = peeked.get(i)
+                if config is None:
+                    cache.stats.misses += 1
+                    counters.cache_misses += 1
+                else:
+                    cache.stats.hits += 1
+                    time_s, money_usd = hit_costs[i]
+                    if math.isfinite(time_s):
+                        counters.cache_hits += 1
+                        cache_hit[i] = True
+                        kinds[i] = self._CACHED
+                        commit(
+                            i, (Cost(time_s=time_s, money=money_usd), config)
+                        )
+                        continue
+                    # A neighbour's configuration violates this
+                    # operator's memory wall: a miss, as in
+                    # _cached_config.
+                    counters.cache_misses += 1
+            if algorithms[i] is JoinAlgorithm.BROADCAST_HASH:
                 if small_gb < 0:
                     raise ResourcePlanningError(
                         f"small_gb must be >= 0, got {small_gb}"
@@ -373,26 +440,51 @@ class RaqoCoster:
                     continue
             kinds[i] = self._KERNEL
             kernel_rows.append(i)
-            pending.setdefault(model_key, []).append(small_gb)
+            pending.add(model_key, small_gb)
 
         # Phase 2 -- one stacked kernel call per algorithm present.
         if kernel_rows:
             self._run_kernel(batch, kernel_rows, context, commit)
 
-        # Phase 3 -- sequential tail + span emission, in candidate
-        # order (span ordinals under the plan span must match the
-        # scalar loop's creation order).
+        # Phase 3 -- the tail walk and span emission, in candidate order
+        # (span ordinals under the plan span must match the scalar
+        # loop's creation order).
+        tail = [i for i in live if kinds[i] == self._TAIL]
+
+        def serve_hits(start: int) -> int:
+            """Serve tail[start:] from the cache up to the first miss or
+            infeasible hit; returns that candidate's tail position."""
+            assert cache is not None  # only a cache defers candidates
+            found: Dict[int, ResourceConfiguration] = {}
+            for i in tail[start:]:
+                config = cache.peek(keys[i], smalls[i], cluster)
+                if config is None:
+                    break
+                found[i] = config
+            costs = self._cost_at(batch, found)
+            for position, i in enumerate(found, start):
+                time_s, money_usd = costs[i]
+                if not math.isfinite(time_s):
+                    return position
+                cache.stats.hits += 1
+                counters.cache_hits += 1
+                cache_hit[i] = True
+                kinds[i] = self._CACHED
+                commit(i, (Cost(time_s=time_s, money=money_usd), found[i]))
+            return start + len(found)
+
+        stop = serve_hits(0) if tail else 0
         tracer = context.tracer
         for i in range(n):
             kind = kinds[i]
             if kind == self._TAIL:
+                # Only the candidate that ended the last run of hits is
+                # still a tail candidate here: replay it, then resume.
                 result = self._plan_and_cost(
-                    batch.algorithms[i],
-                    float(batch.small_gb[i]),
-                    float(batch.large_gb[i]),
-                    context,
+                    algorithms[i], smalls[i], larges[i], context
                 )
                 commit(i, result)
+                stop = serve_hits(stop + 1)
             elif tracer.active and kind != self._DONE:
                 self._emit_candidate_span(
                     batch, i, kind, cache_hit[i], times, configs, context
@@ -408,6 +500,48 @@ class RaqoCoster:
             feasible=feasible,
             configs=tuple(configs),
         )
+
+    def _cost_at(
+        self,
+        batch: CandidateBatch,
+        chosen: Dict[int, ResourceConfiguration],
+    ) -> Dict[int, Tuple[float, float]]:
+        """(time, money) of candidates at given configurations.
+
+        One ``predict_time_rows`` call per algorithm; each lane equals
+        the scalar ``predict_time`` at that configuration, and money
+        runs the scalar ``cost_of_gb_seconds(config.gb_seconds(t))``
+        chain ``((nc * cs) * t) / 3600 * rate`` lane for lane.
+        """
+        by_algorithm: Dict[JoinAlgorithm, List[int]] = {}
+        for i in chosen:
+            by_algorithm.setdefault(batch.algorithms[i], []).append(i)
+        costs: Dict[int, Tuple[float, float]] = {}
+        for algorithm, rows in by_algorithm.items():
+            counts = np.array(
+                [chosen[i].num_containers for i in rows], dtype=float
+            )
+            sizes = np.array(
+                [chosen[i].container_gb for i in rows], dtype=float
+            )
+            row_times = self.model.predict_time_rows(
+                algorithm,
+                batch.small_gb[rows],
+                batch.large_gb[rows],
+                sizes,
+                counts,
+            )
+            row_money = (
+                counts
+                * sizes
+                * row_times
+                / 3600.0
+                * self.price_model.dollars_per_gb_hour
+            )
+            costs.update(
+                zip(rows, zip(row_times.tolist(), row_money.tolist()))
+            )
+        return costs
 
     def _run_kernel(
         self,
@@ -466,29 +600,7 @@ class RaqoCoster:
                 objective = times
             # First-occurrence argmin per row = the scalar tie-break.
             best = np.argmin(objective, axis=1)
-            model_key = self.model.model_key(algorithm)
-            # Recompute the winners' unweighted times in one elementwise
-            # call (the scalar path re-predicts after its argmin too);
-            # each lane is bit-identical to a per-winner predict_time.
-            winner_counts = grid.counts[best]
-            winner_sizes = grid.sizes[best]
-            winner_times = self.model.predict_time_rows(
-                algorithm,
-                small,
-                large,
-                winner_sizes,
-                winner_counts,
-            )
-            # Same left-to-right expression as the scalar
-            # `cost_of_gb_seconds(config.gb_seconds(time_s))` chain:
-            # ((nc * cs) * t) / 3600 * rate, lane for lane.
-            winner_money = (
-                winner_counts
-                * winner_sizes
-                * winner_times
-                / 3600.0
-                * self.price_model.dollars_per_gb_hour
-            )
+            winners: Dict[int, ResourceConfiguration] = {}
             for position, i in enumerate(rows):
                 best_index = int(best[position])
                 best_cost = float(objective[position, best_index])
@@ -500,23 +612,21 @@ class RaqoCoster:
                 if config is None:
                     config = grid.config_at(best_index)
                     config_cache[best_index] = config
-                small_gb = float(batch.small_gb[i])
+                winners[i] = config
+            # Re-predict the winners' unweighted times in one elementwise
+            # call, as the scalar path re-predicts after its argmin.
+            costs = self._cost_at(batch, winners)
+            model_key = self.model.model_key(algorithm)
+            for i, config in winners.items():
                 if self.cache is not None:
-                    self.cache.insert(model_key, small_gb, config)
-                time_s = float(winner_times[position])
+                    self.cache.insert(
+                        model_key, float(batch.small_gb[i]), config
+                    )
+                time_s, money_usd = costs[i]
                 if not math.isfinite(time_s):
                     commit(i, (INFEASIBLE_COST, None))
                     continue
-                commit(
-                    i,
-                    (
-                        Cost(
-                            time_s=time_s,
-                            money=float(winner_money[position]),
-                        ),
-                        config,
-                    ),
-                )
+                commit(i, (Cost(time_s=time_s, money=money_usd), config))
 
     def _emit_candidate_span(
         self,
@@ -615,10 +725,13 @@ class RaqoCoster:
         large_gb: float,
         context: PlanningContext,
     ) -> Tuple[Cost, Optional[ResourceConfiguration]]:
-        config = self._cached_config(
+        cached = self._cached_config(
             algorithm, small_gb, large_gb, context
         )
-        if config is None:
+        if cached is not None:
+            # The feasibility check already predicted at this config.
+            config, time_s = cached
+        else:
             outcome = self._plan_resources(
                 algorithm, small_gb, large_gb, context
             )
@@ -629,9 +742,9 @@ class RaqoCoster:
                 self.cache.insert(
                     self.model.model_key(algorithm), small_gb, config
                 )
-        time_s = self.model.predict_time(
-            algorithm, small_gb, large_gb, config
-        )
+            time_s = self.model.predict_time(
+                algorithm, small_gb, large_gb, config
+            )
         if not math.isfinite(time_s):
             return INFEASIBLE_COST, None
         money = self.price_model.cost_of_gb_seconds(
@@ -645,24 +758,30 @@ class RaqoCoster:
         small_gb: float,
         large_gb: float,
         context: PlanningContext,
-    ) -> Optional[ResourceConfiguration]:
-        """Try the resource plan cache; validates feasibility on hits."""
+    ) -> Optional[Tuple[ResourceConfiguration, float]]:
+        """Try the resource plan cache; validates feasibility on hits.
+
+        Returns the hit's configuration with the (finite) time predicted
+        there, or None on a miss.
+        """
         if self.cache is None:
             return None
         config = self.cache.lookup(
             self.model.model_key(algorithm), small_gb, context.cluster
         )
-        if config is not None and not math.isfinite(
-            self.model.predict_time(algorithm, small_gb, large_gb, config)
-        ):
-            # A neighbour's configuration may violate this operator's
-            # memory wall; fall back to planning.
-            config = None
         if config is None:
             context.counters.cache_misses += 1
-        else:
-            context.counters.cache_hits += 1
-        return config
+            return None
+        time_s = self.model.predict_time(
+            algorithm, small_gb, large_gb, config
+        )
+        if not math.isfinite(time_s):
+            # A neighbour's configuration may violate this operator's
+            # memory wall; fall back to planning.
+            context.counters.cache_misses += 1
+            return None
+        context.counters.cache_hits += 1
+        return config, time_s
 
     def _plan_resources(
         self,

@@ -13,12 +13,14 @@ import pytest
 
 from repro.catalog import tpch
 from repro.cluster.cluster import ClusterConditions
+from repro.core.cost_model import SimulatorCostModel
 from repro.core.raqo import (
     RaqoPlanner,
     ResourcePlanningMethod,
     default_cost_model,
 )
 from repro.engine.joins import JoinAlgorithm
+from repro.engine.profiles import HIVE_PROFILE
 from repro.planner.plan import ALGORITHM_CODES, CandidateBatch
 
 
@@ -75,6 +77,47 @@ class TestStackedKernel:
             np.testing.assert_array_equal(
                 np.isinf(batch[row]), np.isinf(scalar)
             )
+
+
+class TestRowsKernel:
+    """``predict_time_rows`` pairs each candidate with its own
+    configuration; every lane must equal the scalar ``predict_time``."""
+
+    @pytest.mark.parametrize("algorithm", list(JoinAlgorithm))
+    @pytest.mark.parametrize("estimator", ["learned", "simulator"])
+    def test_lanes_bitwise_equal_scalar(
+        self, model, grid, algorithm, estimator
+    ):
+        if estimator == "simulator":
+            model = SimulatorCostModel(HIVE_PROFILE)
+        rng = np.random.default_rng(23)
+        small = rng.uniform(0.01, 40.0, size=48)
+        large = small + rng.uniform(0.0, 60.0, size=48)
+        picks = rng.integers(0, grid.num_configs, size=48)
+        rows = model.predict_time_rows(
+            algorithm, small, large, grid.sizes[picks], grid.counts[picks]
+        )
+        scalar = [
+            model.predict_time(
+                algorithm, float(ss), float(ls), grid.config_at(int(k))
+            )
+            for ss, ls, k in zip(small, large, picks)
+        ]
+        assert [t.hex() for t in rows.tolist()] == [
+            float(t).hex() for t in scalar
+        ]
+        if algorithm is JoinAlgorithm.BROADCAST_HASH:
+            assert np.isinf(rows).any() and np.isfinite(rows).any()
+
+    def test_empty(self, model):
+        rows = model.predict_time_rows(
+            JoinAlgorithm.SORT_MERGE,
+            np.empty(0),
+            np.empty(0),
+            np.empty(0),
+            np.empty(0),
+        )
+        assert rows.shape == (0,)
 
 
 class TestCandidateBatch:

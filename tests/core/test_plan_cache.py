@@ -229,6 +229,63 @@ class TestClusterValidation:
         assert cache.lookup("smj", 2.0, small) == rc(5, 2.0)
 
 
+MODES = [
+    (LookupMode.EXACT, 0.0),
+    (LookupMode.NEAREST, 0.0),
+    (LookupMode.NEAREST, 0.5),
+    (LookupMode.WEIGHTED_AVERAGE, 2.0),
+]
+
+
+def _filled_cache(mode, threshold_gb):
+    """Keys 0..69 (past the merge threshold, so some sit in the sorted
+    array and some in the pending buffer) plus an outlier at 100."""
+    cache = ResourcePlanCache(mode=mode, threshold_gb=threshold_gb)
+    for key in list(range(70)) + [100]:
+        cache.insert("m", float(key), rc(1, 2.0))
+    return cache
+
+
+class TestNanKey:
+    """A NaN key compares unequal to everything: it must miss, not
+    bisect across the whole sorted array and hit an arbitrary entry."""
+
+    @pytest.mark.parametrize("mode,threshold_gb", MODES)
+    def test_nan_key_misses(self, mode, threshold_gb, paper_cluster):
+        cache = _filled_cache(mode, threshold_gb)
+        assert cache.lookup("m", float("nan"), paper_cluster) is None
+        assert cache.lookup("m", float("nan")) is None
+        assert cache.stats.hits == 0
+        assert cache.stats.misses == 2
+
+    @pytest.mark.parametrize("mode,threshold_gb", MODES)
+    def test_finite_keys_still_hit(self, mode, threshold_gb):
+        cache = _filled_cache(mode, threshold_gb)
+        assert cache.lookup("m", 3.0) == rc(1, 2.0)
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            ResourcePlanCache(threshold_gb=float("nan"))
+
+
+class TestPeek:
+    @pytest.mark.parametrize("mode,threshold_gb", MODES)
+    def test_peek_matches_lookup_without_counting(
+        self, mode, threshold_gb, paper_cluster
+    ):
+        cache = _filled_cache(mode, threshold_gb)
+        for key in (3.0, 3.2, 70.4, 85.0, 101.0, float("nan")):
+            peeked = cache.peek("m", key, paper_cluster)
+            assert cache.stats.lookups == 0
+            assert peeked == cache.lookup("m", key, paper_cluster)
+            cache.stats.hits = cache.stats.misses = 0
+
+    def test_peek_unknown_model_key(self):
+        cache = ResourcePlanCache()
+        assert cache.peek("smj", 1.0) is None
+        assert cache.size() == 0
+
+
 class TestStatsAndMaintenance:
     def test_hit_rate(self):
         cache = ResourcePlanCache(mode=LookupMode.EXACT)

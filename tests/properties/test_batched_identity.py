@@ -19,14 +19,23 @@ from repro.catalog.random_schema import (
     random_catalog,
     random_query,
 )
+from repro.catalog.statistics import StatisticsEstimator
+from repro.core.cost_model import SimulatorCostModel
+from repro.core.plan_cache import LookupMode, ResourcePlanCache
 from repro.core.raqo import (
+    DEFAULT_CLUSTER,
     PlannerKind,
+    RaqoCoster,
     RaqoPlanner,
     ResourcePlanningMethod,
+    default_cost_model,
 )
+from repro.engine.joins import JoinAlgorithm
+from repro.engine.profiles import HIVE_PROFILE
 from repro.obs.export import canonical_span_tree_json
 from repro.obs.tracing import Tracer
-from repro.planner.plan import plan_signature
+from repro.planner.cost_interface import PlanningContext, cost_batch_scalar
+from repro.planner.plan import CandidateBatch, plan_signature
 
 
 def _strip_batch_counters(counters):
@@ -221,3 +230,192 @@ class TestGridHillClimbIdentity:
         (grid, grid_tree), (scalar, scalar_tree) = runs
         assert [_exact(r) for r in grid] == [_exact(r) for r in scalar]
         assert grid_tree == scalar_tree
+
+
+#: Plan-cache set-ups the batched kernel must reproduce: hits served in
+#: the partition phase and in the tail walk, neighbour configurations
+#: that fail the BHJ memory wall, and no cache at all.
+CACHES = {
+    "exact": dict(cache_mode=LookupMode.EXACT),
+    "nearest-0": dict(cache_mode=LookupMode.NEAREST),
+    "nearest-0.5": dict(
+        cache_mode=LookupMode.NEAREST, cache_threshold_gb=0.5
+    ),
+    "weighted-2": dict(
+        cache_mode=LookupMode.WEIGHTED_AVERAGE, cache_threshold_gb=2.0
+    ),
+    "no-cache": dict(cache_mode=None),
+}
+
+ESTIMATORS = {
+    "learned": default_cost_model,
+    "simulator": lambda: SimulatorCostModel(HIVE_PROFILE),
+}
+
+
+def _cache_run(catalog, queries, *, batched, estimator, cache):
+    """Plan ``queries`` on one planner whose cache persists across
+    queries (and so across batches); returns every observable."""
+    tracer = Tracer(seed=11)
+    planner = RaqoPlanner(
+        catalog,
+        batched_costing=batched,
+        tracer=tracer,
+        cost_model=ESTIMATORS[estimator](),
+        resource_method=ResourcePlanningMethod.BRUTE_FORCE,
+        clear_cache_between_queries=False,
+        **CACHES[cache],
+    )
+    results = [planner.optimize(q) for q in queries]
+    stats = (
+        dataclasses.asdict(planner.cache.stats)
+        if planner.cache is not None
+        else None
+    )
+    observables = [
+        (
+            plan_signature(r.plan),
+            [join.resources for join in r.plan.joins_postorder()],
+            r.cost.time_s.hex(),
+            r.cost.money.hex(),
+            _strip_batch_counters(r.counters),
+        )
+        for r in results
+    ]
+    return observables, stats, canonical_span_tree_json(tracer)
+
+
+class TestPlanCacheIdentity:
+    """Batched vs scalar planning under every plan-cache set-up: plans,
+    Cost bits, counters, ``cache.stats`` and span trees."""
+
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("cache", sorted(CACHES))
+    def test_tpch(self, catalog, cache, estimator):
+        queries = list(tpch.EVALUATION_QUERIES) * 2
+        batched = _cache_run(
+            catalog, queries, batched=True, estimator=estimator, cache=cache
+        )
+        scalar = _cache_run(
+            catalog, queries, batched=False, estimator=estimator, cache=cache
+        )
+        assert batched == scalar
+
+    @pytest.mark.parametrize("cache", sorted(CACHES))
+    def test_random_schema(self, cache):
+        rng = np.random.default_rng(5)
+        cat = random_catalog(RandomSchemaConfig(num_tables=10), rng)
+        queries = [random_query(cat, size, rng) for size in (4, 6, 8, 8)]
+        batched = _cache_run(
+            cat, queries, batched=True, estimator="learned", cache=cache
+        )
+        scalar = _cache_run(
+            cat, queries, batched=False, estimator="learned", cache=cache
+        )
+        assert batched == scalar
+
+
+class _FixedSizes:
+    """A stand-in estimator: each (left, right) pair has preset sizes."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def join_io_gb(self, left, right):
+        return self.sizes[(frozenset(left), frozenset(right))]
+
+
+class TestTailWalk:
+    """A hand-built batch whose tail meets a run of hits, a miss and an
+    infeasible hit, against a NEAREST cache with a 1 GB threshold.
+
+    BHJ fits while ``small_gb <= 1.15 * container_gb``, so 11.2 GB plans
+    onto 10 GB containers and 11.8 GB (past the wall) finds that
+    neighbour's configuration infeasible.
+    """
+
+    CANDIDATES = [
+        # (small_gb, algorithm): kernel rows first, then tail entries.
+        (2.0, JoinAlgorithm.SORT_MERGE),  # kernel row
+        (11.2, JoinAlgorithm.BROADCAST_HASH),  # kernel row
+        (2.9, JoinAlgorithm.SORT_MERGE),  # tail: hit on 2.0
+        (11.8, JoinAlgorithm.BROADCAST_HASH),  # tail: infeasible hit
+        (3.8, JoinAlgorithm.SORT_MERGE),  # tail: miss, plans, inserts
+        (4.5, JoinAlgorithm.SORT_MERGE),  # tail: hit on 3.8
+        (12.7, JoinAlgorithm.BROADCAST_HASH),  # tail: miss, infeasible
+        (4.6, JoinAlgorithm.SORT_MERGE),  # tail: hit on 3.8
+    ]
+    SECOND = [
+        # A later batch (fresh memo, same cache): partition-phase hits.
+        (2.2, JoinAlgorithm.SORT_MERGE),  # hit
+        (11.6, JoinAlgorithm.BROADCAST_HASH),  # infeasible hit, wall
+    ]
+
+    def _batch(self, rows, tag):
+        candidates, sizes = [], {}
+        for index, (small_gb, algorithm) in enumerate(rows):
+            left = frozenset({f"{tag}l{index}"})
+            right = frozenset({f"{tag}r{index}"})
+            candidates.append((left, right, algorithm))
+            sizes[(left, right)] = (small_gb, 40.0 + index)
+        estimator = _FixedSizes(sizes)
+        return CandidateBatch.build(candidates, estimator.join_io_gb), estimator
+
+    def _run(self, cost_fn, coster_hook=None):
+        coster = RaqoCoster(
+            model=default_cost_model(),
+            method=ResourcePlanningMethod.BRUTE_FORCE,
+            cache=ResourcePlanCache(LookupMode.NEAREST, threshold_gb=1.0),
+        )
+        if coster_hook is not None:
+            coster_hook(coster)
+        tracer = Tracer(seed=3)
+        outputs = []
+        for rows, tag in ((self.CANDIDATES, "a"), (self.SECOND, "b")):
+            batch, estimator = self._batch(rows, tag)
+            context = PlanningContext(
+                estimator=estimator, cluster=DEFAULT_CLUSTER, tracer=tracer
+            )
+            result = cost_fn(coster, batch, context)
+            outputs.append(
+                (
+                    [t.hex() for t in result.time_s.tolist()],
+                    [m.hex() for m in result.money.tolist()],
+                    result.configs,
+                    _strip_batch_counters(context.counters),
+                )
+            )
+        stats = dataclasses.asdict(coster.cache.stats)
+        return outputs, stats, canonical_span_tree_json(tracer)
+
+    def test_matches_scalar_and_replays_both_kinds(self):
+        replays = {}
+
+        def spy_on_replays(coster):
+            replay = coster._plan_and_cost
+            stats = coster.cache.stats
+
+            def spy(algorithm, small_gb, large_gb, context):
+                hits = stats.hits
+                result = replay(algorithm, small_gb, large_gb, context)
+                replays[small_gb] = (
+                    "infeasible-hit" if stats.hits > hits else "miss"
+                )
+                return result
+
+            coster._plan_and_cost = spy
+
+        batched = self._run(
+            lambda coster, batch, context: coster.cost_batch(batch, context),
+            spy_on_replays,
+        )
+        scalar = self._run(cost_batch_scalar)
+        assert batched == scalar
+        assert replays[11.8] == "infeasible-hit"
+        assert replays[3.8] == "miss"
+        assert replays[12.7] == "miss"
+        (first, second), stats, _ = batched
+        assert first[3].cache_hits == 3
+        assert second[3].cache_hits == 1
+        # Stats count the two infeasible hits as hits; counters do not.
+        assert stats["hits"] == 6 and stats["misses"] == 4
