@@ -112,6 +112,29 @@ class JoinGraph:
                 result.append(edge)
         return result
 
+    def joinable(
+        self, left_tables: Iterable[str], right_tables: Iterable[str]
+    ) -> bool:
+        """True when some edge crosses the two disjoint sets.
+
+        The same answer as ``bool(edges_between(...))``, from the
+        adjacency sets instead of a scan over every edge: the planners
+        ask it of every candidate split. Overlapping sets raise, as in
+        :meth:`edges_between`.
+        """
+        left_set, right_set = frozenset(left_tables), frozenset(right_tables)
+        if not left_set.isdisjoint(right_set):
+            raise JoinGraphError(
+                f"table sets overlap on {sorted(left_set & right_set)}"
+            )
+        if len(right_set) < len(left_set):
+            left_set, right_set = right_set, left_set
+        for table in left_set:
+            neighbours = self._adjacency.get(table)
+            if neighbours is not None and not neighbours.isdisjoint(right_set):
+                return True
+        return False
+
     def neighbors(self, table: str) -> Set[str]:
         """Tables directly joinable with ``table``."""
         return set(self._adjacency.get(table, ()))

@@ -44,7 +44,7 @@ class ResourceDimension:
                 f"{self.maximum}"
             )
 
-    @property
+    @functools.cached_property
     def num_values(self) -> int:
         """How many discrete values the dimension can take."""
         return int(np.floor((self.maximum - self.minimum) / self.step)) + 1

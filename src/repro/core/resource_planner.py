@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -153,9 +153,12 @@ def hill_climb_resource_plan(
     ``iterations`` then counts distinct evaluations, which is still the
     paper's "#Resource-Iterations" metric (cost model invocations).
 
-    A visited-set guard terminates the (rare) oscillation the greedy
-    combined-step update can produce; the algorithm otherwise follows the
-    pseudocode line by line.
+    The climb stops after a round that did not move (lines 20-21). It
+    needs no visited set: a move needs ``temp < best <= current``, so
+    the cost falls strictly with every round that moves, and a moving
+    round can never return to a configuration already visited. A NaN
+    start never moves, so it ends too. Otherwise the algorithm follows
+    the pseudocode line by line.
 
     ``grid_cost_fn`` (e.g. a cost model's ``predict_time_grid``) costs
     the whole configuration grid in one batched call; the climb is then
@@ -188,7 +191,6 @@ def hill_climb_resource_plan(
             )
     steps = cluster.step_sizes  # Algorithm 1 line 1: GetDiscreteSteps
     iterations = 0
-    visited: Set[Tuple[float, ...]] = set()
     memo: Dict[Tuple[float, ...], float] = {}
 
     def evaluate(vector: List[float]) -> float:
@@ -205,9 +207,9 @@ def hill_climb_resource_plan(
         return value
 
     while True:
-        visited.add(tuple(current))
         current_cost = evaluate(current)  # line 5
         best_cost = current_cost  # line 6
+        stepped = False
         for dim_index in range(len(dims)):  # line 7
             best_candidate = -1  # line 8
             for candidate_index, direction in enumerate(
@@ -230,11 +232,11 @@ def hill_climb_resource_plan(
                 current[dim_index] += (
                     steps[dim_index] * CANDIDATE_STEPS[best_candidate]
                 )  # line 19
-        if best_cost >= current_cost or tuple(current) in visited:
-            # line 20-21: no better neighbour (or an oscillation guard).
+                stepped = True
+        if not stepped:  # line 20-21: no better neighbour
             return ResourcePlanOutcome(
                 config=ResourceConfiguration.from_vector(tuple(current)),
-                cost=best_cost if best_cost < current_cost else current_cost,
+                cost=current_cost,
                 iterations=iterations,
             )
 
@@ -248,10 +250,16 @@ def _grid_hill_climb(
     """Algorithm 1 replayed over grid indices; see
     :func:`hill_climb_resource_plan`.
 
-    On step-exact axes a +/-step move is a +/-1 index move, so the loop
-    below is the scalar loop line for line, with ``current`` held as an
-    index per axis (and ``at``, its row in the grid) and every
-    evaluation a read of the once-costed grid.
+    On step-exact axes a +/-step move is a +/-1 index move, so each
+    round below is the scalar round line for line, with ``current``
+    held as an index per axis (and ``at``, its row in the grid) and
+    every evaluation a read of the once-costed grid.
+
+    A round that moves exactly one step along one axis is usually the
+    first of a run of identical rounds (a climb from 1 to 100
+    containers makes 99). :func:`_monotone_run` measures the run with
+    a few array comparisons and the climb jumps to its end, where the
+    scalar round resumes.
     """
     grid = cluster.config_grid()
     lane_costs = np.asarray(grid_cost_fn(grid), dtype=float)
@@ -260,48 +268,137 @@ def _grid_hill_climb(
             f"grid cost function returned shape {lane_costs.shape}, "
             f"expected ({grid.num_configs},)"
         )
-    costs: List[float] = lane_costs.tolist()
+    cost_at = lane_costs.item
     lengths = [dim.num_values for dim in cluster.dimensions]
     # Row-major over the axes, like ClusterConditions.config_grid().
     strides = [math.prod(lengths[d + 1 :]) for d in range(len(lengths))]
     axes = list(zip(range(len(lengths)), strides, lengths))
     at = sum(index * stride for index, stride in zip(position, strides))
-    #: Every configuration read, in order (the scalar climb's
-    #: ``evaluate`` calls).
+    #: The scalar rounds' reads, one entry each (the scalar climb's
+    #: ``evaluate`` calls), and the runs' reads as index ranges.
     reads: List[int] = []
     read = reads.append
-    visited: Set[int] = set()
+    run_spans: List[slice] = []
+    run_reads = 0
     while True:
-        visited.add(at)
         read(at)
-        current_cost = costs[at]  # line 5
+        current_cost = cost_at(at)  # line 5
         best_cost = current_cost  # line 6
+        moves: List[Tuple[int, int]] = []
         for dim_index, stride, length in axes:  # line 7
             index = position[dim_index]
             best_move = 0  # line 8
             # Lines 9-17 for CANDIDATE_STEPS = (-1.0, 1.0), in order.
             if index > 0:
                 read(at - stride)
-                temp = costs[at - stride]
+                temp = cost_at(at - stride)
                 if temp < best_cost:
                     best_cost = temp
                     best_move = -1
             if index + 1 < length:
                 read(at + stride)
-                temp = costs[at + stride]
+                temp = cost_at(at + stride)
                 if temp < best_cost:
                     best_cost = temp
                     best_move = 1
             if best_move:  # line 18
                 position[dim_index] = index + best_move  # line 19
                 at += best_move * stride
-        if best_cost >= current_cost or at in visited:  # line 20-21
-            return ResourcePlanOutcome(
-                config=grid.config_at(at),
-                cost=best_cost if best_cost < current_cost else current_cost,
-                # Distinct reads are what the scalar climb's memo costs.
-                iterations=len(set(reads)) if memoize else len(reads),
+                moves.append((dim_index, best_move))
+        if not moves:  # line 20-21
+            break
+        if len(moves) == 1:
+            dim_index, direction = moves[0]
+            rounds, spans = _monotone_run(
+                lane_costs, position, at, dim_index, direction, axes
             )
+            if rounds:
+                position[dim_index] += rounds * direction
+                at += rounds * direction * strides[dim_index]
+                run_spans.extend(spans)
+                # Three reads on the run's line per round, one per
+                # side line.
+                run_reads += rounds * (len(spans) + 2)
+    if memoize:
+        # Distinct reads are what the scalar climb's memo costs.
+        seen = np.zeros(grid.num_configs, dtype=bool)
+        seen[reads] = True
+        for span in run_spans:
+            seen[span] = True
+        iterations = int(np.count_nonzero(seen))
+    else:
+        iterations = len(reads) + run_reads
+    return ResourcePlanOutcome(
+        config=grid.config_at(at), cost=current_cost, iterations=iterations
+    )
+
+
+def _monotone_run(
+    lane_costs: np.ndarray,
+    position: List[int],
+    at: int,
+    axis: int,
+    direction: int,
+    axes: List[Tuple[int, int, int]],
+) -> Tuple[int, List[slice]]:
+    """How many rounds from ``at`` repeat the move that led to it.
+
+    The previous round moved one step along ``axis`` in ``direction``
+    and nowhere else. A round from ``here`` repeats that move exactly
+    when ``ahead`` (the next cell along the line) costs less than
+    ``here``, no side probe wins first -- the axes before ``axis`` are
+    probed around ``here`` -- and no side probe wins after the move --
+    the axes after it are probed around ``ahead``. The probe back
+    towards the previous cell never wins: a move needs ``temp < best
+    <= current``, so costs fall strictly along the path. NaN compares
+    false, so it ends a run like any other non-improvement.
+
+    Returns the run length and the run's reads as index ranges: the
+    line from the previous cell to the run's end, which the rounds read
+    three times over (back, here, ahead), and one range per side line.
+    """
+    _, stride, length = axes[axis]
+    index = position[axis]
+    limit = length - 1 - index if direction > 0 else index
+    if not limit:
+        return 0, []
+    step = direction * stride
+    here = lane_costs[_line(at, limit, step)]
+    ahead = lane_costs[_line(at + step, limit, step)]
+    repeats = ahead < here
+    #: The first cell of each side line the rounds probe.
+    sides: List[int] = []
+    for side_axis, side_stride, side_length in axes:
+        if side_axis == axis:
+            continue
+        # Probes before the move start from here, after it from ahead.
+        if side_axis < axis:
+            base, reference = at, here
+        else:
+            base, reference = at + step, ahead
+        side_index = position[side_axis]
+        for start, exists in (
+            (base - side_stride, side_index > 0),
+            (base + side_stride, side_index + 1 < side_length),
+        ):
+            if exists:
+                sides.append(start)
+                side = lane_costs[_line(start, limit, step)]
+                repeats &= ~(side < reference)
+    rounds = int(repeats.argmin())
+    if repeats[rounds]:
+        rounds = limit
+    if not rounds:
+        return 0, []
+    spans = [_line(at - step, rounds + 2, step)]
+    spans.extend(_line(start, rounds, step) for start in sides)
+    return rounds, spans
+
+
+def _line(start: int, count: int, step: int) -> slice:
+    """``count`` flat grid indices from ``start`` in steps of ``step``."""
+    stop = start + count * step
+    return slice(start, stop if stop >= 0 else None, step)
 
 
 def feasible_bhj_start(

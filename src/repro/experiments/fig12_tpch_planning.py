@@ -84,9 +84,14 @@ def run(
         qo = RaqoPlanner.two_step_baseline(
             catalog, planner_kind=planner_kind
         )
-        # Fig 12 runs RAQO with hill climbing but without plan caching.
+        # Fig 12 runs RAQO with hill climbing but without caching: no
+        # resource plan cache and no within-run memo, so RAQO, like the
+        # QO baseline, costs every join the planner asks for.
         raqo = RaqoPlanner(
-            catalog, planner_kind=planner_kind, cache_mode=None
+            catalog,
+            planner_kind=planner_kind,
+            cache_mode=None,
+            memoize_within_run=False,
         )
         for query in queries:
             qo_ms, raqo_ms = _median_runtimes_ms(

@@ -150,7 +150,7 @@ class BushyPlanner:
                     right_entry = best.get(right)
                     if left_entry is None or right_entry is None:
                         continue
-                    if not graph.edges_between(left, right):
+                    if not graph.joinable(left, right):
                         continue
                     for algorithm in JOIN_IMPLEMENTATIONS:
                         context.counters.join_costings += 1
@@ -210,7 +210,7 @@ class BushyPlanner:
                 right_entry = best.get(right)
                 if left_entry is None or right_entry is None:
                     continue
-                if not graph.edges_between(left, right):
+                if not graph.joinable(left, right):
                     continue
                 left_plan, left_cost = left_entry
                 right_plan, right_cost = right_entry

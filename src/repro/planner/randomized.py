@@ -235,9 +235,7 @@ def random_join_tree(
             (i, j)
             for i in range(len(components))
             for j in range(i + 1, len(components))
-            if graph.edges_between(
-                components[i].tables, components[j].tables
-            )
+            if graph.joinable(components[i].tables, components[j].tables)
         ]
         if not joinable:
             raise PlanningError(
@@ -261,7 +259,7 @@ def random_join_tree(
 def plan_is_valid(plan: PlanNode, graph: JoinGraph) -> bool:
     """True when no join in the plan is a cross product."""
     for join in plan.joins_postorder():
-        if not graph.edges_between(join.left.tables, join.right.tables):
+        if not graph.joinable(join.left.tables, join.right.tables):
             return False
     return True
 

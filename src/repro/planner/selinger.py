@@ -15,6 +15,8 @@ import dataclasses
 import itertools
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+import numpy as np
+
 from repro.catalog.queries import Query
 from repro.planner.cost_interface import (
     Cost,
@@ -128,64 +130,75 @@ class SelingerPlanner:
     ) -> None:
         """Cost one whole DP level as a single candidate batch.
 
-        Collects every (subset, extension relation, implementation)
-        candidate of this level in the scalar iteration order, costs
-        them in one ``cost_batch`` call, then replays the per-subset
-        champion comparisons in the same order.
+        Collects every (subset, extension relation) pair of this level
+        in the scalar iteration order and costs all of their join
+        implementations in one ``cost_batch`` call. Champions are then
+        picked from float arrays: each candidate's total is its rest
+        cost plus its join cost, lane by lane (the IEEE adds of
+        ``Cost.__add__``), scalarised with the ``Cost.scalar``
+        expression, and scanned in candidate order with the scalar
+        path's finiteness skip and strict ``<`` rule. Only each
+        subset's final champion becomes a ``JoinNode`` and a ``Cost``.
         """
         graph = context.estimator.join_graph
-        #: (subset, rest plan, rest cost, new table, algorithm) rows,
-        #: parallel to the batch.
-        rows: List[
-            Tuple[FrozenSet[str], PlanNode, Cost, str, "JoinAlgorithm"]  # noqa: F821
-        ] = []
-        candidates = []
+        #: (subset, rest, new table) per joinable pair, in scalar order.
+        pairs: List[Tuple[FrozenSet[str], FrozenSet[str], str]] = []
         for combo in itertools.combinations(sorted(all_tables), size):
             subset = frozenset(combo)
             if not graph.is_connected(subset):
                 continue
-            for table in sorted(subset):
+            for table in combo:  # sorted, like the scalar path
                 rest = subset - {table}
-                rest_entry = best.get(rest)
-                if rest_entry is None:
-                    continue
                 # Left-deep: the new relation is always the right
                 # input, and must actually join (no cross products).
-                if not graph.edges_between(rest, {table}):
-                    continue
-                rest_plan, rest_cost = rest_entry
-                for algorithm in JOIN_IMPLEMENTATIONS:
-                    context.counters.join_costings += 1
-                    rows.append(
-                        (subset, rest_plan, rest_cost, table, algorithm)
-                    )
-                    candidates.append(
-                        (rest, frozenset((table,)), algorithm)
-                    )
-        if not rows:
+                if rest in best and graph.joinable(rest, (table,)):
+                    pairs.append((subset, rest, table))
+        if not pairs:
             return
-        batch = CandidateBatch.build(candidates, context.join_io_gb)
+        width = len(JOIN_IMPLEMENTATIONS)
+        context.counters.join_costings += len(pairs) * width
+        batch = CandidateBatch.build(
+            [
+                (rest, frozenset((table,)), algorithm)
+                for _, rest, table in pairs
+                for algorithm in JOIN_IMPLEMENTATIONS
+            ],
+            context.join_io_gb,
+        )
         costed = dispatch_cost_batch(self._coster, batch, context)
-        champions: Dict[FrozenSet[str], Tuple[PlanNode, Cost]] = {}
-        for index, (subset, rest_plan, rest_cost, table, algorithm) in (
-            enumerate(rows)
-        ):
-            cost, resources = costed.pair(index)
-            total = rest_cost + cost
-            if not total.is_finite:
-                continue
+        rest_costs = [best[rest][1] for _, rest, _ in pairs]
+        # A 0 * inf or an overflow can only come from an infeasible
+        # total, which the scan below skips; Python floats do not warn.
+        with np.errstate(invalid="ignore", over="ignore"):
+            time_s = np.repeat(
+                [cost.time_s for cost in rest_costs], width
+            ) + costed.time_s
+            money = np.repeat(
+                [cost.money for cost in rest_costs], width
+            ) + costed.money
+            scalars = (
+                self._time_weight * time_s + self._money_weight * money
+            ).tolist()
+        feasible = np.flatnonzero(np.isfinite(time_s) & np.isfinite(money))
+        #: Subset -> (candidate index, scalar) of its champion so far.
+        champions: Dict[FrozenSet[str], Tuple[int, float]] = {}
+        for index in feasible.tolist():
+            subset = pairs[index // width][0]
             champion = champions.get(subset)
-            if champion is None or self._scalar(total) < self._scalar(
-                champion[1]
-            ):
-                node = JoinNode(
-                    left=rest_plan,
-                    right=ScanNode(table),
-                    algorithm=algorithm,
-                    resources=resources,
-                )
-                champions[subset] = (node, total)
-        best.update(champions)
+            if champion is None or scalars[index] < champion[1]:
+                champions[subset] = (index, scalars[index])
+        for subset, (index, _) in champions.items():
+            _, rest, table = pairs[index // width]
+            node = JoinNode(
+                left=best[rest][0],
+                right=ScanNode(table),
+                algorithm=batch.algorithms[index],
+                resources=costed.configs[index],
+            )
+            best[subset] = (
+                node,
+                Cost(time_s=float(time_s[index]), money=float(money[index])),
+            )
 
     def _best_extension(
         self,
@@ -203,7 +216,7 @@ class SelingerPlanner:
                 continue
             # Left-deep: the new relation is always the right input, and
             # must actually join (no cross products).
-            if not graph.edges_between(rest, {table}):
+            if not graph.joinable(rest, (table,)):
                 continue
             rest_plan, rest_cost = rest_entry
             for algorithm in JOIN_IMPLEMENTATIONS:  # lint: disable=RAQO010 -- the scalar reference path batched mode is verified against

@@ -1,11 +1,15 @@
 """Tests for repro.catalog.join_graph."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.catalog import tpch
 from repro.catalog.join_graph import JoinEdge, JoinGraph, JoinGraphError
+from repro.catalog.random_schema import RandomSchemaConfig, random_catalog
 
 
 def chain_graph(n=4):
@@ -68,6 +72,38 @@ class TestJoinGraph:
         graph = chain_graph()
         with pytest.raises(JoinGraphError):
             graph.edges_between(["t0", "t1"], ["t1", "t2"])
+
+    def test_joinable_overlap_rejected(self):
+        graph = chain_graph()
+        with pytest.raises(JoinGraphError, match="overlap"):
+            graph.joinable(["t0", "t1"], ["t1", "t2"])
+
+    @pytest.mark.parametrize("schema", ["tpch", "random-0", "random-1"])
+    def test_joinable_matches_edges_between(self, schema):
+        """On every disjoint pair of subsets of up to three tables."""
+        if schema == "tpch":
+            graph = tpch.tpch_catalog(scale_factor=1).join_graph
+        else:
+            seed = int(schema.split("-")[1])
+            graph = random_catalog(
+                RandomSchemaConfig(num_tables=9),
+                np.random.default_rng(seed),
+            ).join_graph
+        tables = sorted(graph.tables())
+        subsets = [
+            frozenset(combo)
+            for size in (1, 2, 3)
+            for combo in itertools.combinations(tables, size)
+        ]
+        pairs = 0
+        for left in subsets:
+            for right in subsets:
+                if left.isdisjoint(right):
+                    pairs += 1
+                    assert graph.joinable(left, right) == bool(
+                        graph.edges_between(left, right)
+                    ), (left, right)
+        assert pairs > 1000
 
     def test_neighbors(self):
         graph = chain_graph()

@@ -555,3 +555,138 @@ class TestHillClimbEquivalence:
                 )
             )
         assert observed[0] == observed[1]
+
+
+#: Values planted on lane grids: ties, walls, holes and NaN.
+_SPECIAL_COSTS = (math.inf, -math.inf, math.nan, 0.0, -1.0, 3.0, 100.0)
+
+
+@st.composite
+def lane_grids(draw):
+    """A step-exact cluster, arbitrary lane costs and a grid start.
+
+    Real cost models are smooth, so their climbs rarely end a run on
+    anything but a grid edge. These grids are planes of any slope (runs
+    in all four directions, down to the edges and along them), bowls
+    and small-integer levels (ties and plateaus), with up to six cells
+    overwritten by special values, so that side probes, walls and NaN
+    cut runs short anywhere. Axes may be one value wide.
+    """
+    counts = draw(st.integers(min_value=1, max_value=14))
+    sizes = draw(st.integers(min_value=1, max_value=6))
+    cluster = ClusterConditions(
+        max_containers=counts, max_container_gb=float(sizes)
+    )
+    rows = np.arange(counts, dtype=float)[:, None]
+    cols = np.arange(sizes, dtype=float)[None, :]
+    slopes = st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0))
+    shape = draw(st.sampled_from(("plane", "bowl", "levels")))
+    if shape == "plane":
+        surface = draw(slopes) * rows + draw(slopes) * cols
+    elif shape == "bowl":
+        surface = (rows - draw(st.integers(0, counts - 1))) ** 2 + draw(
+            slopes
+        ) * (cols - draw(st.integers(0, sizes - 1))) ** 2
+    else:
+        surface = np.array(
+            draw(
+                st.lists(
+                    st.integers(0, 3),
+                    min_size=counts * sizes,
+                    max_size=counts * sizes,
+                )
+            ),
+            dtype=float,
+        ).reshape(counts, sizes)
+    lanes = surface.ravel()
+    for cell, value in draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, lanes.size - 1),
+                st.sampled_from(_SPECIAL_COSTS)
+                | st.floats(min_value=-20.0, max_value=20.0),
+            ),
+            max_size=6,
+        )
+    ):
+        lanes[cell] = value
+    corners = (0, sizes - 1, lanes.size - sizes, lanes.size - 1)
+    start = draw(
+        st.sampled_from(corners) | st.integers(0, lanes.size - 1)
+    )
+    return cluster, lanes, start
+
+
+class TestRunBasedClimb:
+    """The grid climb skips monotone runs of Algorithm 1 with array
+    comparisons; on arbitrary lane grids it must still end where the
+    scalar climb ends, with the same cost bits and ``iterations``."""
+
+    @given(case=lane_grids(), memoize=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scalar_climb(self, case, memoize):
+        cluster, lanes, start_row = case
+        grid = cluster.config_grid()
+        row_of = {
+            config: row for row, config in enumerate(grid.configurations())
+        }
+
+        def cost_fn(config):
+            return float(lanes[row_of[config]])
+
+        start = grid.config_at(start_row)
+        scalar = hill_climb_resource_plan(
+            cost_fn, cluster, start=start, memoize=memoize
+        )
+        climb = hill_climb_resource_plan(
+            cost_fn,
+            cluster,
+            start=start,
+            memoize=memoize,
+            grid_cost_fn=lambda _: lanes.copy(),
+        )
+        assert (
+            climb.config,
+            float(climb.cost).hex(),
+            climb.iterations,
+        ) == (scalar.config, float(scalar.cost).hex(), scalar.iterations)
+
+    def test_long_run_counts_every_read(self):
+        # Costs fall along the count axis only: one scalar round, then a
+        # run of 98 rounds to 100 containers, then a final round.
+        cluster = ClusterConditions(max_containers=100, max_container_gb=3.0)
+        grid = cluster.config_grid()
+        lanes = 1000.0 - grid.counts + grid.sizes
+
+        def cost_fn(config):
+            return 1000.0 - config.num_containers + config.container_gb
+
+        for memoize in (True, False):
+            climb = hill_climb_resource_plan(
+                cost_fn,
+                cluster,
+                memoize=memoize,
+                grid_cost_fn=lambda _: lanes,
+            )
+            assert climb == hill_climb_resource_plan(
+                cost_fn, cluster, memoize=memoize
+            )
+            assert climb.config == ResourceConfiguration(
+                num_containers=100, container_gb=1.0
+            )
+        # Without the memo: each of the 100 rounds reads its cell, two
+        # count neighbours (one at either end) and one size neighbour.
+        assert climb.iterations == 100 * 4 - 2
+
+    def test_nan_start_ends(self, paper_cluster):
+        grid = paper_cluster.config_grid()
+        lanes = np.full(grid.num_configs, math.nan)
+        lanes[5] = 1.0
+        climb = hill_climb_resource_plan(
+            lambda config: math.nan,
+            paper_cluster,
+            grid_cost_fn=lambda _: lanes,
+        )
+        assert climb.config == paper_cluster.minimum_configuration
+        assert math.isnan(climb.cost)
+        assert climb.iterations == 3

@@ -1,18 +1,24 @@
 """Tests for repro.planner.selinger."""
 
+import dataclasses
 import itertools
+import math
 
 import pytest
 
 from repro.catalog.queries import Query
 from repro.catalog.statistics import StatisticsEstimator
 from repro.cluster.cluster import ClusterConditions
+from repro.cluster.containers import ResourceConfiguration
+from repro.engine.joins import JoinAlgorithm
+from repro.obs.export import canonical_span_tree_json
+from repro.obs.tracing import Tracer
 from repro.planner.cost_interface import (
     Cost,
     PlanningContext,
     get_plan_cost,
 )
-from repro.planner.plan import join_order, left_deep_plan
+from repro.planner.plan import join_order, left_deep_plan, plan_signature
 from repro.planner.selinger import PlanningError, SelingerPlanner
 
 
@@ -140,3 +146,88 @@ class TestSelinger:
         assert result.planner_name == "selinger"
         assert result.query is query
         assert result.wall_time_s >= 0
+
+
+class TieCoster:
+    """Small-integer costs, so that candidates tie exactly.
+
+    A BHJ costs the SMJ vector with time and money swapped, so under
+    equal weights the two implementations of a join always tie, and
+    integer sums tie across extensions too. Every candidate building
+    ``dead`` is infeasible: an SMJ is infinite in both objectives, a
+    BHJ has a finite time and an infinite price (a ``0 * inf`` lane
+    under a time-only objective). Each costing records a span naming
+    its candidate, and its configuration does too.
+    """
+
+    def __init__(self, dead):
+        self.dead = frozenset(dead)
+
+    def join_cost(self, left_tables, right_tables, algorithm, context):
+        (table,) = right_tables
+        smj = algorithm is JoinAlgorithm.SORT_MERGE
+        with context.tracer.span(
+            "stub-cost",
+            kind="planner",
+            attributes={
+                "left": ",".join(sorted(left_tables)),
+                "right": table,
+                "algorithm": algorithm.value,
+            },
+        ):
+            if left_tables | right_tables == self.dead:
+                cost = Cost(
+                    time_s=math.inf if smj else 1.0, money=math.inf
+                )
+            else:
+                time_s = float(len(left_tables) + len(table) % 3)
+                money = float(ord(table[0]) % 4)
+                if not smj:
+                    time_s, money = money, time_s
+                cost = Cost(time_s=time_s, money=money)
+        config = ResourceConfiguration(
+            num_containers=len(table), container_gb=1.0 if smj else 2.0
+        )
+        return cost, config
+
+
+class TestBatchedChampionScan:
+    """Batched levels pick champions from float arrays; they must pick
+    the scalar path's champions, ties and infeasible lanes included."""
+
+    TABLES = ("customer", "lineitem", "nation", "orders", "supplier")
+
+    def _run(self, catalog, batched, weights):
+        tracer = Tracer(seed=3)
+        context = make_context(catalog)
+        context.tracer = tracer
+        planner = SelingerPlanner(
+            TieCoster(dead=("customer", "orders")),
+            time_weight=weights[0],
+            money_weight=weights[1],
+            batched=batched,
+        )
+        result = planner.plan(Query("q", self.TABLES), context)
+        counters = dataclasses.replace(result.counters, batched_calls=0)
+        return (
+            result.plan,
+            plan_signature(result.plan),
+            result.cost.time_s.hex(),
+            result.cost.money.hex(),
+            counters,
+            canonical_span_tree_json(tracer),
+        )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "weights", [(1.0, 0.0), (0.5, 0.5), (0.25, 0.75)]
+    )
+    def test_batched_matches_scalar(self, tpch_catalog_sf100, weights):
+        batched = self._run(tpch_catalog_sf100, True, weights)
+        scalar = self._run(tpch_catalog_sf100, False, weights)
+        assert batched == scalar
+        # The infeasible subset is never a sub-plan of the result.
+        assert not any(
+            join.tables == frozenset(("customer", "orders"))
+            for join in batched[0].joins_postorder()
+        )
