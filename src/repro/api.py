@@ -154,7 +154,6 @@ class RaqoSession:
         ),
         resource_aware: bool = True,
         objective: Optional[PlanObjective] = None,
-        money_weight: Optional[float] = None,
         default_resources: ResourceConfiguration = DEFAULT_QO_RESOURCES,
     ) -> None:
         self.catalog = (
@@ -180,11 +179,7 @@ class RaqoSession:
             planner_kind=planner,
             resource_method=resource_method,
             resource_aware=resource_aware,
-            # money_weight= forwards so the planner's deprecation shim
-            # warns once with the migration message; objective= is the
-            # supported spelling.
             objective=objective,
-            money_weight=money_weight,
             default_resources=default_resources,
             seed=seed,
             tracer=self.tracer,

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 BYTES_PER_GB = 1024.0**3
-#: Backwards-compatible alias for the byte-count constant.
-GB = BYTES_PER_GB
 
 
 class CatalogError(Exception):

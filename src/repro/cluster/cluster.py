@@ -17,11 +17,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.containers import (
-    ResourceConfiguration,
-    ResourceError,
-    warn_positional_axes,
-)
+from repro.cluster.containers import ResourceConfiguration, ResourceError
 
 
 @dataclass(frozen=True)
@@ -165,9 +161,7 @@ class ClusterConditions:
     This is what the RM reports to RAQO: how many containers may be
     requested, how big each may be, and the granularity of both axes.
 
-    All axes are keyword-only; positional arguments still work for one
-    release but emit a :class:`DeprecationWarning` (lint rule RAQO009
-    keeps the source tree itself keyword-clean).
+    All axes are keyword-only, like :class:`ResourceConfiguration`'s.
     """
 
     max_containers: int
@@ -179,59 +173,20 @@ class ClusterConditions:
 
     def __init__(
         self,
-        *args: float,
-        max_containers: Optional[int] = None,
-        max_container_gb: Optional[float] = None,
-        min_containers: Optional[int] = None,
-        min_container_gb: Optional[float] = None,
-        container_step: Optional[int] = None,
-        container_gb_step: Optional[float] = None,
+        *,
+        max_containers: int,
+        max_container_gb: float,
+        min_containers: int = 1,
+        min_container_gb: float = 1.0,
+        container_step: int = 1,
+        container_gb_step: float = 1.0,
     ) -> None:
-        keywords = {
-            "max_containers": max_containers,
-            "max_container_gb": max_container_gb,
-            "min_containers": min_containers,
-            "min_container_gb": min_container_gb,
-            "container_step": container_step,
-            "container_gb_step": container_gb_step,
-        }
-        if args:
-            warn_positional_axes(
-                "ClusterConditions",
-                "max_containers=..., max_container_gb=..., ...",
-            )
-            names = tuple(keywords)
-            if len(args) > len(names):
-                raise TypeError(
-                    "ClusterConditions() takes at most "
-                    f"{len(names)} arguments, got {len(args)}"
-                )
-            for name, value in zip(names, args):
-                if keywords[name] is not None:
-                    raise TypeError(
-                        f"ClusterConditions() got multiple values "
-                        f"for argument {name!r}"
-                    )
-                keywords[name] = value
-        if (
-            keywords["max_containers"] is None
-            or keywords["max_container_gb"] is None
-        ):
-            raise TypeError(
-                "ClusterConditions() requires max_containers= and "
-                "max_container_gb="
-            )
-        defaults = {
-            "min_containers": 1,
-            "min_container_gb": 1.0,
-            "container_step": 1,
-            "container_gb_step": 1.0,
-        }
-        for name, default in defaults.items():
-            if keywords[name] is None:
-                keywords[name] = default
-        for name, value in keywords.items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "max_containers", max_containers)
+        object.__setattr__(self, "max_container_gb", max_container_gb)
+        object.__setattr__(self, "min_containers", min_containers)
+        object.__setattr__(self, "min_container_gb", min_container_gb)
+        object.__setattr__(self, "container_step", container_step)
+        object.__setattr__(self, "container_gb_step", container_gb_step)
         self.__post_init__()
 
     def __post_init__(self) -> None:

@@ -74,9 +74,9 @@ class PlanObjective:
         session.plan("Q3", objective=PlanObjective.cheapest())
         PlanObjective.parse("latency-bound:30")
 
-    ``fastest`` and ``weighted(w)`` scalarise exactly like the historic
-    ``money_weight`` float (``weighted(w)`` is bit-identical to the
-    deprecated ``money_weight=w``), so they add zero planning work.
+    ``fastest`` and ``weighted(w)`` only set the coster's and the
+    planner's ``time_weight``/``money_weight`` scalarisation, so they
+    add zero planning work.
     ``cheapest``, ``latency_bounded`` and ``pareto`` additionally run
     the per-stage frontier search (:func:`compute_frontier`) over the
     chosen plan and pick a frontier point.

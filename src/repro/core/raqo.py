@@ -25,7 +25,6 @@ import dataclasses
 import enum
 import math
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
@@ -212,15 +211,15 @@ class RaqoCoster:
       planned cost without touching the plan cache or the planner.
       The memo lives on the :class:`PlanningContext`, so its lifetime is
       exactly one planning run.
-    - ``vectorized``: resource planning costs the whole configuration
+    - grid costing: resource planning costs the whole configuration
       grid through the model's batched ``predict_time_grid`` (a few
       array operations for learned models) instead of one scalar call
       per configuration. Brute force takes the argmin; hill climbing
       replays Algorithm 1 over the costed grid (see
       :func:`hill_climb_resource_plan`) and still charges
       ``resource_iterations`` with the configurations the climb reads.
-      Plans, costs and counters are bit-identical to the scalar path;
-      only the wall-clock changes.
+      Plans, costs and counters are bit-identical to the scalar
+      searches; only the wall-clock changes.
     """
 
     model: JoinCostEstimator
@@ -230,7 +229,6 @@ class RaqoCoster:
     money_weight: float = 0.0
     time_weight: float = 1.0
     memoize: bool = True
-    vectorized: bool = True
 
     def join_cost(
         self,
@@ -294,13 +292,10 @@ class RaqoCoster:
         plans and inserts) before the walk resumes. Every observable --
         chosen configurations, costs, counters, cache statistics, and
         traced span trees -- is bit-identical to costing the candidates
-        one at a time. Hill climbing and non-vectorized costers fall
-        back to the scalar reference loop.
+        one at a time. Hill climbing has no stacked kernel and runs
+        candidate by candidate through :func:`cost_batch_scalar`.
         """
-        if (
-            self.method is not ResourcePlanningMethod.BRUTE_FORCE
-            or not self.vectorized
-        ):
+        if self.method is not ResourcePlanningMethod.BRUTE_FORCE:
             return cost_batch_scalar(self, batch, context)
         counters = context.counters
         counters.batched_calls += 1
@@ -848,23 +843,21 @@ class RaqoCoster:
             if start is None:
                 return None
 
-        grid_cost_fn = grid_objective if self.vectorized else None
-
         def search() -> Optional[ResourcePlanOutcome]:
             if self.method is ResourcePlanningMethod.BRUTE_FORCE:
                 outcome = brute_force_resource_plan(
-                    objective,
-                    cluster,
-                    vectorized=self.vectorized,
-                    grid_cost_fn=grid_cost_fn,
+                    objective, cluster, grid_cost_fn=grid_objective
                 )
             else:
                 outcome = hill_climb_resource_plan(
-                    objective, cluster, start=start, grid_cost_fn=grid_cost_fn
+                    objective,
+                    cluster,
+                    start=start,
+                    grid_cost_fn=grid_objective,
                 )
             # The configurations the search read: the whole grid for
             # brute force, Algorithm 1's reads for a climb (not the grid
-            # lanes it costed), on the scalar and vectorized paths alike.
+            # lanes it costed), on the grid and scalar searches alike.
             counters.resource_iterations += outcome.iterations
             return outcome
 
@@ -920,11 +913,6 @@ class RaqoPlanner:
     ``optimize`` returns a
     :class:`~repro.planner.cost_interface.PlanningResult` whose plan
     carries per-operator resource configurations (for RAQO).
-
-    ``vectorized_resource_planning`` (the default) costs each resource
-    search's configuration grid in one batched model call, for brute
-    force and hill climbing alike; turning it off runs the scalar
-    per-configuration reference, with identical plans and counters.
     """
 
     def __init__(
@@ -943,33 +931,14 @@ class RaqoPlanner:
         default_resources: ResourceConfiguration = DEFAULT_QO_RESOURCES,
         price_model: Optional[PriceModel] = None,
         objective: Optional[PlanObjective] = None,
-        money_weight: Optional[float] = None,
         randomized_iterations: int = 10,
         seed: int = 0,
         memoize_within_run: bool = True,
-        vectorized_resource_planning: bool = True,
-        batched_costing: bool = True,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if money_weight is not None:
-            if objective is not None:
-                raise TypeError(
-                    "pass objective=..., not both objective= and the "
-                    "deprecated money_weight="
-                )
-            warnings.warn(
-                "money_weight= is deprecated; pass "
-                "objective=PlanObjective.weighted(w) instead "
-                "(PlanObjective.fastest() replaces money_weight=0)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            objective = PlanObjective.weighted(money_weight)
         if objective is None:
             objective = PlanObjective.fastest()
         # Everything needed to build an equivalent planner (clone()).
-        # The resolved objective is stored (never money_weight), so
-        # clones and worker processes rebuild without re-warning.
         self._init_kwargs = dict(
             cluster=cluster,
             cost_model=cost_model,
@@ -985,8 +954,6 @@ class RaqoPlanner:
             randomized_iterations=randomized_iterations,
             seed=seed,
             memoize_within_run=memoize_within_run,
-            vectorized_resource_planning=vectorized_resource_planning,
-            batched_costing=batched_costing,
             tracer=tracer,
         )
         self.objective = objective
@@ -1017,7 +984,6 @@ class RaqoPlanner:
                     money_weight=objective.money_weight,
                     time_weight=objective.time_weight,
                     memoize=memoize_within_run,
-                    vectorized=vectorized_resource_planning,
                 )
             )
         else:
@@ -1032,7 +998,6 @@ class RaqoPlanner:
                 self.coster,
                 time_weight=objective.time_weight,
                 money_weight=objective.money_weight,
-                batched=batched_costing,
             )
         else:
             self.query_planner = FastRandomizedPlanner(
@@ -1041,7 +1006,6 @@ class RaqoPlanner:
                 time_weight=objective.time_weight,
                 money_weight=objective.money_weight,
                 seed=seed,
-                batched=batched_costing,
             )
 
     @classmethod

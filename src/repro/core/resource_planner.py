@@ -59,7 +59,6 @@ class ResourcePlanOutcome:
 def brute_force_resource_plan(
     cost_fn: CostFunction,
     cluster: ClusterConditions,
-    vectorized: bool = False,
     grid_cost_fn: Optional[GridCostFunction] = None,
 ) -> ResourcePlanOutcome:
     """Exhaustively search the discrete resource grid for the cheapest
@@ -68,17 +67,16 @@ def brute_force_resource_plan(
     Ties break toward fewer containers, then smaller containers, so the
     result is deterministic and favours the cheaper allocation.
 
-    With ``vectorized=True`` the whole grid is costed in one batched call
-    and the winner picked by argmin. Because the grid enumerates
-    configurations in exactly :meth:`ClusterConditions.iter_configurations`
-    order and argmin returns the first occurrence of the minimum, the
-    winner (including tie-breaks) is identical to the scalar scan.
-    ``grid_cost_fn`` supplies the batched costs (e.g. a cost model's
-    ``predict_time_grid``); without it the fast path falls back to
-    evaluating ``cost_fn`` per row before the argmin.
+    ``grid_cost_fn`` (e.g. a cost model's ``predict_time_grid``) costs
+    the whole grid in one batched call and the winner is picked by
+    argmin. Because the grid enumerates configurations in exactly
+    :meth:`ClusterConditions.iter_configurations` order and argmin
+    returns the first occurrence of the minimum, the winner (including
+    tie-breaks) is identical to the scan over ``cost_fn`` that runs
+    without it, given lanes equal to ``cost_fn`` bit for bit.
     """
-    if vectorized:
-        return _vectorized_brute_force(cost_fn, cluster, grid_cost_fn)
+    if grid_cost_fn is not None:
+        return _grid_brute_force(grid_cost_fn, cluster)
     best_config: Optional[ResourceConfiguration] = None
     best_cost = math.inf
     iterations = 0
@@ -95,27 +93,18 @@ def brute_force_resource_plan(
     )
 
 
-def _vectorized_brute_force(
-    cost_fn: CostFunction,
-    cluster: ClusterConditions,
-    grid_cost_fn: Optional[GridCostFunction],
+def _grid_brute_force(
+    grid_cost_fn: GridCostFunction, cluster: ClusterConditions
 ) -> ResourcePlanOutcome:
     """Batched grid costing + argmin; see brute_force_resource_plan."""
     grid = cluster.config_grid()
     if grid.num_configs == 0:
         raise ResourcePlanningError("cluster offers no configurations")
-    if grid_cost_fn is not None:
-        costs = np.asarray(grid_cost_fn(grid), dtype=float)
-        if costs.shape != (grid.num_configs,):
-            raise ResourcePlanningError(
-                f"grid cost function returned shape {costs.shape}, "
-                f"expected ({grid.num_configs},)"
-            )
-    else:
-        costs = np.fromiter(
-            (cost_fn(config) for config in grid.configurations()),
-            dtype=float,
-            count=grid.num_configs,
+    costs = np.asarray(grid_cost_fn(grid), dtype=float)
+    if costs.shape != (grid.num_configs,):
+        raise ResourcePlanningError(
+            f"grid cost function returned shape {costs.shape}, "
+            f"expected ({grid.num_configs},)"
         )
     # NaN costs behave like inf in the scalar scan (never strictly less).
     costs = np.where(np.isnan(costs), math.inf, costs)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.catalog.queries import Query
 from repro.planner.cost_interface import (
@@ -38,12 +38,12 @@ MAX_BUSHY_RELATIONS = 12
 class BushyPlanner:
     """Exhaustive bushy join-order optimizer (DPsize).
 
-    With ``batched`` (the default) each DP level -- every (left, right,
-    implementation) partition of every connected subset of one size --
-    is costed through a single ``cost_batch`` call, exactly like the
-    left-deep :class:`~repro.planner.selinger.SelingerPlanner`:
-    size-``k`` entries only read strictly smaller ``best`` entries, so
-    the batched level is bit-identical to the per-candidate loop.
+    Each DP level -- every (left, right, implementation) partition of
+    every connected subset of one size -- is costed through a single
+    ``cost_batch`` call, exactly like the left-deep
+    :class:`~repro.planner.selinger.SelingerPlanner`: size-``k`` entries
+    only read strictly smaller ``best`` entries, so a batched level is
+    bit-identical to costing its candidates one at a time.
     """
 
     name = "bushy_dp"
@@ -53,12 +53,10 @@ class BushyPlanner:
         coster: PlanCoster,
         time_weight: float = 1.0,
         money_weight: float = 0.0,
-        batched: bool = True,
     ) -> None:
         self._coster = coster
         self._time_weight = time_weight
         self._money_weight = money_weight
-        self._batched = batched
 
     def _scalar(self, cost: Cost) -> float:
         return cost.scalar(self._time_weight, self._money_weight)
@@ -78,23 +76,13 @@ class BushyPlanner:
         start = dataclasses.replace(context.counters)
         batches_before = len(context.batch_sizes)
 
-        graph = context.estimator.join_graph
         best: Dict[FrozenSet[str], Tuple[PlanNode, Cost]] = {}
         for table in query.tables:
             best[frozenset((table,))] = (ScanNode(table), ZERO_COST)
 
         all_tables = frozenset(query.tables)
         for size in range(2, len(query.tables) + 1):
-            if self._batched:
-                self._split_level(size, all_tables, best, context)
-                continue
-            for combo in itertools.combinations(sorted(all_tables), size):
-                subset = frozenset(combo)
-                if not graph.is_connected(subset):
-                    continue
-                entry = self._best_split(subset, best, context)
-                if entry is not None:
-                    best[subset] = entry
+            self._split_level(size, all_tables, best, context)
 
         if all_tables not in best:
             raise PlanningError(
@@ -121,10 +109,10 @@ class BushyPlanner:
     ) -> None:
         """Cost one whole DPsize level as a single candidate batch.
 
-        Candidates are collected in exactly the order the scalar
-        ``_best_split`` loop costs them, costed in one ``cost_batch``
-        call, and the per-subset champion comparisons replayed in that
-        order.
+        Candidates are collected subset by subset, each subset's
+        partitions by growing left side, costed in one ``cost_batch``
+        call, and the per-subset champion comparisons made in that
+        order: a strict ``<`` keeps the first of equal scalars.
         """
         graph = context.estimator.join_graph
         #: (subset, left plan, left cost, right plan, right cost,
@@ -187,49 +175,3 @@ class BushyPlanner:
                 )
                 champions[subset] = (node, total)
         best.update(champions)
-
-    def _best_split(
-        self,
-        subset: FrozenSet[str],
-        best: Dict[FrozenSet[str], Tuple[PlanNode, Cost]],
-        context: PlanningContext,
-    ) -> Optional[Tuple[PlanNode, Cost]]:
-        """The cheapest (left, right) partition of ``subset``."""
-        graph = context.estimator.join_graph
-        names = sorted(subset)
-        champion: Optional[Tuple[PlanNode, Cost]] = None
-        # Enumerate proper subsets containing the smallest element, so
-        # each unordered partition is considered exactly once.
-        anchor = names[0]
-        rest = names[1:]
-        for mask_size in range(0, len(rest)):
-            for picked in itertools.combinations(rest, mask_size):
-                left = frozenset((anchor,) + picked)
-                right = subset - left
-                left_entry = best.get(left)
-                right_entry = best.get(right)
-                if left_entry is None or right_entry is None:
-                    continue
-                if not graph.joinable(left, right):
-                    continue
-                left_plan, left_cost = left_entry
-                right_plan, right_cost = right_entry
-                for algorithm in JOIN_IMPLEMENTATIONS:  # lint: disable=RAQO010 -- the scalar reference path batched mode is verified against
-                    context.counters.join_costings += 1
-                    cost, resources = self._coster.join_cost(
-                        left, right, algorithm, context
-                    )
-                    total = left_cost + right_cost + cost
-                    if not total.is_finite:
-                        continue
-                    if champion is None or self._scalar(
-                        total
-                    ) < self._scalar(champion[1]):
-                        node = JoinNode(
-                            left=left_plan,
-                            right=right_plan,
-                            algorithm=algorithm,
-                            resources=resources,
-                        )
-                        champion = (node, total)
-        return champion

@@ -258,20 +258,20 @@ def cost_batch_scalar(
     batch: CandidateBatch,
     context: PlanningContext,
 ) -> BatchCostResult:
-    """The reference ``cost_batch``: per-candidate ``join_cost`` calls.
+    """``cost_batch`` as per-candidate ``join_cost`` calls.
 
     Costers without a stacked kernel (the fixed-resource baseline, hill
     climbing) implement the batched protocol by delegating here, so
-    planners can stay on the batch API unconditionally. Candidates run
-    in batch order -- identical to the scalar planner loop, spans and
-    counters included.
+    planners stay on the batch API unconditionally. Candidates run in
+    batch order, so spans and counters are those of costing them one at
+    a time.
     """
     context.counters.batched_calls += 1
     context.batch_sizes.append(len(batch))
     times = np.empty(len(batch))
     money = np.empty(len(batch))
     configs: List[Optional["ResourceConfiguration"]] = []  # noqa: F821
-    for index in range(len(batch)):  # lint: disable=RAQO010 -- this *is* the scalar reference path batched costers fall back to
+    for index in range(len(batch)):  # lint: disable=RAQO010 -- the fallback for costers without a kernel
         cost, config = coster.join_cost(
             batch.left_tables[index],
             batch.right_tables[index],
@@ -295,13 +295,11 @@ def dispatch_cost_batch(
     batch: CandidateBatch,
     context: PlanningContext,
 ) -> BatchCostResult:
-    """Route a batch to ``coster.cost_batch``, or the scalar reference.
+    """Route a batch to ``coster.cost_batch``, or :func:`cost_batch_scalar`.
 
-    The batched planners call this instead of ``coster.cost_batch``
-    directly so that minimal :class:`PlanCoster` implementations (test
-    doubles, ad-hoc costers exposing only ``join_cost``) keep working:
-    they are costed through :func:`cost_batch_scalar`, which is
-    bit-identical to the per-candidate loop.
+    The planners call this instead of ``coster.cost_batch`` directly so
+    that minimal :class:`PlanCoster` implementations (test doubles,
+    ad-hoc costers exposing only ``join_cost``) keep working.
     """
     cost_batch = getattr(coster, "cost_batch", None)
     if cost_batch is None:
@@ -316,34 +314,11 @@ def get_plan_cost(
 
     The total cost of a plan is the sum of its join operators' costs
     (Sec VI-A: "the total cost of a query plan is the sum of costs of all
-    join operators in that plan"). Joins are costed bottom-up and each
-    join node is annotated with the resources the coster picked.
-    """
-    total = ZERO_COST
-
-    def cost_one(join: JoinNode) -> JoinNode:
-        nonlocal total
-        cost, resources = coster.join_cost(
-            join.left.tables, join.right.tables, join.algorithm, context
-        )
-        total = total + cost
-        return join.with_resources(resources)
-
-    annotated = plan.map_joins(cost_one)
-    return annotated, total
-
-
-def get_plan_cost_batched(
-    plan: PlanNode, coster: PlanCoster, context: PlanningContext
-) -> Tuple[PlanNode, Cost]:
-    """:func:`get_plan_cost` through one ``cost_batch`` call.
-
-    All of the plan's joins are gathered (in the same bottom-up order
-    ``map_joins`` costs them) into one :class:`CandidateBatch`, costed
-    in a single batched call, and folded back onto the tree. The
-    per-join costs, their summation order, and the annotated resources
-    are identical to the scalar path, so the two entry points return
-    bit-identical results.
+    join operators in that plan"). All of the plan's joins are gathered
+    bottom-up into one :class:`CandidateBatch`, costed in a single
+    batched call, and folded back onto the tree in that order: each
+    join node is annotated with the resources the coster picked, and
+    the total sums the per-join costs bottom-up.
     """
     joins = list(plan.joins_postorder())
     if not joins:
@@ -379,8 +354,8 @@ class PlanningResult:
     wall_time_s: float
     counters: PlanningCounters
     planner_name: str
-    #: Candidate-batch sizes this run pushed through ``cost_batch``
-    #: (empty on the scalar path); feeds the session batch histogram.
+    #: Candidate-batch sizes this run pushed through ``cost_batch``;
+    #: feeds the session batch histogram.
     batch_sizes: Tuple[int, ...] = ()
 
     @property

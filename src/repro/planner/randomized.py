@@ -34,7 +34,6 @@ from repro.planner.cost_interface import (
     Stopwatch,
     frontier,
     get_plan_cost,
-    get_plan_cost_batched,
 )
 from repro.planner.operators import JOIN_IMPLEMENTATIONS
 from repro.planner.plan import (
@@ -105,12 +104,10 @@ class ParetoFrontier:
 class FastRandomizedPlanner:
     """Multi-start randomized multi-objective join-order optimizer.
 
-    With ``batched`` (the default) every candidate plan -- the random
-    start and each accepted-or-rejected mutation neighbour -- has all
-    its joins costed as one :class:`~repro.planner.plan.CandidateBatch`
-    instead of per-join coster calls. The search itself (RNG stream,
-    mutation choices, acceptance tests) is untouched, so the batched
-    mode is bit-identical to the scalar one.
+    Every candidate plan -- the random start and each accepted-or-
+    rejected mutation neighbour -- has all its joins costed as one
+    :class:`~repro.planner.plan.CandidateBatch` (see
+    :func:`~repro.planner.cost_interface.get_plan_cost`).
     """
 
     name = "fast_randomized"
@@ -124,7 +121,6 @@ class FastRandomizedPlanner:
         time_weight: float = 1.0,
         money_weight: float = 0.0,
         seed: int = 0,
-        batched: bool = True,
     ) -> None:
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -135,7 +131,6 @@ class FastRandomizedPlanner:
         self._time_weight = time_weight
         self._money_weight = money_weight
         self._seed = seed
-        self._batched = batched
 
     def _scalar(self, cost: Cost) -> float:
         return cost.scalar(self._time_weight, self._money_weight)
@@ -143,8 +138,6 @@ class FastRandomizedPlanner:
     def _cost_plan(
         self, plan: PlanNode, context: PlanningContext
     ) -> Tuple[PlanNode, Cost]:
-        if self._batched:
-            return get_plan_cost_batched(plan, self._coster, context)
         return get_plan_cost(plan, self._coster, context)
 
     def plan(

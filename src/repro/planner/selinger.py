@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
@@ -44,15 +44,15 @@ class PlanningError(Exception):
 class SelingerPlanner:
     """Left-deep bottom-up dynamic programming join-order optimizer.
 
-    With ``batched`` (the default) every DP level -- all single-relation
-    extensions of all connected subsets of one size -- is costed as one
-    stacked :class:`~repro.planner.plan.CandidateBatch` through the
-    coster's ``cost_batch`` entry point. Extensions of size-``k``
-    subsets only read ``best`` entries of size ``k - 1``, so batching a
-    level never reorders any observable work: candidates are collected
-    and champions compared in exactly the order the per-candidate loop
-    uses, making the two modes bit-identical (plans, costs, counters,
-    span trees).
+    Every DP level -- all single-relation extensions of all connected
+    subsets of one size -- is costed as one stacked
+    :class:`~repro.planner.plan.CandidateBatch` through the coster's
+    ``cost_batch`` entry point. Extensions of size-``k`` subsets only
+    read ``best`` entries of size ``k - 1``, so batching a level never
+    reorders any observable work: candidates are collected and
+    champions compared in exactly the order a per-candidate loop would
+    use, and plans, costs, counters and span trees are bit-identical to
+    costing one candidate at a time.
     """
 
     name = "selinger"
@@ -62,15 +62,10 @@ class SelingerPlanner:
         coster: PlanCoster,
         time_weight: float = 1.0,
         money_weight: float = 0.0,
-        batched: bool = True,
     ) -> None:
         self._coster = coster
         self._time_weight = time_weight
         self._money_weight = money_weight
-        self._batched = batched
-
-    def _scalar(self, cost: Cost) -> float:
-        return cost.scalar(self._time_weight, self._money_weight)
 
     def plan(
         self, query: Query, context: PlanningContext
@@ -86,23 +81,13 @@ class SelingerPlanner:
         start = dataclasses.replace(context.counters)
         batches_before = len(context.batch_sizes)
 
-        graph = context.estimator.join_graph
         best: Dict[FrozenSet[str], Tuple[PlanNode, Cost]] = {}
         for table in query.tables:
             best[frozenset((table,))] = (ScanNode(table), ZERO_COST)
 
         all_tables = frozenset(query.tables)
         for size in range(2, len(query.tables) + 1):
-            if self._batched:
-                self._extend_level(size, all_tables, best, context)
-                continue
-            for combo in itertools.combinations(sorted(all_tables), size):
-                subset = frozenset(combo)
-                if size > 1 and not graph.is_connected(subset):
-                    continue
-                entry = self._best_extension(subset, best, context)
-                if entry is not None:
-                    best[subset] = entry
+            self._extend_level(size, all_tables, best, context)
 
         if all_tables not in best:
             raise PlanningError(
@@ -131,23 +116,24 @@ class SelingerPlanner:
         """Cost one whole DP level as a single candidate batch.
 
         Collects every (subset, extension relation) pair of this level
-        in the scalar iteration order and costs all of their join
+        in sorted-combination order and costs all of their join
         implementations in one ``cost_batch`` call. Champions are then
         picked from float arrays: each candidate's total is its rest
         cost plus its join cost, lane by lane (the IEEE adds of
         ``Cost.__add__``), scalarised with the ``Cost.scalar``
-        expression, and scanned in candidate order with the scalar
-        path's finiteness skip and strict ``<`` rule. Only each
-        subset's final champion becomes a ``JoinNode`` and a ``Cost``.
+        expression, and scanned in candidate order, skipping infeasible
+        totals; a strict ``<`` keeps the first of equal scalars. Only
+        each subset's final champion becomes a ``JoinNode`` and a
+        ``Cost``.
         """
         graph = context.estimator.join_graph
-        #: (subset, rest, new table) per joinable pair, in scalar order.
+        #: (subset, rest, new table) per joinable pair, in candidate order.
         pairs: List[Tuple[FrozenSet[str], FrozenSet[str], str]] = []
         for combo in itertools.combinations(sorted(all_tables), size):
             subset = frozenset(combo)
             if not graph.is_connected(subset):
                 continue
-            for table in combo:  # sorted, like the scalar path
+            for table in combo:  # sorted
                 rest = subset - {table}
                 # Left-deep: the new relation is always the right
                 # input, and must actually join (no cross products).
@@ -199,45 +185,6 @@ class SelingerPlanner:
                 node,
                 Cost(time_s=float(time_s[index]), money=float(money[index])),
             )
-
-    def _best_extension(
-        self,
-        subset: FrozenSet[str],
-        best: Dict[FrozenSet[str], Tuple[PlanNode, Cost]],
-        context: PlanningContext,
-    ) -> Optional[Tuple[PlanNode, Cost]]:
-        """The cheapest way to build ``subset`` by adding one relation."""
-        graph = context.estimator.join_graph
-        champion: Optional[Tuple[PlanNode, Cost]] = None
-        for table in sorted(subset):
-            rest = subset - {table}
-            rest_entry = best.get(rest)
-            if rest_entry is None:
-                continue
-            # Left-deep: the new relation is always the right input, and
-            # must actually join (no cross products).
-            if not graph.joinable(rest, (table,)):
-                continue
-            rest_plan, rest_cost = rest_entry
-            for algorithm in JOIN_IMPLEMENTATIONS:  # lint: disable=RAQO010 -- the scalar reference path batched mode is verified against
-                context.counters.join_costings += 1
-                cost, resources = self._coster.join_cost(
-                    rest, frozenset((table,)), algorithm, context
-                )
-                total = rest_cost + cost
-                if not total.is_finite:
-                    continue
-                if champion is None or self._scalar(total) < self._scalar(
-                    champion[1]
-                ):
-                    node = JoinNode(
-                        left=rest_plan,
-                        right=ScanNode(table),
-                        algorithm=algorithm,
-                        resources=resources,
-                    )
-                    champion = (node, total)
-        return champion
 
 
 def _counters_delta(

@@ -4,10 +4,10 @@ import pytest
 
 from repro.catalog.join_graph import JoinEdge, JoinGraph
 from repro.catalog.schema import (
+    BYTES_PER_GB,
     Catalog,
     CatalogError,
     Column,
-    GB,
     Schema,
     Table,
 )
@@ -127,7 +127,7 @@ class TestSchema:
 
     def test_total_size_gb(self):
         schema = self._schema()
-        expected = (1 * 10 + 2 * 20) / GB
+        expected = (1 * 10 + 2 * 20) / BYTES_PER_GB
         assert schema.total_size_gb == pytest.approx(expected)
 
 

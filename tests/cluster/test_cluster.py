@@ -127,11 +127,11 @@ class TestClusterConditions:
 
 
 class TestPositionalAxisShim:
-    """One-release positional shim mirrors the keyword constructor."""
+    """The positional shim is retired: every axis is keyword-only."""
 
-    def test_positional_axes_warn(self):
-        with pytest.warns(DeprecationWarning, match="positional resource"):
-            ClusterConditions(100, 10.0)  # lint: disable=RAQO009
+    def test_positional_axes_raise(self):
+        with pytest.raises(TypeError, match="positional"):
+            ClusterConditions(100, 10.0)
 
     def test_keyword_axes_do_not_warn(self, recwarn):
         ClusterConditions(max_containers=100, max_container_gb=10.0)
@@ -140,28 +140,12 @@ class TestPositionalAxisShim:
         ]
         assert deprecations == []
 
-    def test_positional_equals_keyword(self):
-        with pytest.warns(DeprecationWarning):
-            positional = ClusterConditions(  # lint: disable=RAQO009
-                100, 10.0, 2, 0.5, 2, 0.5
-            )
-        keyword = ClusterConditions(
-            max_containers=100,
-            max_container_gb=10.0,
-            min_containers=2,
-            min_container_gb=0.5,
-            container_step=2,
-            container_gb_step=0.5,
-        )
-        assert positional == keyword
-
     def test_duplicate_axis_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values"):
-                ClusterConditions(100, max_containers=50)  # lint: disable=RAQO009
+        with pytest.raises(TypeError, match="positional"):
+            ClusterConditions(100, max_containers=50)
 
     def test_missing_maxima_rejected(self):
-        with pytest.raises(TypeError, match="requires max_containers"):
+        with pytest.raises(TypeError, match="max_containers"):
             ClusterConditions(min_containers=1)
 
     def test_defaults_applied(self):

@@ -86,11 +86,11 @@ class TestContainerRequest:
 
 
 class TestPositionalAxisShim:
-    """One-release positional shim: warns, then behaves like keywords."""
+    """The positional shim is retired: both axes are keyword-only."""
 
-    def test_positional_axes_warn(self):
-        with pytest.warns(DeprecationWarning, match="positional resource"):
-            ResourceConfiguration(10, 4.0)  # lint: disable=RAQO009
+    def test_positional_axes_raise(self):
+        with pytest.raises(TypeError, match="positional"):
+            ResourceConfiguration(10, 4.0)
 
     def test_keyword_axes_do_not_warn(self, recwarn):
         ResourceConfiguration(num_containers=10, container_gb=4.0)
@@ -99,32 +99,20 @@ class TestPositionalAxisShim:
         ]
         assert deprecations == []
 
-    def test_positional_equals_keyword(self):
-        with pytest.warns(DeprecationWarning):
-            positional = ResourceConfiguration(10, 4.0)  # lint: disable=RAQO009
-        keyword = ResourceConfiguration(num_containers=10, container_gb=4.0)
-        assert positional == keyword
-        assert positional.total_memory_gb == keyword.total_memory_gb
-
     def test_mixed_positional_and_keyword(self):
-        with pytest.warns(DeprecationWarning):
-            mixed = ResourceConfiguration(10, container_gb=4.0)  # lint: disable=RAQO009
-        assert mixed == ResourceConfiguration(
-            num_containers=10, container_gb=4.0
-        )
+        with pytest.raises(TypeError, match="positional"):
+            ResourceConfiguration(10, container_gb=4.0)
 
     def test_conflicting_axes_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                ResourceConfiguration(10, num_containers=5)  # lint: disable=RAQO009
+        with pytest.raises(TypeError):
+            ResourceConfiguration(10, num_containers=5)
 
     def test_excess_positionals_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                ResourceConfiguration(10, 4.0, 9.0)  # lint: disable=RAQO009
+        with pytest.raises(TypeError):
+            ResourceConfiguration(10, 4.0, 9.0)
 
     def test_missing_axis_rejected(self):
-        with pytest.raises(TypeError, match="requires num_containers"):
+        with pytest.raises(TypeError, match="num_containers"):
             ResourceConfiguration(container_gb=4.0)
 
     def test_replace_round_trip(self):

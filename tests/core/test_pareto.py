@@ -334,12 +334,12 @@ class TestPlanObjective:
 
 
 class TestDeprecationShims:
-    def test_planner_money_weight_warns(self, tpch_catalog_sf100):
-        with pytest.deprecated_call():
-            planner = RaqoPlanner(
-                tpch_catalog_sf100, money_weight=4.0
-            )
-        assert planner.objective == PlanObjective.weighted(4.0)
+    """The ``money_weight=`` shim is retired: ``objective=`` is the only
+    spelling on the planner and the session."""
+
+    def test_planner_money_weight_raises(self, tpch_catalog_sf100):
+        with pytest.raises(TypeError, match="money_weight"):
+            RaqoPlanner(tpch_catalog_sf100, money_weight=4.0)
 
     def test_planner_rejects_both_spellings(self, tpch_catalog_sf100):
         with pytest.raises(TypeError):
@@ -350,23 +350,19 @@ class TestDeprecationShims:
             )
 
     def test_clone_does_not_rewarn(self, tpch_catalog_sf100):
-        with pytest.deprecated_call():
-            planner = RaqoPlanner(
-                tpch_catalog_sf100, money_weight=4.0
-            )
+        planner = RaqoPlanner(
+            tpch_catalog_sf100, objective=PlanObjective.weighted(4.0)
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             clone = planner.clone()
         assert clone.objective == PlanObjective.weighted(4.0)
 
-    def test_session_money_weight_warns(self, tpch_catalog_sf100):
+    def test_session_money_weight_raises(self, tpch_catalog_sf100):
         from repro.api import RaqoSession
 
-        with pytest.deprecated_call():
-            session = RaqoSession(
-                tpch_catalog_sf100, money_weight=2.0
-            )
-        assert session.objective == PlanObjective.weighted(2.0)
+        with pytest.raises(TypeError, match="money_weight"):
+            RaqoSession(tpch_catalog_sf100, money_weight=2.0)
 
     def test_coster_money_weight_is_not_deprecated(
         self, tpch_catalog_sf100

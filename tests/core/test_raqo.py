@@ -1,5 +1,6 @@
 """Tests for repro.core.raqo: the joint planner and its costers."""
 
+import contextlib
 import math
 
 import pytest
@@ -284,6 +285,8 @@ class TestRaqoCoster:
     def test_vectorized_brute_force_matches_scalar(self, catalog):
         from repro.catalog.statistics import StatisticsEstimator
 
+        from scalar_reference import scalar_resource_search
+
         results = {}
         for vectorized in (False, True):
             context = PlanningContext(
@@ -293,17 +296,22 @@ class TestRaqoCoster:
             coster = RaqoCoster(
                 model=default_cost_model(),
                 method=ResourcePlanningMethod.BRUTE_FORCE,
-                vectorized=vectorized,
             )
-            results[vectorized] = (
-                coster.join_cost(
-                    frozenset(("orders",)),
-                    frozenset(("lineitem",)),
-                    JoinAlgorithm.SORT_MERGE,
-                    context,
-                ),
-                context.counters.resource_iterations,
+            search = (
+                contextlib.nullcontext()
+                if vectorized
+                else scalar_resource_search()
             )
+            with search:
+                results[vectorized] = (
+                    coster.join_cost(
+                        frozenset(("orders",)),
+                        frozenset(("lineitem",)),
+                        JoinAlgorithm.SORT_MERGE,
+                        context,
+                    ),
+                    context.counters.resource_iterations,
+                )
         assert results[True] == results[False]
 
     def test_money_weight_changes_objective(self, catalog):

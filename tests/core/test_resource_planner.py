@@ -1,5 +1,7 @@
 """Tests for repro.core.resource_planner (Algorithm 1)."""
 
+import contextlib
+import functools
 import math
 
 import pytest
@@ -24,8 +26,9 @@ from repro.core.resource_planner import (
     hill_climb_resource_plan,
 )
 from repro.engine.joins import JoinAlgorithm
-from repro.planner.cost_interface import PlanningContext
+from repro.planner.cost_interface import PlanningContext, cost_batch_scalar
 from repro.planner.plan import CandidateBatch
+from scalar_reference import scalar_resource_search
 
 
 def quadratic_bowl(optimum_nc, optimum_cs):
@@ -60,13 +63,24 @@ class TestBruteForce:
         assert outcome.config == small_cluster.minimum_configuration
 
 
+def grid_of(cost_fn):
+    """``cost_fn`` lifted to a grid cost function, lane by lane."""
+    import numpy as np
+
+    return lambda grid: np.array(
+        [cost_fn(config) for config in grid.configurations()]
+    )
+
+
 class TestVectorizedBruteForce:
     def test_matches_scalar_on_bowl(self, small_cluster):
         scalar = brute_force_resource_plan(
             quadratic_bowl(5, 3.0), small_cluster
         )
         fast = brute_force_resource_plan(
-            quadratic_bowl(5, 3.0), small_cluster, vectorized=True
+            quadratic_bowl(5, 3.0),
+            small_cluster,
+            grid_cost_fn=grid_of(quadratic_bowl(5, 3.0)),
         )
         assert fast == scalar
 
@@ -82,7 +96,6 @@ class TestVectorizedBruteForce:
         outcome = brute_force_resource_plan(
             lambda c: float(c.num_containers),
             small_cluster,
-            vectorized=True,
             grid_cost_fn=grid_cost_fn,
         )
         assert calls == [small_cluster.grid_size]
@@ -96,7 +109,6 @@ class TestVectorizedBruteForce:
             brute_force_resource_plan(
                 lambda c: 1.0,
                 small_cluster,
-                vectorized=True,
                 grid_cost_fn=lambda grid: np.zeros(3),
             )
 
@@ -305,28 +317,35 @@ class TestBhjWallUsesLargestGridSize:
             def join_io_gb(self, left, right):
                 return small_gb, 4 * small_gb
 
-        coster = RaqoCoster(
-            model,
-            method=ResourcePlanningMethod(method),
-            vectorized=vectorized,
-        )
+        coster = RaqoCoster(model, method=ResourcePlanningMethod(method))
         context = PlanningContext(estimator=Sizes(), cluster=self.CLUSTER)
         left, right = frozenset({"a"}), frozenset({"b"})
-        if batched:
-            # Vectorized brute force takes the stacked cost_batch kernel.
-            batch = CandidateBatch.build(
-                [(left, right, JoinAlgorithm.BROADCAST_HASH)],
-                context.join_io_gb,
-            )
-            result = coster.cost_batch(batch, context)
-            assert not result.feasible[0]
-            assert result.configs == (None,)
-        else:
-            cost, config = coster.join_cost(
-                left, right, JoinAlgorithm.BROADCAST_HASH, context
-            )
-            assert not cost.is_finite
-            assert config is None
+        # Not vectorized: the scalar resource searches, and batches costed
+        # candidate by candidate.
+        search = (
+            contextlib.nullcontext() if vectorized else scalar_resource_search()
+        )
+        with search:
+            if batched:
+                # Brute force takes the stacked cost_batch kernel.
+                batch = CandidateBatch.build(
+                    [(left, right, JoinAlgorithm.BROADCAST_HASH)],
+                    context.join_io_gb,
+                )
+                cost_batch = (
+                    coster.cost_batch
+                    if vectorized
+                    else functools.partial(cost_batch_scalar, coster)
+                )
+                result = cost_batch(batch, context)
+                assert not result.feasible[0]
+                assert result.configs == (None,)
+            else:
+                cost, config = coster.join_cost(
+                    left, right, JoinAlgorithm.BROADCAST_HASH, context
+                )
+                assert not cost.is_finite
+                assert config is None
         assert context.counters.resource_iterations == 0
 
     @pytest.mark.parametrize("method", ["hill_climb", "brute_force"])

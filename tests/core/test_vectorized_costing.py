@@ -7,6 +7,7 @@ sizes, join algorithms, and both engine profiles. The scalar path is the
 oracle; these tests pin the fast path to it.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.core.resource_planner import (
 from repro.engine.joins import JoinAlgorithm
 from repro.engine.profiles import HIVE_PROFILE, SPARK_PROFILE
 from repro.planner.cost_interface import PlanningContext
+from scalar_reference import scalar_resource_search
 
 PROFILES = {"hive": HIVE_PROFILE, "spark": SPARK_PROFILE}
 
@@ -272,14 +274,11 @@ class TestBruteForceEquivalence:
         except Exception as scalar_error:
             with pytest.raises(type(scalar_error)):
                 brute_force_resource_plan(
-                    cost_fn,
-                    cluster,
-                    vectorized=True,
-                    grid_cost_fn=grid_cost_fn,
+                    cost_fn, cluster, grid_cost_fn=grid_cost_fn
                 )
             return
         fast = brute_force_resource_plan(
-            cost_fn, cluster, vectorized=True, grid_cost_fn=grid_cost_fn
+            cost_fn, cluster, grid_cost_fn=grid_cost_fn
         )
         assert fast == scalar
 
@@ -287,7 +286,9 @@ class TestBruteForceEquivalence:
         """Constant costs: both paths pick the very first grid point."""
         scalar = brute_force_resource_plan(lambda c: 1.0, small_cluster)
         fast = brute_force_resource_plan(
-            lambda c: 1.0, small_cluster, vectorized=True
+            lambda c: 1.0,
+            small_cluster,
+            grid_cost_fn=lambda grid: np.ones(grid.num_configs),
         )
         assert fast == scalar
         assert fast.config == small_cluster.minimum_configuration
@@ -295,7 +296,10 @@ class TestBruteForceEquivalence:
     def test_all_infinite_costs_raise(self, small_cluster):
         from repro.core.resource_planner import ResourcePlanningError
 
-        for kwargs in ({}, {"vectorized": True}):
+        def infinite(grid):
+            return np.full(grid.num_configs, math.inf)
+
+        for kwargs in ({}, {"grid_cost_fn": infinite}):
             with pytest.raises(ResourcePlanningError):
                 brute_force_resource_plan(
                     lambda c: math.inf, small_cluster, **kwargs
@@ -309,9 +313,12 @@ class TestBruteForceEquivalence:
                 return math.nan
             return float(config.num_containers)
 
+        def grid_cost_fn(grid):
+            return np.array([cost_fn(c) for c in grid.configurations()])
+
         scalar = brute_force_resource_plan(cost_fn, small_cluster)
         fast = brute_force_resource_plan(
-            cost_fn, small_cluster, vectorized=True
+            cost_fn, small_cluster, grid_cost_fn=grid_cost_fn
         )
         assert fast == scalar
         assert fast.config.num_containers == 2
@@ -528,24 +535,25 @@ class TestHillClimbEquivalence:
         self, cluster, ss, ls, algorithm, estimator_name, objective
     ):
         """Through RaqoCoster: same Cost bits, configuration and
-        ``resource_iterations`` with and without the grid objective."""
+        ``resource_iterations`` with the grid objective and with the
+        scalar climb."""
         ss, ls = sorted((ss, ls))
         model = _estimator(estimator_name)
         observed = []
-        for vectorized in (False, True):
+        for search in (scalar_resource_search(), contextlib.nullcontext()):
             coster = RaqoCoster(
                 model,
                 method=ResourcePlanningMethod.HILL_CLIMB,
                 money_weight=objective.money_weight,
                 time_weight=objective.time_weight,
-                vectorized=vectorized,
             )
             context = PlanningContext(
                 estimator=_FixedSizes(ss, ls), cluster=cluster
             )
-            cost, config = coster.join_cost(
-                frozenset({"a"}), frozenset({"b"}), algorithm, context
-            )
+            with search:
+                cost, config = coster.join_cost(
+                    frozenset({"a"}), frozenset({"b"}), algorithm, context
+                )
             observed.append(
                 (
                     cost.time_s.hex(),
@@ -555,6 +563,33 @@ class TestHillClimbEquivalence:
                 )
             )
         assert observed[0] == observed[1]
+
+    @pytest.mark.parametrize("method", list(ResourcePlanningMethod))
+    def test_scalar_search_never_costs_the_grid(self, paper_cluster, method):
+        """The oracle's scalar searches really bypass the grid path."""
+
+        class NoGrid(SimulatorCostModel):
+            def predict_time_grid(self, *args):
+                raise AssertionError("the scalar search costed the grid")
+
+        coster = RaqoCoster(NoGrid(HIVE_PROFILE), method=method)
+
+        def join_cost():
+            context = PlanningContext(
+                estimator=_FixedSizes(5.0, 77.0), cluster=paper_cluster
+            )
+            return coster.join_cost(
+                frozenset({"a"}),
+                frozenset({"b"}),
+                JoinAlgorithm.SORT_MERGE,
+                context,
+            )
+
+        with scalar_resource_search():
+            cost, _ = join_cost()
+        assert cost.is_finite
+        with pytest.raises(AssertionError, match="costed the grid"):
+            join_cost()
 
 
 #: Values planted on lane grids: ties, walls, holes and NaN.

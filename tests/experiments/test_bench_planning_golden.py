@@ -72,9 +72,15 @@ class TestBaselinePayload:
 
     def test_gated_sections_present(self):
         baseline = json.loads(BASELINE_PATH.read_text())
-        assert baseline["subplan_throughput"]["vectorized"][
+        assert baseline["subplan_throughput"]["batched"][
             "sub_plans_per_s"
         ] > 0
+        assert set(baseline["overhead_gate"]["time_vs_probe"]) == {
+            "batched",
+            "batched_memoized",
+            "hill_climb",
+            "pareto",
+        }
         pareto = baseline["pareto_frontiers"]
         assert pareto["pareto_frontiers_per_s"] > 0
         assert pareto["frontier_points"] >= pareto["frontiers"]

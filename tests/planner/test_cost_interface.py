@@ -15,6 +15,7 @@ from repro.planner.cost_interface import (
     get_plan_cost,
 )
 from repro.planner.plan import left_deep_plan
+from scalar_reference import get_plan_cost_per_join
 
 
 class TestCost:
@@ -94,6 +95,47 @@ class TestGetPlanCost:
         _, cost = get_plan_cost(ScanNode("orders"), coster, context)
         assert cost == ZERO_COST
         assert coster.calls == 0
+
+    @pytest.mark.parametrize("method", ["hill_climb", "brute_force"])
+    def test_matches_per_join_reference(self, tpch_catalog_sf100, method):
+        """One batch per plan: the annotated plan, the Cost bits and the
+        counters (but ``batched_calls``) equal costing join by join."""
+        import dataclasses
+
+        from repro.core.raqo import (
+            RaqoCoster,
+            ResourcePlanningMethod,
+            default_cost_model,
+        )
+
+        plan = left_deep_plan(
+            ("customer", "orders", "lineitem", "supplier", "nation")
+        )
+        observed = []
+        for cost_plan in (get_plan_cost, get_plan_cost_per_join):
+            coster = RaqoCoster(
+                model=default_cost_model(),
+                method=ResourcePlanningMethod(method),
+            )
+            context = self._context(tpch_catalog_sf100)
+            annotated, cost = cost_plan(plan, coster, context)
+            observed.append(
+                (
+                    annotated,
+                    cost.time_s.hex(),
+                    cost.money.hex(),
+                    dataclasses.replace(
+                        context.counters,
+                        batched_calls=0,
+                        batch_memo_hits=0,
+                    ),
+                )
+            )
+        assert observed[0] == observed[1]
+        assert all(
+            join.resources is not None
+            for join in observed[0][0].joins_postorder()
+        )
 
     def test_join_io_gb_through_context(self, tpch_catalog_sf100):
         context = self._context(tpch_catalog_sf100)

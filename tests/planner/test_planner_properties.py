@@ -2,9 +2,12 @@
 
 These pin the optimality relationships between the three planners: on
 any (small) random catalog, the exhaustive bushy DP lower-bounds the
-left-deep DP, which the randomized planner should approach.
+left-deep DP, which the randomized planner should approach. Each
+planner must also match its per-candidate reference
+(``tests/scalar_reference.py``) exactly.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -17,14 +20,11 @@ from repro.catalog.random_schema import RandomSchemaConfig, random_catalog
 from repro.catalog.statistics import StatisticsEstimator
 from repro.cluster.cluster import ClusterConditions
 from repro.planner.bushy import BushyPlanner
-from repro.planner.cost_interface import (
-    Cost,
-    PlanningContext,
-    get_plan_cost,
-)
+from repro.planner.cost_interface import Cost, PlanningContext
 from repro.planner.plan import left_deep_plan
 from repro.planner.randomized import FastRandomizedPlanner
 from repro.planner.selinger import SelingerPlanner
+from scalar_reference import as_reference, get_plan_cost_per_join
 
 
 class SizeCoster:
@@ -78,7 +78,7 @@ class TestPlannerRelationships:
             if not valid:
                 continue
             plan = left_deep_plan(perm)
-            _, cost = get_plan_cost(plan, coster, context)
+            _, cost = get_plan_cost_per_join(plan, coster, context)
             if best is None or cost.time_s < best:
                 best = cost.time_s
         assert best is not None
@@ -101,3 +101,46 @@ class TestPlannerRelationships:
         # catches real regressions (e.g. invalid mutations) without
         # flaking on unlucky seeds.
         assert randomized.cost.time_s <= bushy.cost.time_s * 3.0 + 1e-9
+
+
+class TestReferenceIdentity:
+    """Production planners cost a DP level (or a candidate plan) in one
+    batch; their per-candidate twins must agree on the plan, its join
+    implementations, the Cost bits and every counter but the batching
+    ones. ``SizeCoster`` prices both join implementations alike, so
+    every subset's champion is chosen among exact ties."""
+
+    @given(st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=15, deadline=None)
+    def test_property_planners_match_reference(self, seed):
+        _, query, context = make_setup(seed)
+        planners = (
+            SelingerPlanner(SizeCoster()),
+            BushyPlanner(SizeCoster()),
+            FastRandomizedPlanner(
+                SizeCoster(), iterations=3, seed=seed % 1000
+            ),
+        )
+        for planner in planners:
+            runs = []
+            for candidate in (planner, as_reference(planner)):
+                result = candidate.plan(
+                    query,
+                    PlanningContext(
+                        estimator=context.estimator,
+                        cluster=context.cluster,
+                    ),
+                )
+                runs.append(
+                    (
+                        result.plan,
+                        result.cost.time_s.hex(),
+                        result.cost.money.hex(),
+                        dataclasses.replace(
+                            result.counters,
+                            batched_calls=0,
+                            batch_memo_hits=0,
+                        ),
+                    )
+                )
+            assert runs[0] == runs[1], planner.name

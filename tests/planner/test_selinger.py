@@ -20,6 +20,7 @@ from repro.planner.cost_interface import (
 )
 from repro.planner.plan import join_order, left_deep_plan, plan_signature
 from repro.planner.selinger import PlanningError, SelingerPlanner
+from scalar_reference import as_reference
 
 
 class SizeCoster:
@@ -193,7 +194,8 @@ class TieCoster:
 
 class TestBatchedChampionScan:
     """Batched levels pick champions from float arrays; they must pick
-    the scalar path's champions, ties and infeasible lanes included."""
+    the per-candidate reference's champions, ties and infeasible lanes
+    included."""
 
     TABLES = ("customer", "lineitem", "nation", "orders", "supplier")
 
@@ -205,8 +207,9 @@ class TestBatchedChampionScan:
             TieCoster(dead=("customer", "orders")),
             time_weight=weights[0],
             money_weight=weights[1],
-            batched=batched,
         )
+        if not batched:
+            planner = as_reference(planner)
         result = planner.plan(Query("q", self.TABLES), context)
         counters = dataclasses.replace(result.counters, batched_calls=0)
         return (

@@ -1,11 +1,12 @@
 """Bit-identity of lattice-batched planning vs the scalar reference.
 
 The batched DP-level costing (``CandidateBatch`` + ``cost_batch``) and
-the process-pool workload sharding are pure performance features: every
+grid-costed resource search are pure performance features: every
 observable output -- chosen plans, exact Cost floats, counters, cache
 statistics, and the canonical span tree -- must be *bit-identical* to
-the per-candidate scalar path. These tests sweep planners, catalogs,
-resource-planning methods, and seeds to pin that invariant.
+the per-candidate reference in ``tests/scalar_reference.py``. These
+tests sweep planners, catalogs, resource-planning methods, and seeds to
+pin that invariant.
 """
 
 import dataclasses
@@ -36,13 +37,15 @@ from repro.obs.export import canonical_span_tree_json
 from repro.obs.tracing import Tracer
 from repro.planner.cost_interface import PlanningContext, cost_batch_scalar
 from repro.planner.plan import CandidateBatch, plan_signature
+from scalar_reference import reference_planner, scalar_resource_search
 
 
 def _strip_batch_counters(counters):
     """Counters with the batching-only fields zeroed.
 
     ``batched_calls``/``batch_memo_hits`` legitimately differ between
-    the two modes (that is what they count); everything else must not.
+    production and the per-candidate reference (that is what they
+    count); everything else must not.
     """
     return dataclasses.replace(
         counters, batched_calls=0, batch_memo_hits=0
@@ -59,10 +62,10 @@ def _observable(result):
 
 
 def _plan_all(catalog, queries, *, batched, tracer_seed=None, **kwargs):
+    """Plan on production (``batched``) or the per-candidate reference."""
     tracer = Tracer(seed=tracer_seed) if tracer_seed is not None else None
-    planner = RaqoPlanner(
-        catalog, batched_costing=batched, tracer=tracer, **kwargs
-    )
+    build = RaqoPlanner if batched else reference_planner
+    planner = build(catalog, tracer=tracer, **kwargs)
     results = [planner.optimize(q) for q in queries]
     tree = canonical_span_tree_json(tracer) if tracer else None
     return results, tree
@@ -146,6 +149,7 @@ class TestBatchedScalarIdentity:
             assert len(result.batch_sizes) < result.counters.join_costings
 
     def test_scalar_mode_reports_no_batches(self, catalog):
+        """The reference never goes through ``cost_batch``."""
         results, _ = _plan_all(
             catalog,
             list(tpch.EVALUATION_QUERIES),
@@ -186,26 +190,33 @@ def _exact(result):
     )
 
 
+def _plan_searching(catalog, queries, *, grid, **kwargs):
+    """Plan on production, with grid-costed resource searches or (not
+    ``grid``) their scalar forms."""
+    if grid:
+        return _plan_all(catalog, queries, batched=True, **kwargs)
+    with scalar_resource_search():
+        return _plan_all(catalog, queries, batched=True, **kwargs)
+
+
 class TestGridHillClimbIdentity:
-    """Hill climbing over the once-costed grid (the default,
-    ``vectorized_resource_planning=True``) vs the scalar climb."""
+    """Hill climbing over the once-costed grid vs the scalar climb."""
 
     @pytest.mark.parametrize(
         "planner_kind", [PlannerKind.SELINGER, PlannerKind.FAST_RANDOMIZED]
     )
     def test_tpch_identical(self, catalog, planner_kind):
         runs = [
-            _plan_all(
+            _plan_searching(
                 catalog,
                 list(tpch.EVALUATION_QUERIES),
-                batched=True,
+                grid=grid,
                 tracer_seed=7,
                 planner_kind=planner_kind,
                 resource_method=ResourcePlanningMethod.HILL_CLIMB,
                 randomized_iterations=2,
-                vectorized_resource_planning=vectorized,
             )
-            for vectorized in (True, False)
+            for grid in (True, False)
         ]
         (grid, grid_tree), (scalar, scalar_tree) = runs
         assert [_exact(r) for r in grid] == [_exact(r) for r in scalar]
@@ -217,15 +228,14 @@ class TestGridHillClimbIdentity:
         cat = random_catalog(RandomSchemaConfig(num_tables=6), rng)
         queries = [random_query(cat, 5, rng) for _ in range(3)]
         runs = [
-            _plan_all(
+            _plan_searching(
                 cat,
                 queries,
-                batched=True,
+                grid=grid,
                 tracer_seed=7,
                 resource_method=ResourcePlanningMethod.HILL_CLIMB,
-                vectorized_resource_planning=vectorized,
             )
-            for vectorized in (True, False)
+            for grid in (True, False)
         ]
         (grid, grid_tree), (scalar, scalar_tree) = runs
         assert [_exact(r) for r in grid] == [_exact(r) for r in scalar]
@@ -257,9 +267,9 @@ def _cache_run(catalog, queries, *, batched, estimator, cache):
     """Plan ``queries`` on one planner whose cache persists across
     queries (and so across batches); returns every observable."""
     tracer = Tracer(seed=11)
-    planner = RaqoPlanner(
+    build = RaqoPlanner if batched else reference_planner
+    planner = build(
         catalog,
-        batched_costing=batched,
         tracer=tracer,
         cost_model=ESTIMATORS[estimator](),
         resource_method=ResourcePlanningMethod.BRUTE_FORCE,

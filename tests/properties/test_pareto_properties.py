@@ -5,9 +5,9 @@ The frontier (:mod:`repro.core.pareto`) is advertised as *exact* and
 frontier is a pure function of (plan, grid, cost model) -- byte-identical
 across 1/2/8 thread workers and across a process boundary -- and the
 objective selectors reduce to brute-force reference computations.  The
-``weighted(w)`` objective is additionally the migration safety net for
-the deprecated ``money_weight=`` knob: plans, exact cost floats, and
-canonical span trees must be bit-identical between the two spellings.
+``weighted(w)`` objective is additionally pinned to the coster's and
+planner's own ``money_weight`` weights it resolves to: plans, exact
+cost floats, and canonical span trees must be bit-identical.
 """
 
 import dataclasses
@@ -18,11 +18,16 @@ import pytest
 from repro.catalog import tpch
 from repro.cluster.cluster import ClusterConditions
 from repro.core.pareto import PlanObjective
-from repro.core.raqo import RaqoPlanner, ResourcePlanningMethod
+from repro.core.raqo import (
+    RaqoCoster,
+    RaqoPlanner,
+    ResourcePlanningMethod,
+)
 from repro.obs.export import canonical_span_tree_json
 from repro.obs.tracing import Tracer
 from repro.planner.cost_interface import frontier as exact_frontier
 from repro.planner.plan import plan_signature
+from repro.planner.selinger import SelingerPlanner
 from repro.workloads.runner import _process_pool_context
 
 #: A mid-sized grid: large enough for multi-point frontiers on every
@@ -182,8 +187,24 @@ class TestObjectiveSelection:
             )
 
 
+def _wire_money_weight(planner, weight):
+    """Give a fastest-objective planner a coster and a Selinger planner
+    built with ``money_weight=weight`` by hand, the way the retired
+    ``money_weight=`` keyword did."""
+    planner.coster = RaqoCoster(
+        model=planner.cost_model,
+        cache=planner.cache,
+        price_model=planner.price_model,
+        money_weight=weight,
+    )
+    planner.query_planner = SelingerPlanner(
+        planner.coster, money_weight=weight
+    )
+
+
 class TestWeightedMigrationSafetyNet:
-    """``weighted(w)`` must be bit-identical to legacy ``money_weight=w``."""
+    """``weighted(w)`` must be bit-identical to wiring ``money_weight=w``
+    into the coster and the query planner by hand."""
 
     @pytest.mark.parametrize("weight", [0.0, 2.0, 50.0])
     def test_plans_costs_and_span_trees_identical(self, catalog, weight):
@@ -203,18 +224,15 @@ class TestWeightedMigrationSafetyNet:
             objective=PlanObjective.weighted(weight),
             tracer=new_tracer,
         )
-        with pytest.deprecated_call():
-            legacy_tracer = Tracer(seed=0)
-            legacy_planner = RaqoPlanner(
-                catalog,
-                cluster=CLUSTER,
-                money_weight=weight,
-                tracer=legacy_tracer,
-            )
-        assert observe(new_planner) == observe(legacy_planner)
+        wired_tracer = Tracer(seed=0)
+        wired_planner = RaqoPlanner(
+            catalog, cluster=CLUSTER, tracer=wired_tracer
+        )
+        _wire_money_weight(wired_planner, weight)
+        assert observe(new_planner) == observe(wired_planner)
         assert canonical_span_tree_json(
             new_tracer
-        ) == canonical_span_tree_json(legacy_tracer)
+        ) == canonical_span_tree_json(wired_tracer)
 
     def test_session_weighted_matches_legacy_session(self, catalog):
         from repro.api import RaqoSession
@@ -224,10 +242,8 @@ class TestWeightedMigrationSafetyNet:
             cluster=CLUSTER,
             objective=PlanObjective.weighted(8.0),
         )
-        with pytest.deprecated_call():
-            legacy = RaqoSession(
-                catalog, cluster=CLUSTER, money_weight=8.0
-            )
+        legacy = RaqoSession(catalog, cluster=CLUSTER)
+        _wire_money_weight(legacy.planner, 8.0)
         a = new.plan("Q3")
         b = legacy.plan("Q3")
         assert plan_signature(a.plan) == plan_signature(b.plan)

@@ -1,0 +1,233 @@
+"""The per-candidate planning reference the identity suites compare against.
+
+Production plans through one path: the planners cost each DP level (or
+each whole candidate plan) through one ``cost_batch`` call, and the RAQO
+coster's resource searches cost the whole configuration grid at once.
+This module keeps the per-candidate forms those paths replaced, as
+oracles. Plans, ``Cost`` bits, counters (other than ``batched_calls`` /
+``batch_memo_hits``) and canonical span trees must match them exactly.
+
+- :class:`ReferenceSelingerPlanner` and :class:`ReferenceBushyPlanner`
+  pick every subset's champion with one ``join_cost`` call per
+  candidate.
+- :class:`ReferenceFastRandomizedPlanner` costs each candidate plan join
+  by join (:func:`get_plan_cost_per_join`).
+- :func:`reference_planner` builds a :class:`RaqoPlanner` whose query
+  planner is the per-candidate twin of the one it would use.
+- :func:`scalar_resource_search` swaps the resource searches bound in
+  :mod:`repro.core.raqo` for their scalar forms (no ``grid_cost_fn``).
+"""
+
+import contextlib
+import copy
+import itertools
+from typing import Dict, FrozenSet, Optional, Tuple
+
+from repro.core import raqo
+from repro.planner.bushy import BushyPlanner
+from repro.planner.cost_interface import (
+    Cost,
+    PlanningContext,
+    ZERO_COST,
+)
+from repro.planner.operators import JOIN_IMPLEMENTATIONS
+from repro.planner.plan import JoinNode, PlanNode, ScanNode
+from repro.planner.randomized import FastRandomizedPlanner
+from repro.planner.selinger import SelingerPlanner
+
+Best = Dict[FrozenSet[str], Tuple[PlanNode, Cost]]
+
+
+def get_plan_cost_per_join(plan, coster, context):
+    """Cost a whole plan with one ``join_cost`` call per join.
+
+    Joins are costed bottom-up and each join node is annotated with the
+    resources the coster picked.
+    """
+    total = ZERO_COST
+
+    def cost_one(join: JoinNode) -> JoinNode:
+        nonlocal total
+        cost, resources = coster.join_cost(
+            join.left.tables, join.right.tables, join.algorithm, context
+        )
+        total = total + cost
+        return join.with_resources(resources)
+
+    annotated = plan.map_joins(cost_one)
+    return annotated, total
+
+
+class ReferenceSelingerPlanner(SelingerPlanner):
+    """Left-deep DP choosing each subset's champion candidate by
+    candidate."""
+
+    def _scalar(self, cost: Cost) -> float:
+        return cost.scalar(self._time_weight, self._money_weight)
+
+    def _extend_level(self, size, all_tables, best, context):
+        graph = context.estimator.join_graph
+        for combo in itertools.combinations(sorted(all_tables), size):
+            subset = frozenset(combo)
+            if size > 1 and not graph.is_connected(subset):
+                continue
+            entry = self._best_extension(subset, best, context)
+            if entry is not None:
+                best[subset] = entry
+
+    def _best_extension(
+        self,
+        subset: FrozenSet[str],
+        best: Best,
+        context: PlanningContext,
+    ) -> Optional[Tuple[PlanNode, Cost]]:
+        """The cheapest way to build ``subset`` by adding one relation."""
+        graph = context.estimator.join_graph
+        champion: Optional[Tuple[PlanNode, Cost]] = None
+        for table in sorted(subset):
+            rest = subset - {table}
+            rest_entry = best.get(rest)
+            if rest_entry is None:
+                continue
+            # Left-deep: the new relation is always the right input, and
+            # must actually join (no cross products).
+            if not graph.joinable(rest, (table,)):
+                continue
+            rest_plan, rest_cost = rest_entry
+            for algorithm in JOIN_IMPLEMENTATIONS:
+                context.counters.join_costings += 1
+                cost, resources = self._coster.join_cost(
+                    rest, frozenset((table,)), algorithm, context
+                )
+                total = rest_cost + cost
+                if not total.is_finite:
+                    continue
+                if champion is None or self._scalar(total) < self._scalar(
+                    champion[1]
+                ):
+                    node = JoinNode(
+                        left=rest_plan,
+                        right=ScanNode(table),
+                        algorithm=algorithm,
+                        resources=resources,
+                    )
+                    champion = (node, total)
+        return champion
+
+
+class ReferenceBushyPlanner(BushyPlanner):
+    """DPsize choosing each subset's champion candidate by candidate."""
+
+    def _split_level(self, size, all_tables, best, context):
+        graph = context.estimator.join_graph
+        for combo in itertools.combinations(sorted(all_tables), size):
+            subset = frozenset(combo)
+            if not graph.is_connected(subset):
+                continue
+            entry = self._best_split(subset, best, context)
+            if entry is not None:
+                best[subset] = entry
+
+    def _best_split(
+        self,
+        subset: FrozenSet[str],
+        best: Best,
+        context: PlanningContext,
+    ) -> Optional[Tuple[PlanNode, Cost]]:
+        """The cheapest (left, right) partition of ``subset``."""
+        graph = context.estimator.join_graph
+        names = sorted(subset)
+        champion: Optional[Tuple[PlanNode, Cost]] = None
+        # Enumerate proper subsets containing the smallest element, so
+        # each unordered partition is considered exactly once.
+        anchor = names[0]
+        rest = names[1:]
+        for mask_size in range(0, len(rest)):
+            for picked in itertools.combinations(rest, mask_size):
+                left = frozenset((anchor,) + picked)
+                right = subset - left
+                left_entry = best.get(left)
+                right_entry = best.get(right)
+                if left_entry is None or right_entry is None:
+                    continue
+                if not graph.joinable(left, right):
+                    continue
+                left_plan, left_cost = left_entry
+                right_plan, right_cost = right_entry
+                for algorithm in JOIN_IMPLEMENTATIONS:
+                    context.counters.join_costings += 1
+                    cost, resources = self._coster.join_cost(
+                        left, right, algorithm, context
+                    )
+                    total = left_cost + right_cost + cost
+                    if not total.is_finite:
+                        continue
+                    if champion is None or self._scalar(
+                        total
+                    ) < self._scalar(champion[1]):
+                        node = JoinNode(
+                            left=left_plan,
+                            right=right_plan,
+                            algorithm=algorithm,
+                            resources=resources,
+                        )
+                        champion = (node, total)
+        return champion
+
+
+class ReferenceFastRandomizedPlanner(FastRandomizedPlanner):
+    """FastRandomized costing every candidate plan join by join."""
+
+    def _cost_plan(self, plan, context):
+        return get_plan_cost_per_join(plan, self._coster, context)
+
+
+_REFERENCE_CLASSES = {
+    SelingerPlanner: ReferenceSelingerPlanner,
+    BushyPlanner: ReferenceBushyPlanner,
+    FastRandomizedPlanner: ReferenceFastRandomizedPlanner,
+}
+
+
+def as_reference(query_planner):
+    """The per-candidate twin of a production query planner: same
+    coster, weights, seed and search settings."""
+    reference = copy.copy(query_planner)
+    reference.__class__ = _REFERENCE_CLASSES[type(query_planner)]
+    return reference
+
+
+def reference_planner(catalog, **kwargs):
+    """A :class:`RaqoPlanner` (same keywords) planning per candidate."""
+    planner = raqo.RaqoPlanner(catalog, **kwargs)
+    planner.query_planner = as_reference(planner.query_planner)
+    return planner
+
+
+@contextlib.contextmanager
+def scalar_resource_search():
+    """Within the block, the RAQO coster's resource searches ignore
+    ``grid_cost_fn``: brute force scans the grid and hill climbing
+    climbs config by config, one cost-function call per read.
+
+    Only the per-candidate ``join_cost`` path searches through these
+    functions; brute force's ``cost_batch`` kernel does not.
+    """
+    brute_force = raqo.brute_force_resource_plan
+    hill_climb = raqo.hill_climb_resource_plan
+
+    def scalar_brute_force(cost_fn, cluster, grid_cost_fn=None):
+        return brute_force(cost_fn, cluster)
+
+    def scalar_hill_climb(
+        cost_fn, cluster, start=None, memoize=True, grid_cost_fn=None
+    ):
+        return hill_climb(cost_fn, cluster, start=start, memoize=memoize)
+
+    raqo.brute_force_resource_plan = scalar_brute_force
+    raqo.hill_climb_resource_plan = scalar_hill_climb
+    try:
+        yield
+    finally:
+        raqo.brute_force_resource_plan = brute_force
+        raqo.hill_climb_resource_plan = hill_climb
