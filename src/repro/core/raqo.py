@@ -26,7 +26,17 @@ import enum
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -82,6 +92,12 @@ DEFAULT_QO_RESOURCES = ResourceConfiguration(
 DEFAULT_CLUSTER = ClusterConditions(
     max_containers=100, max_container_gb=10.0
 )
+
+#: Entries the cross-query search memo of one :class:`RaqoCoster` keeps
+#: before it evicts the oldest. 2,000 ad-hoc TPC-H queries run ~37.6k
+#: searches over only 125 distinct inputs on one cluster; twice that
+#: leaves room for a replan to a second cluster.
+_SEARCH_MEMO_CAP = 256
 
 
 class _PendingKeys:
@@ -202,7 +218,7 @@ class RaqoCoster:
     experiments, and :class:`PlanObjective` derives both weights for
     the planner facade (``cheapest`` plans with ``time_weight=0``).
 
-    Two fast-path layers sit in front of the resource planner:
+    Three fast-path layers sit around the resource planner:
 
     - ``memoize``: a per-planning-run memo keyed by ``(algorithm, ss,
       ls)``. Query planners request the same sub-plan costing many times
@@ -211,6 +227,20 @@ class RaqoCoster:
       planned cost without touching the plan cache or the planner.
       The memo lives on the :class:`PlanningContext`, so its lifetime is
       exactly one planning run.
+    - the cross-query search memo: below the resource plan cache, each
+      search's outcome (or the BHJ memory wall) and the winner's
+      re-predicted time are kept for the coster's lifetime, keyed by
+      ``(algorithm, small_gb, large_gb, cluster)``; method, model and
+      weights are fixed per coster. The search is a pure function of
+      that key, so a repeat replays the stored outcome: it charges the
+      same ``resource_iterations`` and opens the same ``hill-climb`` /
+      ``grid-costing`` span, and plan-cache lookups and inserts run as
+      before. Plans, costs, counters, cache statistics and canonical
+      span trees are those of a fresh search; only the wall-clock
+      changes. ``memoize=False`` turns it off too. It holds at most
+      ``_SEARCH_MEMO_CAP`` entries, evicting the oldest first, and a
+      coster built by :meth:`RaqoPlanner.clone` or
+      :meth:`RaqoPlanner.with_objective` starts with it empty.
     - grid costing: resource planning costs the whole configuration
       grid through the model's batched ``predict_time_grid`` (a few
       array operations for learned models) instead of one scalar call
@@ -229,6 +259,12 @@ class RaqoCoster:
     money_weight: float = 0.0
     time_weight: float = 1.0
     memoize: bool = True
+    #: The cross-query search memo: ``(algorithm, small_gb, large_gb,
+    #: cluster)`` -> (outcome or None at the BHJ wall, winner's time).
+    _search_memo: Dict[
+        Tuple[JoinAlgorithm, float, float, ClusterConditions],
+        Tuple[Optional[ResourcePlanOutcome], float],
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def join_cost(
         self,
@@ -727,7 +763,7 @@ class RaqoCoster:
             # The feasibility check already predicted at this config.
             config, time_s = cached
         else:
-            outcome = self._plan_resources(
+            outcome, time_s = self._plan_resources(
                 algorithm, small_gb, large_gb, context
             )
             if outcome is None or not math.isfinite(outcome.cost):
@@ -737,9 +773,6 @@ class RaqoCoster:
                 self.cache.insert(
                     self.model.model_key(algorithm), small_gb, config
                 )
-            time_s = self.model.predict_time(
-                algorithm, small_gb, large_gb, config
-            )
         if not math.isfinite(time_s):
             return INFEASIBLE_COST, None
         money = self.price_model.cost_of_gb_seconds(
@@ -784,10 +817,48 @@ class RaqoCoster:
         small_gb: float,
         large_gb: float,
         context: PlanningContext,
+    ) -> Tuple[Optional[ResourcePlanOutcome], float]:
+        """Run brute force or Algorithm 1 for one operator, or replay
+        the memoized search of the same input.
+
+        Returns the outcome (None at the BHJ memory wall) and the
+        winner's re-predicted unweighted time (infinite when the search
+        found no feasible configuration).
+        """
+        key = None
+        # NaN never equals itself: a NaN size is never memoized.
+        if self.memoize and small_gb == small_gb and large_gb == large_gb:
+            key = (algorithm, small_gb, large_gb, context.cluster)
+            memoized = self._search_memo.get(key)
+            if memoized is not None:
+                replayed = memoized[0]
+                if replayed is not None:
+                    self._charged(lambda: replayed, context)
+                return memoized
+        outcome = self._search(algorithm, small_gb, large_gb, context)
+        time_s = math.inf
+        if outcome is not None and math.isfinite(outcome.cost):
+            time_s = self.model.predict_time(
+                algorithm, small_gb, large_gb, outcome.config
+            )
+        searched = (outcome, time_s)
+        if key is not None:
+            memo = self._search_memo
+            if len(memo) >= _SEARCH_MEMO_CAP:
+                del memo[next(iter(memo))]
+            memo[key] = searched
+        return searched
+
+    def _search(
+        self,
+        algorithm: JoinAlgorithm,
+        small_gb: float,
+        large_gb: float,
+        context: PlanningContext,
     ) -> Optional[ResourcePlanOutcome]:
-        """Run brute force or Algorithm 1 for one operator."""
+        """Search the resource space for one operator; None at the BHJ
+        memory wall."""
         cluster = context.cluster
-        counters = context.counters
 
         def objective(config: ResourceConfiguration) -> float:
             time_s = self.model.predict_time(
@@ -843,26 +914,33 @@ class RaqoCoster:
             if start is None:
                 return None
 
-        def search() -> Optional[ResourcePlanOutcome]:
+        def search() -> ResourcePlanOutcome:
             if self.method is ResourcePlanningMethod.BRUTE_FORCE:
-                outcome = brute_force_resource_plan(
+                return brute_force_resource_plan(
                     objective, cluster, grid_cost_fn=grid_objective
                 )
-            else:
-                outcome = hill_climb_resource_plan(
-                    objective,
-                    cluster,
-                    start=start,
-                    grid_cost_fn=grid_objective,
-                )
-            # The configurations the search read: the whole grid for
-            # brute force, Algorithm 1's reads for a climb (not the grid
-            # lanes it costed), on the grid and scalar searches alike.
-            counters.resource_iterations += outcome.iterations
-            return outcome
+            return hill_climb_resource_plan(
+                objective,
+                cluster,
+                start=start,
+                grid_cost_fn=grid_objective,
+            )
 
+        return self._charged(search, context)
+
+    def _charged(
+        self,
+        search: Callable[[], ResourcePlanOutcome],
+        context: PlanningContext,
+    ) -> ResourcePlanOutcome:
+        """Run (or replay) a search inside its span, charging the
+        configurations it read: the whole grid for brute force,
+        Algorithm 1's reads for a climb (not the grid lanes it costed),
+        on the grid and scalar searches alike."""
         if not context.tracer.active:
-            return search()
+            outcome = search()
+            context.counters.resource_iterations += outcome.iterations
+            return outcome
         span_name = (
             "grid-costing"
             if self.method is ResourcePlanningMethod.BRUTE_FORCE
@@ -870,8 +948,8 @@ class RaqoCoster:
         )
         with context.tracer.span(span_name, kind="planner") as span:
             outcome = search()
-            if outcome is not None:
-                span.set_attribute("iterations", outcome.iterations)
+            context.counters.resource_iterations += outcome.iterations
+            span.set_attribute("iterations", outcome.iterations)
             return outcome
 
 
@@ -913,6 +991,14 @@ class RaqoPlanner:
     ``optimize`` returns a
     :class:`~repro.planner.cost_interface.PlanningResult` whose plan
     carries per-operator resource configurations (for RAQO).
+
+    ``memoize_within_run`` (default True) switches both of the RAQO
+    coster's memos: the per-run memo of sub-plan costings and the
+    cross-query memo of resource searches that lives as long as the
+    planner (see :class:`RaqoCoster`). Neither changes a plan, cost,
+    counter or span tree. With False every sub-plan costing consults
+    the plan cache and, on a miss, searches again: what the paper's
+    Fig 12, 14 and 15 configurations time.
     """
 
     def __init__(

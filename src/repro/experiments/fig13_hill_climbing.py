@@ -16,6 +16,7 @@ from repro.catalog.queries import Query
 from repro.core.raqo import RaqoPlanner, ResourcePlanningMethod
 from repro.experiments.fig12_tpch_planning import SCALE_FACTOR
 from repro.experiments.report import print_table
+from repro.planner.cost_interface import PlanningResult
 
 
 @dataclass(frozen=True)
@@ -59,22 +60,26 @@ class HillClimbResult:
 def run(
     queries: Tuple[Query, ...] = tpch.EVALUATION_QUERIES,
 ) -> HillClimbResult:
-    """Compare both resource-planning methods per query."""
+    """Compare both resource-planning methods per query.
+
+    Each query gets fresh planners: a reused one would serve searches
+    from its cross-query memo, and later queries' timings would then
+    depend on the ones planned before them.
+    """
     catalog = tpch.tpch_catalog(SCALE_FACTOR)
-    planners = {
-        method: RaqoPlanner(
+
+    def plan(
+        query: Query, method: ResourcePlanningMethod
+    ) -> PlanningResult:
+        planner = RaqoPlanner(
             catalog, resource_method=method, cache_mode=None
         )
-        for method in ResourcePlanningMethod
-    }
+        return planner.optimize(query)
+
     rows = []
     for query in queries:
-        brute = planners[ResourcePlanningMethod.BRUTE_FORCE].optimize(
-            query
-        )
-        climb = planners[ResourcePlanningMethod.HILL_CLIMB].optimize(
-            query
-        )
+        brute = plan(query, ResourcePlanningMethod.BRUTE_FORCE)
+        climb = plan(query, ResourcePlanningMethod.HILL_CLIMB)
         rows.append(
             HillClimbRow(
                 query=query.name,

@@ -37,6 +37,7 @@ from repro.obs.windows import (
     WindowedCounter,
     WindowedGauge,
     WindowedHistogram,
+    labels_key,
     normalize_labels,
 )
 
@@ -93,19 +94,23 @@ class TelemetryPlane:
         window_s: Optional[float],
     ) -> WindowedInstrument:
         canonical = normalize_labels(labels)
-        width = (
-            window_s if window_s is not None else self._window_s[clock]
-        )
-        probe = kind(name, canonical, clock, width)
-        key = f"{kind.__name__}:{probe.series}"
+        series = name + labels_key(canonical)
+        key = f"{kind.__name__}:{series}"
         with self._lock:
             instrument = self._instruments.get(key)
             if instrument is None:
-                self._instruments[key] = probe
-                return probe
+                width = (
+                    window_s
+                    if window_s is not None
+                    else self._window_s[clock]
+                )
+                # Built only on a miss: lookups are per request.
+                instrument = kind(name, canonical, clock, width)
+                self._instruments[key] = instrument
+                return instrument
             if instrument.clock != clock:
                 raise ValueError(
-                    f"series {probe.series!r} already registered on "
+                    f"series {series!r} already registered on "
                     f"clock {instrument.clock!r}, not {clock!r}"
                 )
             return instrument

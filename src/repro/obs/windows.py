@@ -20,13 +20,25 @@ the sorted bucket contents.  A workload recorded serially and the same
 workload recorded from many threads therefore produce byte-identical
 snapshots -- the contract the property suite pins, and the windowed
 analog of the tracer's canonical-span-tree guarantee.
+
+Each series keeps at most ``_MAX_WINDOWS`` windows, the ones with the
+highest indices: a new window beyond that evicts the oldest, and an
+observation older than every window of a full series lands in no
+window. Which windows survive is therefore a function of the set of
+observations too. Lifetime figures are not windowed:
+:attr:`WindowedCounter.total` and a histogram summary's
+``count``/``sum``/``min``/``max`` cover every observation ever made
+(the sum is kept exactly, so it stays order-independent), while the
+summary's quantiles cover the retained windows only.
 """
 
 from __future__ import annotations
 
+import bisect
+import collections
 import math
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "CLOCKS",
@@ -44,6 +56,14 @@ CLOCKS = ("wall", "sim")
 
 #: Label sets are canonicalized to a sorted tuple of (key, value) pairs.
 LabelSet = Tuple[Tuple[str, str], ...]
+
+#: Windows one series retains. The sim clock advances ~84k s per
+#: executed query, so every stage opens a fresh window there; unbounded,
+#: the windows of a long session grew by ~1.7 KB per ``session.run``.
+_MAX_WINDOWS = 512
+
+#: Values an :class:`ExactSum` buffers before folding them.
+_FOLD_AT = 64
 
 
 def labels_key(labels: LabelSet) -> str:
@@ -78,10 +98,60 @@ def exact_quantile(ordered: Sequence[float], q: float) -> float:
     return ordered[rank]
 
 
+class ExactSum:
+    """A float sum kept exactly, so it does not depend on the order the
+    values arrive in.
+
+    Finite values are buffered; every ``_FOLD_AT`` of them the buffer is
+    folded into the few floats whose exact sum equals its exact sum.
+    :meth:`value` is the :func:`math.fsum` of those, the correctly
+    rounded exact total. Infinities and NaN are kept aside and summed
+    as fsum would.
+    """
+
+    __slots__ = ("_parts", "_special")
+
+    def __init__(self) -> None:
+        self._parts: List[float] = []
+        self._special: Set[float] = set()
+
+    def add(self, value: float) -> None:
+        """Add one value."""
+        if math.isfinite(value):
+            parts = self._parts
+            parts.append(value)
+            if len(parts) >= _FOLD_AT:
+                self._parts = _exact_parts(parts)
+        else:
+            # One NaN object, so the set holds at most one.
+            self._special.add(math.nan if math.isnan(value) else value)
+
+    def value(self) -> float:
+        """The correctly rounded sum of every value added."""
+        if self._special:
+            return math.fsum(self._special)
+        return math.fsum(self._parts)
+
+
+def _exact_parts(values: List[float]) -> List[float]:
+    """A few floats whose exact sum is the exact sum of ``values``.
+
+    Each :func:`math.fsum` rounds the exact remainder once; that is
+    repeated until the remainder is exactly zero, which it reaches
+    because every finite float is a whole multiple of 2**-1074.
+    """
+    parts: List[float] = []
+    remainder = math.fsum(values)
+    while remainder:
+        parts.append(remainder)
+        remainder = math.fsum(values + [-part for part in parts])
+    return parts
+
+
 class _WindowedInstrument:
     """Shared bucketing machinery: name, labels, clock, width, lock."""
 
-    __slots__ = ("name", "labels", "clock", "window_s", "_lock")
+    __slots__ = ("name", "labels", "clock", "window_s", "_lock", "_order")
 
     def __init__(
         self,
@@ -101,6 +171,8 @@ class _WindowedInstrument:
         self.clock = clock
         self.window_s = window_s
         self._lock = threading.Lock()
+        #: Retained window indices, ascending.
+        self._order: Deque[int] = collections.deque()
 
     @property
     def series(self) -> str:
@@ -110,6 +182,28 @@ class _WindowedInstrument:
     def bucket_of(self, ts_s: float) -> int:
         """The window index ``ts_s`` falls into."""
         return math.floor(ts_s / self.window_s)
+
+    def _admit(self, buckets: Dict[int, Any], bucket: int) -> bool:
+        """Whether window ``bucket`` of ``buckets`` is retained, making
+        room for it when new; the caller holds the lock and opens the
+        window.
+
+        A full ring evicts its oldest window for a newer one and turns
+        away an older one. Time mostly moves forward, so a new window
+        is usually appended and eviction pops the deque's head: O(1).
+        """
+        if bucket in buckets:
+            return True
+        order = self._order
+        if not order or bucket > order[-1]:
+            order.append(bucket)
+        elif len(order) >= _MAX_WINDOWS and bucket < order[0]:
+            return False
+        else:
+            bisect.insort(order, bucket)
+        if len(order) > _MAX_WINDOWS:
+            del buckets[order.popleft()]
+        return True
 
     def _meta(self) -> Dict[str, object]:
         return {
@@ -145,12 +239,15 @@ class WindowedCounter(_WindowedInstrument):
             )
         bucket = self.bucket_of(ts_s)
         with self._lock:
-            self._buckets[bucket] = self._buckets.get(bucket, 0) + amount
             self._total += amount
+            if self._admit(self._buckets, bucket):
+                self._buckets[bucket] = (
+                    self._buckets.get(bucket, 0) + amount
+                )
 
     @property
     def total(self) -> int:
-        """The all-time count across every window."""
+        """The all-time count, evicted windows included."""
         with self._lock:
             return self._total
 
@@ -158,8 +255,8 @@ class WindowedCounter(_WindowedInstrument):
         """JSON-ready bucket-by-bucket dump (most recent ``last``)."""
         with self._lock:
             buckets = dict(self._buckets)
+            indices = list(self._order)
             total = self._total
-        indices = sorted(buckets)
         if last is not None:
             indices = indices[-last:]
         return {
@@ -202,7 +299,8 @@ class WindowedGauge(_WindowedInstrument):
         """Sample the level at timestamp ``ts_s``."""
         bucket = self.bucket_of(ts_s)
         with self._lock:
-            self._buckets.setdefault(bucket, []).append(float(value))
+            if self._admit(self._buckets, bucket):
+                self._buckets.setdefault(bucket, []).append(float(value))
 
     def snapshot(self, last: Optional[int] = None) -> Dict[str, object]:
         """JSON-ready per-bucket min/max/mean levels."""
@@ -211,7 +309,7 @@ class WindowedGauge(_WindowedInstrument):
                 index: list(values)
                 for index, values in self._buckets.items()
             }
-        indices = sorted(buckets)
+            indices = list(self._order)
         if last is not None:
             indices = indices[-last:]
         windows = []
@@ -232,16 +330,21 @@ class WindowedGauge(_WindowedInstrument):
     def latest(self) -> float:
         """Mean level of the most recent bucket (NaN when empty)."""
         with self._lock:
-            if not self._buckets:
+            if not self._order:
                 return math.nan
-            values = self._buckets[max(self._buckets)]
+            values = self._buckets[self._order[-1]]
             return math.fsum(values) / len(values)
 
 
 class WindowedHistogram(_WindowedInstrument):
-    """A distribution per window: exact quantiles, order-independent."""
+    """A distribution per window: exact quantiles, order-independent.
 
-    __slots__ = ("_buckets",)
+    ``count``/``sum``/``min``/``max`` of :meth:`summary` are lifetime
+    figures, so a Prometheus scrape's ``_count``/``_sum`` never go
+    down; its quantiles cover the retained windows only.
+    """
+
+    __slots__ = ("_buckets", "_count", "_sum", "_min", "_max")
 
     #: Quantiles reported per window and for the cumulative summary.
     QUANTILES: Tuple[Tuple[str, float], ...] = (
@@ -259,19 +362,42 @@ class WindowedHistogram(_WindowedInstrument):
     ) -> None:
         super().__init__(name, labels, clock, window_s)
         self._buckets: Dict[int, List[float]] = {}
+        self._count = 0
+        self._sum = ExactSum()
+        self._min = math.inf
+        self._max = -math.inf
 
     def observe(self, value: float, *, ts_s: float) -> None:
         """Record one observation at timestamp ``ts_s``."""
+        value = float(value)
         bucket = self.bucket_of(ts_s)
         with self._lock:
-            self._buckets.setdefault(bucket, []).append(float(value))
+            self._count += 1
+            self._sum.add(value)
+            if value < self._min:
+                self._min = value
+            if value > self._max:
+                self._max = value
+            if self._admit(self._buckets, bucket):
+                self._buckets.setdefault(bucket, []).append(value)
 
-    def _copy(self) -> Dict[int, List[float]]:
+    def _copy(
+        self,
+    ) -> Tuple[Dict[int, List[float]], List[int], Dict[str, float]]:
+        """Retained windows, their ascending indices and the lifetime
+        figures, read under one lock acquisition."""
         with self._lock:
-            return {
+            buckets = {
                 index: list(values)
                 for index, values in self._buckets.items()
             }
+            lifetime = {
+                "count": float(self._count),
+                "sum": self._sum.value(),
+                "min": self._min,
+                "max": self._max,
+            }
+            return buckets, list(self._order), lifetime
 
     @staticmethod
     def _summarize(values: List[float]) -> Dict[str, float]:
@@ -286,29 +412,35 @@ class WindowedHistogram(_WindowedInstrument):
             summary[label] = exact_quantile(ordered, q)
         return summary
 
-    def summary(self) -> Dict[str, float]:
-        """count/sum/min/max/quantiles over *all* windows combined."""
-        buckets = self._copy()
-        values = [v for index in sorted(buckets) for v in buckets[index]]
-        if not values:
+    @staticmethod
+    def _cumulative(
+        buckets: Dict[int, List[float]],
+        indices: List[int],
+        lifetime: Dict[str, float],
+    ) -> Dict[str, float]:
+        if not lifetime["count"]:
             return {"count": 0.0}
-        return self._summarize(values)
+        ordered = sorted(v for index in indices for v in buckets[index])
+        summary = dict(lifetime)
+        for label, q in WindowedHistogram.QUANTILES:
+            summary[label] = exact_quantile(ordered, q)
+        return summary
+
+    def summary(self) -> Dict[str, float]:
+        """Lifetime count/sum/min/max, plus quantiles over the retained
+        windows combined."""
+        return self._cumulative(*self._copy())
 
     def snapshot(self, last: Optional[int] = None) -> Dict[str, object]:
         """JSON-ready per-window distributions plus the cumulative one."""
-        buckets = self._copy()
-        indices = sorted(buckets)
-        all_values = [v for index in indices for v in buckets[index]]
+        buckets, indices, lifetime = self._copy()
+        summary = self._cumulative(buckets, indices, lifetime)
         if last is not None:
             indices = indices[-last:]
         return {
             **self._meta(),
             "kind": "histogram",
-            "summary": (
-                self._summarize(all_values)
-                if all_values
-                else {"count": 0.0}
-            ),
+            "summary": summary,
             "windows": [
                 {
                     "window": index,
@@ -318,3 +450,4 @@ class WindowedHistogram(_WindowedInstrument):
                 for index in indices
             ],
         }
+

@@ -572,9 +572,10 @@ class TestHillClimbEquivalence:
             def predict_time_grid(self, *args):
                 raise AssertionError("the scalar search costed the grid")
 
-        coster = RaqoCoster(NoGrid(HIVE_PROFILE), method=method)
-
         def join_cost():
+            # A fresh coster each call: a shared one would serve the
+            # second call from its cross-query search memo.
+            coster = RaqoCoster(NoGrid(HIVE_PROFILE), method=method)
             context = PlanningContext(
                 estimator=_FixedSizes(5.0, 77.0), cluster=paper_cluster
             )

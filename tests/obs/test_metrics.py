@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.obs import metrics
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -78,6 +79,44 @@ class TestHistogram:
         histogram.observe(3.0)
         histogram.observe(1.0)
         assert histogram.values == (3.0, 1.0)
+
+    def test_long_runs_keep_lifetime_figures_and_recent_quantiles(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(metrics, "_RETAINED_OBSERVATIONS", 10)
+        histogram = MetricsRegistry().histogram("h")
+        observed = [float(value) for value in range(1, 101)]
+        summaries = []
+        for value in observed:
+            histogram.observe(value)
+            summaries.append(histogram.summary())
+        summary = summaries[-1]
+        assert histogram.count == 100
+        assert histogram.values == tuple(observed[-10:])
+        assert summary["count"] == 100.0
+        assert summary["sum"] == math.fsum(observed)
+        assert summary["min"] == 1.0
+        assert summary["max"] == 100.0
+        assert summary["mean"] == 50.5
+        assert summary["p50"] == 95.0
+        assert histogram.quantile(0.0) == 91.0
+        # A scrape's _count/_sum never go down.
+        assert [s["count"] for s in summaries] == sorted(
+            s["count"] for s in summaries
+        )
+        assert [s["sum"] for s in summaries] == sorted(
+            s["sum"] for s in summaries
+        )
+
+    def test_sum_does_not_depend_on_recording_order(self):
+        values = [1e16, 1.0, -1e16, 3.0, 0.1, 0.2]
+        sums = set()
+        for order in (values, values[::-1], sorted(values)):
+            histogram = MetricsRegistry().histogram("h")
+            for value in order:
+                histogram.observe(value)
+            sums.add(histogram.summary()["sum"])
+        assert sums == {math.fsum(values)}
 
 
 class TestRegistrySnapshots:

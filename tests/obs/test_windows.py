@@ -8,10 +8,12 @@ substrate of the serial==parallel snapshot byte-identity property.
 import json
 import math
 import random
+import sys
 import threading
 
 import pytest
 
+from repro.obs import windows
 from repro.obs.windows import (
     WindowedCounter,
     WindowedGauge,
@@ -206,3 +208,144 @@ class TestOrderIndependence:
         snap = counter.snapshot()
         assert counter.total == 2000
         assert sum(w["count"] for w in snap["windows"]) == 2000
+
+
+class TestWindowRing:
+    """Each series keeps a bounded ring of its newest windows."""
+
+    CAP = 8
+
+    @pytest.fixture(autouse=True)
+    def small_ring(self, monkeypatch):
+        monkeypatch.setattr(windows, "_MAX_WINDOWS", self.CAP)
+
+    def test_counter_keeps_newest_windows_and_lifetime_total(self):
+        counter = WindowedCounter("c", window_s=1.0)
+        for index in range(3 * self.CAP):
+            counter.inc(2, ts_s=float(index))
+        snap = counter.snapshot()
+        assert [w["window"] for w in snap["windows"]] == list(
+            range(2 * self.CAP, 3 * self.CAP)
+        )
+        assert counter.total == snap["total"] == 6 * self.CAP
+
+    def test_older_window_of_a_full_ring_is_turned_away(self):
+        counter = WindowedCounter("c", window_s=1.0)
+        for index in range(self.CAP, 2 * self.CAP):
+            counter.inc(ts_s=float(index))
+        counter.inc(ts_s=0.0)
+        counter.inc(ts_s=float(self.CAP) + 0.5)
+        snap = counter.snapshot()
+        assert snap["windows"][0] == {
+            "window": self.CAP,
+            "start_s": float(self.CAP),
+            "count": 2,
+            "rate_per_s": 2.0,
+        }
+        assert len(snap["windows"]) == self.CAP
+        assert counter.total == self.CAP + 2
+
+    def test_out_of_order_window_is_inserted_in_order(self):
+        gauge = WindowedGauge("g", window_s=1.0)
+        for ts in (0.0, 5.0, 2.0, 7.0):
+            gauge.record(ts, ts_s=ts)
+        assert [w["window"] for w in gauge.snapshot()["windows"]] == [
+            0, 2, 5, 7,
+        ]
+        assert gauge.latest() == 7.0
+
+    def test_gauge_evicts_oldest(self):
+        gauge = WindowedGauge("g", window_s=1.0)
+        for index in range(2 * self.CAP):
+            gauge.record(float(index), ts_s=float(index))
+        windows_ = gauge.snapshot()["windows"]
+        assert [w["window"] for w in windows_] == list(
+            range(self.CAP, 2 * self.CAP)
+        )
+
+    def test_histogram_lifetime_figures_and_retained_quantiles(self):
+        histogram = WindowedHistogram("h", window_s=1.0)
+        values = [float(index) for index in range(1, 4 * self.CAP + 1)]
+        for value in values:
+            histogram.observe(value, ts_s=value)
+        summary = histogram.summary()
+        retained = values[-self.CAP:]
+        assert summary["count"] == float(len(values))
+        assert summary["sum"] == math.fsum(values)
+        assert summary["min"] == values[0]
+        assert summary["max"] == values[-1]
+        assert summary["p50"] == exact_quantile(retained, 0.5)
+        assert histogram.snapshot()["summary"] == summary
+
+    def test_count_and_sum_are_monotone_across_evictions(self):
+        histogram = WindowedHistogram("h", window_s=1.0)
+        seen = []
+        for index in range(5 * self.CAP):
+            histogram.observe(0.1, ts_s=float(index))
+            summary = histogram.summary()
+            seen.append((summary["count"], summary["sum"]))
+        assert seen == sorted(seen)
+        assert seen[-1] == (5.0 * self.CAP, math.fsum([0.1] * 5 * self.CAP))
+
+    def test_survivors_and_sum_do_not_depend_on_order(self):
+        rng = random.Random(5)
+        observations = [
+            (
+                rng.uniform(0.0, 40.0),
+                rng.uniform(-1e9, 1e9) * 10.0 ** rng.randint(-8, 8),
+            )
+            for _ in range(500)
+        ]
+        snapshots = set()
+        for seed in range(6):
+            shuffled = list(observations)
+            random.Random(seed).shuffle(shuffled)
+            histogram = WindowedHistogram("h", window_s=1.0)
+            for ts, value in shuffled:
+                histogram.observe(value, ts_s=ts)
+            snapshots.add(json.dumps(histogram.snapshot(), sort_keys=True))
+        assert len(snapshots) == 1
+        summary = json.loads(snapshots.pop())["summary"]
+        assert summary["sum"] == math.fsum(v for _, v in observations)
+
+    def test_threaded_recording_keeps_the_same_ring(self):
+        observations = [
+            (float(index % 37), float(index)) for index in range(2000)
+        ]
+        serial = WindowedHistogram("h", window_s=1.0)
+        for ts, value in observations:
+            serial.observe(value, ts_s=ts)
+        threaded = WindowedHistogram("h", window_s=1.0)
+
+        def worker(part):
+            for ts, value in part:
+                threaded.observe(value, ts_s=ts)
+
+        threads = [
+            threading.Thread(target=worker, args=(observations[i::8],))
+            for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert json.dumps(serial.snapshot(), sort_keys=True) == json.dumps(
+            threaded.snapshot(), sort_keys=True
+        )
+
+    def test_non_finite_values_sum_like_fsum(self):
+        for values in ([1.0, math.inf], [math.nan, 2.0]):
+            histogram = WindowedHistogram("h")
+            for value in values:
+                histogram.observe(value, ts_s=0.0)
+            expected = math.fsum(values)
+            got = histogram.summary()["sum"]
+            assert got == expected or (
+                math.isnan(got) and math.isnan(expected)
+            )
