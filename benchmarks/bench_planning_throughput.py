@@ -193,9 +193,13 @@ PLANNER_VARIANTS = {
 }
 
 #: Variants the --assert-overhead CI gate replays (with Pareto
-#: planning); gated when present in the baseline. ``hill_climb_memoized``
-#: stays out: its timed passes only replay memoized searches, and the
-#: e2e ``tpch-adhoc`` workload measures that path end to end.
+#: planning); gated when present in the baseline. The gate reuses one
+#: planner per variant, so after the warm pass ``batched_memoized`` and
+#: the Pareto planner replay their brute-force kernel rows from the
+#: cross-query search memo; ``batched`` alone (memos off) times the
+#: un-memoized stacked kernel. ``hill_climb_memoized`` stays out: its
+#: timed passes only replay memoized searches, and the e2e
+#: ``tpch-adhoc`` workload measures that path end to end.
 GATED_VARIANTS = ("batched", "batched_memoized", "hill_climb")
 
 

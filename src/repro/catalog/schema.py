@@ -7,6 +7,7 @@ planners and the RAQO optimizer take as input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -15,6 +16,15 @@ BYTES_PER_GB = 1024.0**3
 
 class CatalogError(Exception):
     """Raised for malformed schema or catalog definitions and lookups."""
+
+
+def _is_finite(value: float) -> bool:
+    """False for NaN and infinities; an int too large for a float is
+    still finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return True
 
 
 @dataclass(frozen=True)
@@ -28,9 +38,10 @@ class Column:
     def __post_init__(self) -> None:
         if not self.name:
             raise CatalogError("column name must be non-empty")
-        if self.width_bytes <= 0:
+        # NaN fails every comparison, so it is rejected by name.
+        if not _is_finite(self.width_bytes) or self.width_bytes <= 0:
             raise CatalogError(
-                f"column {self.name!r} width must be positive, "
+                f"column {self.name!r} width must be finite and positive, "
                 f"got {self.width_bytes}"
             )
 
@@ -52,9 +63,10 @@ class Table:
     def __post_init__(self) -> None:
         if not self.name:
             raise CatalogError("table name must be non-empty")
-        if self.row_count < 0:
+        # NaN fails every comparison, so it is rejected by name.
+        if not _is_finite(self.row_count) or self.row_count < 0:
             raise CatalogError(
-                f"table {self.name!r} row_count must be >= 0, "
+                f"table {self.name!r} row_count must be finite and >= 0, "
                 f"got {self.row_count}"
             )
         if self.row_width_bytes is None:
@@ -65,10 +77,13 @@ class Table:
                 )
             width = sum(col.width_bytes for col in self.columns)
             object.__setattr__(self, "row_width_bytes", width)
-        elif self.row_width_bytes <= 0:
+        elif (
+            not _is_finite(self.row_width_bytes)
+            or self.row_width_bytes <= 0
+        ):
             raise CatalogError(
-                f"table {self.name!r} row width must be positive, "
-                f"got {self.row_width_bytes}"
+                f"table {self.name!r} row width must be finite and "
+                f"positive, got {self.row_width_bytes}"
             )
         names = [col.name for col in self.columns]
         if len(names) != len(set(names)):

@@ -17,6 +17,7 @@ The paper evaluates four queries on this schema (Sec VII):
 
 from __future__ import annotations
 
+import math
 from types import MappingProxyType
 from typing import List, Mapping
 
@@ -161,8 +162,11 @@ def row_count(table: str, scale_factor: float) -> int:
 
 def tpch_schema(scale_factor: float = 1.0) -> Schema:
     """Build the eight-table TPC-H schema at ``scale_factor``."""
-    if scale_factor <= 0:
-        raise ValueError(f"scale_factor must be > 0, got {scale_factor}")
+    # NaN fails every comparison, so it is rejected by name.
+    if not math.isfinite(scale_factor) or scale_factor <= 0:
+        raise ValueError(
+            f"scale_factor must be finite and > 0, got {scale_factor}"
+        )
     tables = [
         Table(
             name=name,

@@ -21,6 +21,7 @@ query/resource plan by consulting the optimizer").
 from __future__ import annotations
 
 import bisect
+import collections
 import dataclasses
 import enum
 import math
@@ -29,12 +30,16 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     FrozenSet,
+    Iterator,
     List,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -43,7 +48,7 @@ import numpy as np
 from repro.catalog.queries import Query
 from repro.catalog.schema import Catalog
 from repro.catalog.statistics import StatisticsEstimator
-from repro.cluster.cluster import ClusterConditions
+from repro.cluster.cluster import ClusterConditions, ConfigurationGrid
 from repro.cluster.containers import ResourceConfiguration
 from repro.cluster.pricing import PriceModel
 from repro.core.cost_model import (
@@ -98,6 +103,98 @@ DEFAULT_CLUSTER = ClusterConditions(
 #: searches over only 125 distinct inputs on one cluster; twice that
 #: leaves room for a replan to a second cluster.
 _SEARCH_MEMO_CAP = 256
+
+
+class _SearchEntry(NamedTuple):
+    """A memoized search: the outcome's fields plus the winner's
+    re-predicted unweighted time (infinite when the search found no
+    feasible configuration). ``config`` is None at the BHJ memory wall.
+
+    A tuple, not a :class:`ResourcePlanOutcome`, because the stacked
+    kernel builds one per searched row and a frozen dataclass costs
+    three times as much to build.
+    """
+
+    config: Optional[ResourceConfiguration]
+    cost: float
+    iterations: int
+    time_s: float
+
+
+#: What the search memo holds for an operator at the BHJ memory wall.
+_WALL_ENTRY = _SearchEntry(None, math.inf, 0, math.inf)
+
+#: A search outcome or its replay: both carry ``iterations``.
+_Charged = TypeVar("_Charged", ResourcePlanOutcome, _SearchEntry)
+
+#: One ``(algorithm, cluster)`` group: ``(small_gb, large_gb)`` -> entry.
+_SearchGroup = Dict[Tuple[float, float], _SearchEntry]
+_GroupKey = Tuple[JoinAlgorithm, ClusterConditions]
+
+
+class _SearchMemo:
+    """The cross-query search memo of one :class:`RaqoCoster`.
+
+    Entries are grouped by ``(algorithm, cluster)`` and keyed within a
+    group by ``(small_gb, large_gb)``. The enum and the dataclass hash
+    in Python code, so the stacked kernel hashes them once per
+    algorithm group, not once per row. One FIFO order across all groups
+    keeps at most ``_SEARCH_MEMO_CAP`` entries in total, and a group
+    whose last entry is evicted is dropped, so replanning to many
+    clusters retains nothing beyond the cap.
+    """
+
+    def __init__(self) -> None:
+        self._groups: Dict[_GroupKey, _SearchGroup] = {}
+        #: Insertion order: (group key, group, key within the group).
+        self._order: Deque[
+            Tuple[_GroupKey, _SearchGroup, Tuple[float, float]]
+        ] = collections.deque()
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def clear(self) -> None:
+        self._groups.clear()
+        self._order.clear()
+
+    def group(
+        self, algorithm: JoinAlgorithm, cluster: ClusterConditions
+    ) -> Optional[_SearchGroup]:
+        """The entries of one group, read-only; None when it has none."""
+        return self._groups.get((algorithm, cluster))
+
+    def store(
+        self,
+        algorithm: JoinAlgorithm,
+        cluster: ClusterConditions,
+        entries: List[Tuple[Tuple[float, float], _SearchEntry]],
+    ) -> None:
+        """Add entries in order, then evict the oldest beyond the cap."""
+        cap = _SEARCH_MEMO_CAP
+        if len(entries) > cap:
+            # The older ones would be evicted before this call returns.
+            entries = entries[-cap:]
+        group_key = (algorithm, cluster)
+        group = self._groups.get(group_key)
+        if group is None:
+            group = self._groups[group_key] = {}
+        order = self._order
+        for key, entry in entries:
+            if key not in group:
+                order.append((group_key, group, key))
+            group[key] = entry
+        while len(order) > cap:
+            old_key, old_group, key = order.popleft()
+            del old_group[key]
+            if not old_group:
+                del self._groups[old_key]
+
+    def items(self) -> Iterator[Tuple[Tuple, _SearchEntry]]:
+        """``((algorithm, small_gb, large_gb, cluster), entry)``, oldest
+        first."""
+        for (algorithm, cluster), group, key in self._order:
+            yield (algorithm, *key, cluster), group[key]
 
 
 class _PendingKeys:
@@ -232,15 +329,18 @@ class RaqoCoster:
       re-predicted time are kept for the coster's lifetime, keyed by
       ``(algorithm, small_gb, large_gb, cluster)``; method, model and
       weights are fixed per coster. The search is a pure function of
-      that key, so a repeat replays the stored outcome: it charges the
-      same ``resource_iterations`` and opens the same ``hill-climb`` /
-      ``grid-costing`` span, and plan-cache lookups and inserts run as
-      before. Plans, costs, counters, cache statistics and canonical
-      span trees are those of a fresh search; only the wall-clock
-      changes. ``memoize=False`` turns it off too. It holds at most
-      ``_SEARCH_MEMO_CAP`` entries, evicting the oldest first, and a
-      coster built by :meth:`RaqoPlanner.clone` or
-      :meth:`RaqoPlanner.with_objective` starts with it empty.
+      that key, so a repeat replays the stored outcome. The scalar
+      searches and the stacked brute-force kernel share the one memo:
+      a kernel row that hits skips the grid costing, and a scalar
+      search can replay what the kernel stored, and the reverse. A
+      replay charges the same ``resource_iterations`` and opens the
+      same ``hill-climb`` / ``grid-costing`` span, and plan-cache
+      lookups and inserts run as before. Plans, costs, counters, cache
+      statistics and canonical span trees are those of a fresh search;
+      only the wall-clock changes. ``memoize=False`` turns it off too.
+      It holds at most ``_SEARCH_MEMO_CAP`` entries in total, evicting
+      the oldest first, and a coster built by :meth:`RaqoPlanner.clone`
+      or :meth:`RaqoPlanner.with_objective` starts with it empty.
     - grid costing: resource planning costs the whole configuration
       grid through the model's batched ``predict_time_grid`` (a few
       array operations for learned models) instead of one scalar call
@@ -259,12 +359,11 @@ class RaqoCoster:
     money_weight: float = 0.0
     time_weight: float = 1.0
     memoize: bool = True
-    #: The cross-query search memo: ``(algorithm, small_gb, large_gb,
-    #: cluster)`` -> (outcome or None at the BHJ wall, winner's time).
-    _search_memo: Dict[
-        Tuple[JoinAlgorithm, float, float, ClusterConditions],
-        Tuple[Optional[ResourcePlanOutcome], float],
-    ] = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: The cross-query search memo, shared by the stacked kernel and
+    #: the scalar searches.
+    _search_memo: _SearchMemo = field(
+        default_factory=_SearchMemo, init=False, repr=False, compare=False
+    )
 
     def join_cost(
         self,
@@ -311,9 +410,10 @@ class RaqoCoster:
         """Cost a whole candidate batch through one stacked kernel.
 
         The batch is partitioned *in candidate order* into memo hits,
-        cache hits, and kernel rows; the kernel then costs all rows of
-        one algorithm against the full resource grid in a single
-        ``predict_time_grid_batch`` call (N candidates x G
+        cache hits, and kernel rows. The kernel replays the rows whose
+        search the cross-query search memo holds, then costs all other
+        rows of one algorithm against the full resource grid in a
+        single ``predict_time_grid_batch`` call (N candidates x G
         configurations, zero-copy shared grid axes). Every live
         candidate is peeked against the plan cache as it stood before
         the batch, and all found configurations are checked for
@@ -475,7 +575,9 @@ class RaqoCoster:
 
         # Phase 2 -- one stacked kernel call per algorithm present.
         if kernel_rows:
-            self._run_kernel(batch, kernel_rows, context, commit)
+            self._run_kernel(
+                batch, kernel_rows, smalls, larges, context, commit
+            )
 
         # Phase 3 -- the tail walk and span emission, in candidate order
         # (span ordinals under the plan span must match the scalar
@@ -578,86 +680,166 @@ class RaqoCoster:
         self,
         batch: CandidateBatch,
         kernel_rows: List[int],
+        smalls: List[float],
+        larges: List[float],
         context: PlanningContext,
         commit,
     ) -> None:
-        """Grid-cost all kernel rows, one stacked call per algorithm."""
-        grid = context.cluster.config_grid()
-        if grid.num_configs == 0:
+        """Grid-cost all kernel rows, one stacked call per algorithm.
+
+        Each row is looked up in the cross-query search memo first; only
+        the misses go through ``predict_time_grid_batch``, and their
+        winners fill the memo. A hit takes the stored configuration and
+        time. Everything else -- the ``resource_iterations`` charge, the
+        plan-cache inserts and the commits, in row order -- runs the
+        same for hits and misses.
+        """
+        cluster = context.cluster
+        grid = cluster.config_grid()
+        num_configs = grid.num_configs
+        if num_configs == 0:
             raise ResourcePlanningError(
                 "cluster offers no configurations"
             )
         by_algorithm: Dict[JoinAlgorithm, List[int]] = {}
         for i in kernel_rows:
             by_algorithm.setdefault(batch.algorithms[i], []).append(i)
+        memo = self._search_memo if self.memoize else None
+        rate = self.price_model.dollars_per_gb_hour
         #: Winners cluster on few grid points; materialise each once.
         config_cache: Dict[int, ResourceConfiguration] = {}
         for algorithm, rows in by_algorithm.items():
-            small = batch.small_gb[rows]
-            large = batch.large_gb[rows]
             # Counted exactly like the scalar scan: one resource
             # iteration per (candidate, configuration) pair.
-            context.counters.resource_iterations += (
-                grid.num_configs * len(rows)
+            context.counters.resource_iterations += num_configs * len(rows)
+            #: Each row's (config, time, money).
+            chosen: Dict[
+                int, Tuple[ResourceConfiguration, float, float]
+            ] = {}
+            misses = rows
+            group = (
+                memo.group(algorithm, cluster) if memo is not None else None
             )
-            times = self.model.predict_time_grid_batch(
-                algorithm, small, large, grid
-            )
-            times = np.where(np.isnan(times), math.inf, times)
-            if self.money_weight:
-                # Same inlined expression as the scalar grid objective,
-                # broadcast over the candidate axis.
-                money = (
-                    grid.total_memory_gb
-                    * times
-                    / 3600.0
-                    * self.price_model.dollars_per_gb_hour
+            if group is not None:
+                misses = []
+                for i in rows:
+                    # A kernel row is never at the BHJ wall, so a stored
+                    # entry for its key always holds a configuration.
+                    entry = group.get((smalls[i], larges[i]))
+                    if entry is None:
+                        misses.append(i)
+                        continue
+                    config = entry.config
+                    time_s = entry.time_s
+                    # _cost_at's money expression, lane for lane.
+                    chosen[i] = (
+                        config,
+                        time_s,
+                        config.num_containers
+                        * config.container_gb
+                        * time_s
+                        / 3600.0
+                        * rate,
+                    )
+            if misses:
+                searched = self._search_rows(
+                    batch, algorithm, misses, grid, config_cache
                 )
-                if self.time_weight == 1.0:
-                    objective = times + self.money_weight * money
-                else:
-                    # 0 * inf is NaN, so the wash below matters when
-                    # time_weight vanishes (the cheapest objective).
-                    with np.errstate(invalid="ignore"):
-                        objective = (
-                            self.time_weight * times
-                            + self.money_weight * money
+                entries = []
+                for i, (config, best_cost, time_s, money_usd) in zip(
+                    misses, searched
+                ):
+                    chosen[i] = (config, time_s, money_usd)
+                    small_gb = smalls[i]
+                    large_gb = larges[i]
+                    # NaN never equals itself: a NaN size is never
+                    # memoized.
+                    if (
+                        memo is not None
+                        and small_gb == small_gb
+                        and large_gb == large_gb
+                    ):
+                        entry = _SearchEntry(
+                            config, best_cost, num_configs, time_s
                         )
-                objective = np.where(
-                    np.isnan(objective), math.inf, objective
-                )
-            else:
-                # `times` is already NaN-washed; no second pass needed.
-                objective = times
-            # First-occurrence argmin per row = the scalar tie-break.
-            best = np.argmin(objective, axis=1)
-            winners: Dict[int, ResourceConfiguration] = {}
-            for position, i in enumerate(rows):
-                best_index = int(best[position])
-                best_cost = float(objective[position, best_index])
-                if not math.isfinite(best_cost):
-                    raise ResourcePlanningError(
-                        "cluster offers no configurations"
-                    )
-                config = config_cache.get(best_index)
-                if config is None:
-                    config = grid.config_at(best_index)
-                    config_cache[best_index] = config
-                winners[i] = config
-            # Re-predict the winners' unweighted times in one elementwise
-            # call, as the scalar path re-predicts after its argmin.
-            costs = self._cost_at(batch, winners)
+                        entries.append(((small_gb, large_gb), entry))
+                if memo is not None and entries:
+                    memo.store(algorithm, cluster, entries)
             model_key = self.model.model_key(algorithm)
-            for i, config in winners.items():
+            for i in rows:
+                config, time_s, money_usd = chosen[i]
                 if self.cache is not None:
-                    self.cache.insert(
-                        model_key, float(batch.small_gb[i]), config
-                    )
-                time_s, money_usd = costs[i]
+                    self.cache.insert(model_key, smalls[i], config)
                 if not math.isfinite(time_s):
                     commit(i, (INFEASIBLE_COST, None))
                     continue
                 commit(i, (Cost(time_s=time_s, money=money_usd), config))
+
+    def _search_rows(
+        self,
+        batch: CandidateBatch,
+        algorithm: JoinAlgorithm,
+        rows: List[int],
+        grid: ConfigurationGrid,
+        config_cache: Dict[int, ResourceConfiguration],
+    ) -> List[Tuple[ResourceConfiguration, float, float, float]]:
+        """Brute-force the rows of one algorithm in one stacked call.
+
+        Returns each row's winner, its objective cost and its
+        re-predicted time and money, in row order; raises before
+        returning anything if a row has no finite winner.
+        """
+        times = self.model.predict_time_grid_batch(
+            algorithm, batch.small_gb[rows], batch.large_gb[rows], grid
+        )
+        times = np.where(np.isnan(times), math.inf, times)
+        if self.money_weight:
+            # Same inlined expression as the scalar grid objective,
+            # broadcast over the candidate axis.
+            money = (
+                grid.total_memory_gb
+                * times
+                / 3600.0
+                * self.price_model.dollars_per_gb_hour
+            )
+            if self.time_weight == 1.0:
+                objective = times + self.money_weight * money
+            else:
+                # 0 * inf is NaN, so the wash below matters when
+                # time_weight vanishes (the cheapest objective).
+                with np.errstate(invalid="ignore"):
+                    objective = (
+                        self.time_weight * times
+                        + self.money_weight * money
+                    )
+            objective = np.where(np.isnan(objective), math.inf, objective)
+        else:
+            # `times` is already NaN-washed; no second pass needed.
+            objective = times
+        # First-occurrence argmin per row = the scalar tie-break.
+        best = np.argmin(objective, axis=1)
+        winners: Dict[int, ResourceConfiguration] = {}
+        best_costs: List[float] = []
+        for position, i in enumerate(rows):
+            best_index = int(best[position])
+            best_cost = float(objective[position, best_index])
+            if not math.isfinite(best_cost):
+                raise ResourcePlanningError(
+                    "cluster offers no configurations"
+                )
+            config = config_cache.get(best_index)
+            if config is None:
+                config = grid.config_at(best_index)
+                config_cache[best_index] = config
+            winners[i] = config
+            best_costs.append(best_cost)
+        # Re-predict the winners' unweighted times in one elementwise
+        # call, as the scalar path re-predicts after its argmin.
+        costs = self._cost_at(batch, winners)
+        return [
+            (config, best_cost, *costs[i])
+            for (i, config), best_cost in zip(winners.items(), best_costs)
+        ]
 
     def _emit_candidate_span(
         self,
@@ -763,12 +945,13 @@ class RaqoCoster:
             # The feasibility check already predicted at this config.
             config, time_s = cached
         else:
-            outcome, time_s = self._plan_resources(
+            searched = self._plan_resources(
                 algorithm, small_gb, large_gb, context
             )
-            if outcome is None or not math.isfinite(outcome.cost):
+            config = searched.config
+            if config is None or not math.isfinite(searched.cost):
                 return INFEASIBLE_COST, None
-            config = outcome.config
+            time_s = searched.time_s
             if self.cache is not None:
                 self.cache.insert(
                     self.model.model_key(algorithm), small_gb, config
@@ -817,36 +1000,35 @@ class RaqoCoster:
         small_gb: float,
         large_gb: float,
         context: PlanningContext,
-    ) -> Tuple[Optional[ResourcePlanOutcome], float]:
+    ) -> _SearchEntry:
         """Run brute force or Algorithm 1 for one operator, or replay
-        the memoized search of the same input.
-
-        Returns the outcome (None at the BHJ memory wall) and the
-        winner's re-predicted unweighted time (infinite when the search
-        found no feasible configuration).
-        """
+        the memoized search of the same input."""
         key = None
         # NaN never equals itself: a NaN size is never memoized.
         if self.memoize and small_gb == small_gb and large_gb == large_gb:
-            key = (algorithm, small_gb, large_gb, context.cluster)
-            memoized = self._search_memo.get(key)
+            key = (small_gb, large_gb)
+            group = self._search_memo.group(algorithm, context.cluster)
+            memoized = group.get(key) if group is not None else None
             if memoized is not None:
-                replayed = memoized[0]
-                if replayed is not None:
-                    self._charged(lambda: replayed, context)
+                if memoized.config is not None:
+                    self._charged(lambda: memoized, context)
                 return memoized
         outcome = self._search(algorithm, small_gb, large_gb, context)
-        time_s = math.inf
-        if outcome is not None and math.isfinite(outcome.cost):
-            time_s = self.model.predict_time(
-                algorithm, small_gb, large_gb, outcome.config
+        if outcome is None:
+            searched = _WALL_ENTRY
+        else:
+            time_s = math.inf
+            if math.isfinite(outcome.cost):
+                time_s = self.model.predict_time(
+                    algorithm, small_gb, large_gb, outcome.config
+                )
+            searched = _SearchEntry(
+                outcome.config, outcome.cost, outcome.iterations, time_s
             )
-        searched = (outcome, time_s)
         if key is not None:
-            memo = self._search_memo
-            if len(memo) >= _SEARCH_MEMO_CAP:
-                del memo[next(iter(memo))]
-            memo[key] = searched
+            self._search_memo.store(
+                algorithm, context.cluster, [(key, searched)]
+            )
         return searched
 
     def _search(
@@ -930,9 +1112,9 @@ class RaqoCoster:
 
     def _charged(
         self,
-        search: Callable[[], ResourcePlanOutcome],
+        search: Callable[[], _Charged],
         context: PlanningContext,
-    ) -> ResourcePlanOutcome:
+    ) -> _Charged:
         """Run (or replay) a search inside its span, charging the
         configurations it read: the whole grid for brute force,
         Algorithm 1's reads for a climb (not the grid lanes it costed),

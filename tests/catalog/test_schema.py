@@ -1,7 +1,12 @@
 """Tests for repro.catalog.schema."""
 
+import dataclasses
+import math
+
 import pytest
 
+from repro.api import RaqoSession
+from repro.catalog import tpch
 from repro.catalog.join_graph import JoinEdge, JoinGraph
 from repro.catalog.schema import (
     BYTES_PER_GB,
@@ -11,6 +16,9 @@ from repro.catalog.schema import (
     Schema,
     Table,
 )
+from repro.core.raqo import ResourcePlanningMethod
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestColumn:
@@ -31,6 +39,11 @@ class TestColumn:
             Column("x", width_bytes=0)
         with pytest.raises(CatalogError):
             Column("x", width_bytes=-3)
+
+    @pytest.mark.parametrize("width", NON_FINITE)
+    def test_non_finite_width_rejected(self, width):
+        with pytest.raises(CatalogError, match="finite"):
+            Column("x", width_bytes=width)
 
 
 class TestTable:
@@ -69,6 +82,44 @@ class TestTable:
 
     def test_zero_rows_allowed(self):
         assert Table("t", row_count=0, row_width_bytes=10).size_bytes == 0
+
+    @pytest.mark.parametrize("rows", NON_FINITE)
+    def test_non_finite_rows_rejected(self, rows):
+        with pytest.raises(CatalogError, match="finite"):
+            Table("t", row_count=rows, row_width_bytes=10)
+
+    @pytest.mark.parametrize("width", NON_FINITE)
+    def test_non_finite_row_width_rejected(self, width):
+        with pytest.raises(CatalogError, match="finite"):
+            Table("t", row_count=10, row_width_bytes=width)
+
+    def test_huge_integer_rows_allowed(self):
+        assert Table("t", row_count=10**400, row_width_bytes=1).row_count
+
+    @pytest.mark.parametrize("rows", NON_FINITE)
+    @pytest.mark.parametrize("method", list(ResourcePlanningMethod), ids=str)
+    def test_session_catalog_with_non_finite_rows_is_a_catalog_error(
+        self, rows, method
+    ):
+        """Q3 over a TPC-H catalog whose ``orders`` count is not finite
+        stops at the typed error, before any planning."""
+
+        def plan():
+            tables = [
+                dataclasses.replace(table, row_count=rows)
+                if table.name == "orders"
+                else table
+                for table in tpch.tpch_schema(100)
+            ]
+            catalog = Catalog(
+                schema=Schema("tpch-bad", tables),
+                join_graph=tpch.tpch_join_graph(100),
+            )
+            session = RaqoSession(catalog=catalog, resource_method=method)
+            return session.plan(tpch.QUERY_Q3)
+
+        with pytest.raises(CatalogError, match="'orders' row_count"):
+            plan()
 
     def test_duplicate_columns_rejected(self):
         with pytest.raises(CatalogError):

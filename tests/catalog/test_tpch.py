@@ -45,6 +45,13 @@ class TestSchema:
         with pytest.raises(ValueError):
             tpch.tpch_schema(-1)
 
+    @pytest.mark.parametrize(
+        "scale_factor", [float("nan"), float("inf")], ids=str
+    )
+    def test_non_finite_scale_factor(self, scale_factor):
+        with pytest.raises(ValueError, match="finite"):
+            tpch.tpch_schema(scale_factor)
+
     def test_lineitem_size_sf100_near_paper(self, tpch_catalog_sf100):
         # The paper's lineitem is ~77 GB at SF 100.
         size = tpch_catalog_sf100.table("lineitem").size_gb

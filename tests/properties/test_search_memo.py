@@ -25,7 +25,7 @@ from repro.catalog.random_schema import (
 from repro.cluster.cluster import ClusterConditions
 from repro.core import raqo
 from repro.core.cost_model import SimulatorCostModel
-from repro.core.pareto import PlanObjective
+from repro.core.pareto import ParetoPlanningResult, PlanObjective
 from repro.core.plan_cache import LookupMode
 from repro.core.resource_planner import ResourcePlanningError
 from repro.core.raqo import (
@@ -39,12 +39,19 @@ from repro.engine.profiles import HIVE_PROFILE
 from repro.obs.export import canonical_span_tree_json
 from repro.obs.tracing import Tracer
 from repro.planner.cost_interface import PlanningContext
-from repro.planner.plan import plan_signature
+from repro.planner.plan import CandidateBatch, plan_signature
 from scalar_reference import reference_planner
 
 HC = ResourcePlanningMethod.HILL_CLIMB
 BF = ResourcePlanningMethod.BRUTE_FORCE
 NAN = math.nan
+
+#: Objectives with a nonzero ``money_weight`` or a frontier pass.
+OBJECTIVES = [
+    PlanObjective.cheapest(),
+    PlanObjective.weighted(0.5),
+    PlanObjective.pareto(),
+]
 
 #: The cluster a stream switches to half-way through, via ``replan``.
 SMALLER_CLUSTER = ClusterConditions(max_containers=40, max_container_gb=6.0)
@@ -64,6 +71,9 @@ CACHES = {
 
 def _exact(result):
     """Everything a planning run reports, floats as hex."""
+    frontier = (
+        result.frontier if isinstance(result, ParetoPlanningResult) else None
+    )
     return (
         plan_signature(result.plan),
         [join.resources for join in result.plan.joins_postorder()],
@@ -71,6 +81,11 @@ def _exact(result):
         result.cost.money.hex(),
         result.counters,
         result.batch_sizes,
+        frontier
+        and [
+            (point.time_s.hex(), point.money.hex(), point.configs)
+            for point in frontier.points
+        ],
     )
 
 
@@ -87,15 +102,41 @@ def _count_searches(coster):
     return calls
 
 
+class _CountingModel:
+    """Delegates to a cost model, counting the rows of every stacked
+    brute-force kernel call."""
+
+    def __init__(self, model):
+        self._model = model
+        self.grid_rows = 0
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def predict_time_grid_batch(self, algorithm, small_gbs, large_gbs, grid):
+        self.grid_rows += len(small_gbs)
+        return self._model.predict_time_grid_batch(
+            algorithm, small_gbs, large_gbs, grid
+        )
+
+
+def _count_kernel_rows(coster):
+    """Route the coster's model through a :class:`_CountingModel`."""
+    coster.model = _CountingModel(coster.model)
+    return coster.model
+
+
 def _run(
     catalog, queries, *, warm, replan_at=None, build=RaqoPlanner, **kwargs
 ):
     """Plan ``queries`` in order on one planner; returns each query's
     observables, the cache statistics after each query, the canonical
-    span tree and the number of searches that ran."""
+    span tree, the number of scalar searches that ran and the number of
+    rows the stacked kernel costed."""
     tracer = Tracer(seed=11)
     planner = build(catalog, tracer=tracer, **kwargs)
     calls = _count_searches(planner.coster)
+    kernel = _count_kernel_rows(planner.coster)
     observed = []
     for index, query in enumerate(queries):
         if not warm:
@@ -110,7 +151,12 @@ def _run(
             else None
         )
         observed.append((_exact(result), stats))
-    return observed, canonical_span_tree_json(tracer), calls[0]
+    return (
+        observed,
+        canonical_span_tree_json(tracer),
+        calls[0],
+        kernel.grid_rows,
+    )
 
 
 def _assert_identical(
@@ -122,10 +168,18 @@ def _assert_identical(
     cold = _run(catalog, queries, warm=False, **kwargs)
     assert warm[0] == cold[0]
     assert warm[1] == cold[1]
+    # The warm memo really served repeats: scalar searches for hill
+    # climbing and the per-candidate path, stacked kernel rows for
+    # production brute force (it searches in cost_batch's kernel, and
+    # in the scalar path only for its rare tail replays).
     if method is HC or build is reference_planner:
-        # The warm memo really served repeats. Production brute force
-        # searches only in cost_batch's rare tail replays.
         assert warm[2] < cold[2]
+    elif kwargs.get("clear_cache_between_queries", True):
+        assert warm[3] < cold[3]
+    else:
+        # A plan cache kept across queries serves every repeat before
+        # the kernel sees it, so the memo has nothing left to save.
+        assert warm[3] <= cold[3]
 
 
 def _tpch_stream():
@@ -149,6 +203,28 @@ class TestWarmMemoIsInvisible:
             _tpch_stream(),
             resource_method=method,
             **CACHES[cache],
+        )
+
+    @pytest.mark.parametrize("objective", OBJECTIVES, ids=str)
+    def test_tpch_brute_force_objectives(self, catalog, objective):
+        """Nonzero ``money_weight`` (and ``time_weight=0`` for the
+        cheapest objective) through the stacked kernel."""
+        _assert_identical(
+            catalog,
+            _tpch_stream(),
+            resource_method=BF,
+            objective=objective,
+        )
+
+    @pytest.mark.parametrize("objective", OBJECTIVES, ids=str)
+    def test_random_schema_brute_force_objectives(self, objective):
+        catalog, queries = _random_stream(4)
+        _assert_identical(
+            catalog,
+            queries,
+            resource_method=BF,
+            objective=objective,
+            cost_model=SimulatorCostModel(HIVE_PROFILE),
         )
 
     @pytest.mark.parametrize("method", [HC, BF], ids=str)
@@ -247,13 +323,19 @@ def _join_cost(
     return cost.time_s.hex(), cost.money.hex(), config, context.counters
 
 
+def _memo_keys(coster):
+    """The memo's keys, ``(algorithm, small_gb, large_gb, cluster)``,
+    oldest first."""
+    return [key for key, _ in coster._search_memo.items()]
+
+
 class TestMemoMechanics:
     def test_memoize_off_never_touches_the_memo(self, catalog):
         planner = RaqoPlanner(catalog, memoize_within_run=False)
         calls = _count_searches(planner.coster)
         for query in _tpch_stream():
             planner.optimize(query)
-        assert planner.coster._search_memo == {}
+        assert len(planner.coster._search_memo) == 0
         assert calls[0] > 0
 
     def test_cap_evicts_oldest_first(self, monkeypatch):
@@ -261,22 +343,25 @@ class TestMemoMechanics:
         coster = RaqoCoster(raqo.default_cost_model())
         for small_gb in (1.0, 2.0, 3.0, 4.0, 5.0):
             _join_cost(coster, small_gb, 50.0)
-        assert [key[1] for key in coster._search_memo] == [3.0, 4.0, 5.0]
+        assert _memo_keys(coster) == [
+            (JoinAlgorithm.SORT_MERGE, small_gb, 50.0, raqo.DEFAULT_CLUSTER)
+            for small_gb in (3.0, 4.0, 5.0)
+        ]
 
     def test_clones_start_empty_and_share_nothing(self, catalog):
         planner = RaqoPlanner(catalog)
         planner.optimize(tpch.EVALUATION_QUERIES[0])
-        before = dict(planner.coster._search_memo)
+        before = list(planner.coster._search_memo.items())
         assert before
         clone = planner.clone()
         other = planner.with_objective(PlanObjective.weighted(0.5))
         for copy in (clone, other):
-            assert copy.coster._search_memo == {}
+            assert len(copy.coster._search_memo) == 0
         clone.optimize(tpch.EVALUATION_QUERIES[1])
         other.optimize(tpch.EVALUATION_QUERIES[1])
-        assert clone.coster._search_memo
-        assert other.coster._search_memo
-        assert planner.coster._search_memo == before
+        assert len(clone.coster._search_memo)
+        assert len(other.coster._search_memo)
+        assert list(planner.coster._search_memo.items()) == before
 
     @pytest.mark.parametrize("sizes", [(NAN, NAN), (1.0, NAN), (NAN, 5.0)])
     def test_nan_key_never_hits(self, sizes):
@@ -287,14 +372,14 @@ class TestMemoMechanics:
         assert first == second
         assert second[3].resource_iterations > 0
         assert calls[0] == 2
-        assert coster._search_memo == {}
+        assert len(coster._search_memo) == 0
 
     def test_failed_search_is_not_memoized(self):
         coster = RaqoCoster(raqo.default_cost_model(), method=BF)
         for _ in range(2):
             with pytest.raises(ResourcePlanningError):
                 _join_cost(coster, NAN, NAN)
-        assert coster._search_memo == {}
+        assert len(coster._search_memo) == 0
 
     @pytest.mark.parametrize("method", [HC, BF], ids=str)
     @pytest.mark.parametrize(
@@ -322,5 +407,234 @@ class TestMemoMechanics:
         second = _join_cost(coster, 500.0, 900.0, JoinAlgorithm.BROADCAST_HASH)
         assert first == second
         assert first[2] is None and second[3].resource_iterations == 0
-        (entry,) = coster._search_memo.values()
-        assert entry[0] is None
+        ((_, entry),) = coster._search_memo.items()
+        assert entry.config is None
+
+
+class _NanAsOneGb(_CountingModel):
+    """Costs a NaN size as 1 GB, so a NaN row still has a finite
+    winner and only the memo's own NaN rule keeps it out."""
+
+    def predict_time_grid_batch(self, algorithm, small_gbs, large_gbs, grid):
+        return super().predict_time_grid_batch(
+            algorithm,
+            np.nan_to_num(small_gbs, nan=1.0),
+            np.nan_to_num(large_gbs, nan=1.0),
+            grid,
+        )
+
+    def predict_time_rows(self, algorithm, small_gbs, large_gbs, *config):
+        return self._model.predict_time_rows(
+            algorithm,
+            np.nan_to_num(small_gbs, nan=1.0),
+            np.nan_to_num(large_gbs, nan=1.0),
+            *config,
+        )
+
+
+def _cost_batch(coster, rows, cluster=raqo.DEFAULT_CLUSTER):
+    """Cost ``(algorithm, small_gb, large_gb)`` rows as one batch."""
+    sizes = {
+        (frozenset({f"l{k}"}), frozenset({f"r{k}"})): (small_gb, large_gb)
+        for k, (_, small_gb, large_gb) in enumerate(rows)
+    }
+    candidates = [
+        (left, right, algorithm)
+        for (left, right), (algorithm, _, _) in zip(sizes, rows)
+    ]
+    batch = CandidateBatch.build(
+        candidates, lambda left, right: sizes[(left, right)]
+    )
+    context = PlanningContext(
+        estimator=_FixedSizes(NAN, NAN), cluster=cluster
+    )
+    result = coster.cost_batch(batch, context)
+    return (
+        [value.hex() for value in result.time_s.tolist()],
+        [value.hex() for value in result.money.tolist()],
+        result.configs,
+        context.counters,
+    )
+
+
+def _entry(entry):
+    """A memo entry with its floats as hex."""
+    return (
+        entry.config,
+        entry.cost.hex(),
+        entry.iterations,
+        entry.time_s.hex(),
+    )
+
+
+class TestKernelMemo:
+    """The stacked brute-force kernel shares the scalar searches' memo."""
+
+    @pytest.mark.parametrize(
+        "objective", [PlanObjective.fastest()] + OBJECTIVES, ids=str
+    )
+    @pytest.mark.parametrize("estimator", ["learned", "simulator"])
+    def test_kernel_fills_what_the_scalar_search_fills(
+        self, catalog, objective, estimator
+    ):
+        model = (
+            raqo.default_cost_model()
+            if estimator == "learned"
+            else SimulatorCostModel(HIVE_PROFILE)
+        )
+        planner = RaqoPlanner(
+            catalog,
+            resource_method=BF,
+            objective=objective,
+            cost_model=model,
+            cache_mode=None,
+        )
+        calls = _count_searches(planner.coster)
+        for query in tpch.EVALUATION_QUERIES:
+            planner.optimize(query)
+        # Without a plan cache nothing is deferred to the tail, so every
+        # entry came from the kernel.
+        assert calls[0] == 0
+        filled = list(planner.coster._search_memo.items())
+        assert filled
+        scalar = planner.clone().coster
+        for (algorithm, small_gb, large_gb, cluster), entry in filled:
+            context = PlanningContext(
+                estimator=_FixedSizes(small_gb, large_gb), cluster=cluster
+            )
+            searched = scalar._plan_resources(
+                algorithm, small_gb, large_gb, context
+            )
+            assert _entry(entry) == _entry(searched)
+        assert [
+            (key, _entry(entry)) for key, entry in scalar._search_memo.items()
+        ] == [(key, _entry(entry)) for key, entry in filled]
+
+    def test_kernel_replays_entries_the_scalar_search_filled(self, catalog):
+        # Q12, Q3 and Q2 search 24 distinct keys: all fit under the cap.
+        queries = tpch.EVALUATION_QUERIES[:3]
+        planner = RaqoPlanner(catalog, resource_method=BF, cache_mode=None)
+        for query in queries:
+            planner.optimize(query)
+        warm = planner.clone()
+        keys = _memo_keys(planner.coster)
+        for algorithm, small_gb, large_gb, cluster in keys:
+            warm.coster._plan_resources(
+                algorithm,
+                small_gb,
+                large_gb,
+                PlanningContext(
+                    estimator=_FixedSizes(small_gb, large_gb),
+                    cluster=cluster,
+                ),
+            )
+        kernel = _count_kernel_rows(warm.coster)
+        cold = planner.clone()
+        for query in queries:
+            assert _exact(warm.optimize(query)) == _exact(cold.optimize(query))
+        assert kernel.grid_rows == 0
+
+    def test_hits_skip_the_kernel_with_identical_results(self):
+        rows = [
+            (JoinAlgorithm.SORT_MERGE, 1.0, 50.0),
+            (JoinAlgorithm.BROADCAST_HASH, 0.5, 50.0),
+            (JoinAlgorithm.SORT_MERGE, 2.0, 50.0),
+        ]
+        coster = RaqoCoster(raqo.default_cost_model(), method=BF)
+        kernel = _count_kernel_rows(coster)
+        first = _cost_batch(coster, rows)
+        assert kernel.grid_rows == 3
+        assert _cost_batch(coster, rows) == first
+        assert kernel.grid_rows == 3
+        mixed = rows + [(JoinAlgorithm.SORT_MERGE, 3.0, 50.0)]
+        fresh = RaqoCoster(raqo.default_cost_model(), method=BF)
+        assert _cost_batch(coster, mixed) == _cost_batch(fresh, mixed)
+        assert kernel.grid_rows == 4
+
+    def test_nan_rows_are_never_stored(self):
+        rows = [
+            (JoinAlgorithm.SORT_MERGE, 1.0, 5.0),
+            (JoinAlgorithm.SORT_MERGE, NAN, 5.0),
+            (JoinAlgorithm.SORT_MERGE, 2.0, NAN),
+        ]
+        coster = RaqoCoster(raqo.default_cost_model(), method=BF)
+        kernel = coster.model = _NanAsOneGb(coster.model)
+        first = _cost_batch(coster, rows)
+        assert all(config is not None for config in first[2])
+        assert [key[1:3] for key in _memo_keys(coster)] == [(1.0, 5.0)]
+        assert _cost_batch(coster, rows) == first
+        # Both NaN rows went through the kernel again.
+        assert kernel.grid_rows == 3 + 2
+        assert len(coster._search_memo) == 1
+
+    def test_group_that_raises_stores_nothing(self):
+        rows = [
+            (JoinAlgorithm.BROADCAST_HASH, 0.5, 5.0),
+            (JoinAlgorithm.SORT_MERGE, 1.0, 5.0),
+            (JoinAlgorithm.SORT_MERGE, NAN, NAN),
+        ]
+        coster = RaqoCoster(raqo.default_cost_model(), method=BF)
+        for _ in range(2):
+            with pytest.raises(ResourcePlanningError):
+                _cost_batch(coster, rows)
+            # The broadcast group finished before the sort-merge group
+            # raised; nothing of the failed group was kept.
+            assert _memo_keys(coster) == [
+                (JoinAlgorithm.BROADCAST_HASH, 0.5, 5.0, raqo.DEFAULT_CLUSTER)
+            ]
+
+    def test_memoize_off_never_touches_the_memo(self):
+        rows = [(JoinAlgorithm.SORT_MERGE, 1.0, 5.0)]
+        coster = RaqoCoster(
+            raqo.default_cost_model(), method=BF, memoize=False
+        )
+        kernel = _count_kernel_rows(coster)
+        assert _cost_batch(coster, rows) == _cost_batch(coster, rows)
+        assert kernel.grid_rows == 2
+        assert len(coster._search_memo) == 0
+
+    def test_cap_evicts_oldest_first_across_groups(self, monkeypatch):
+        monkeypatch.setattr(raqo, "_SEARCH_MEMO_CAP", 3)
+        coster = RaqoCoster(raqo.default_cost_model(), method=BF)
+        _cost_batch(
+            coster,
+            [
+                (JoinAlgorithm.SORT_MERGE, 1.0, 50.0),
+                (JoinAlgorithm.BROADCAST_HASH, 0.5, 50.0),
+            ],
+        )
+        # One group larger than the cap keeps only its newest entries.
+        _cost_batch(
+            coster,
+            [(JoinAlgorithm.SORT_MERGE, gb, 50.0) for gb in (2.0, 3.0, 4.0)]
+            + [(JoinAlgorithm.SORT_MERGE, 5.0, 60.0)],
+        )
+        assert [key[1:3] for key in _memo_keys(coster)] == [
+            (3.0, 50.0),
+            (4.0, 50.0),
+            (5.0, 60.0),
+        ]
+        # The broadcast group lost its last entry and is gone.
+        assert coster._search_memo.group(
+            JoinAlgorithm.BROADCAST_HASH, raqo.DEFAULT_CLUSTER
+        ) is None
+
+    @pytest.mark.parametrize("method", [HC, BF], ids=str)
+    def test_bounded_across_replans_to_many_clusters(
+        self, catalog, monkeypatch, method
+    ):
+        monkeypatch.setattr(raqo, "_SEARCH_MEMO_CAP", 16)
+        planner = RaqoPlanner(catalog, resource_method=method)
+        query = tpch.EVALUATION_QUERIES[0]
+        memo = planner.coster._search_memo
+        for containers in range(10, 60):
+            cluster = ClusterConditions(
+                max_containers=containers, max_container_gb=6.0
+            )
+            planner.replan(query, cluster)
+            assert len(memo) <= 16
+            keys = _memo_keys(planner.coster)
+            assert len(keys) == len(memo)
+            assert cluster in {key[3] for key in keys}
+            # No group outlives its last entry.
+            assert {(key[0], key[3]) for key in keys} == set(memo._groups)
