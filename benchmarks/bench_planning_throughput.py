@@ -14,9 +14,9 @@ Measures the rates the fast-path work targets (see
   replayed over one batched grid costing per climb), and hill climbing
   with the session defaults on a reused planner, whose repeated
   searches the cross-query search memo replays;
-- **workload queries per second** -- serial vs thread-pool vs
-  process-sharded ``WorkloadRunner`` throughput over the evaluation
-  queries;
+- **workload queries per second** -- serial vs process-sharded
+  ``WorkloadRunner`` throughput on random-schema workloads of several
+  sizes, and the size at which the process pool overtakes serial;
 - **Pareto frontiers per second** -- full latency/dollar frontier
   computation (``objective=PlanObjective.pareto()``: skyline kernel +
   exact scalar tail + Minkowski fold) through whole-query planning;
@@ -42,11 +42,18 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.catalog import tpch  # noqa: E402
+from repro.catalog.random_schema import (  # noqa: E402
+    RandomSchemaConfig,
+    random_catalog,
+    random_query,
+)
 from repro.core.pareto import PlanObjective  # noqa: E402
 from repro.core.raqo import (  # noqa: E402
     DEFAULT_CLUSTER,
@@ -298,44 +305,88 @@ def bench_pareto_frontiers(queries, repeats):
     }
 
 
-def bench_workload_sharding(queries, repeats, processes=2):
-    """Workload queries-per-second: serial vs threads vs processes.
+#: Workload sizes (queries) the sharding bench times; ``--quick`` times
+#: only the first two.
+SHARDING_SIZES = (4, 25, 100, 200)
+#: The sharded workloads: connected random queries of 2-8 tables over a
+#: 16-table random schema, planned by the default planner (hill
+#: climbing, cheapest objective, no faults).  The e2e ``fleet-pareto``
+#: workload uses the same schema size but brute force, the Pareto
+#: objective, faults and 2-10-table queries, so its crossover may differ.
+SHARDING_SCHEMA_TABLES = 16
+SHARDING_QUERY_TABLES = (2, 8)
 
-    Thread workers share one process (cheap startup, GIL-bound on the
-    pure-Python planner layers); process shards each rebuild the planner
-    (startup cost amortised over larger workloads). All three modes are
-    bit-identical, so this measures pure orchestration throughput.
-    """
-    catalog = tpch.tpch_catalog(100)
-    runner = WorkloadRunner(RaqoPlanner.default(catalog))
-    workload = list(queries)
-    runner.run(workload)  # warm model caches before timing
 
-    modes = {
-        "serial": dict(),
-        "threads": dict(max_workers=processes),
-        "processes": dict(processes=processes),
-    }
-    results = {"num_queries": len(workload), "shards": processes}
-    timings = _time_interleaved(
-        {
-            name: lambda kwargs=kwargs: runner.run(workload, **kwargs)
-            for name, kwargs in modes.items()
-        },
-        repeats,
+def sharding_workload(num_queries, seed=0):
+    """The catalog and ``num_queries`` random queries the sharding bench
+    plans; a smaller workload is a prefix of a larger one."""
+    catalog = random_catalog(
+        RandomSchemaConfig(num_tables=SHARDING_SCHEMA_TABLES),
+        np.random.default_rng(seed),
     )
-    for name in modes:
-        best_s, median_s = timings[name]
-        results[name] = {
-            "wall_s": best_s,
-            "wall_s_median": median_s,
-            "queries_per_s": len(workload) / best_s,
-        }
-    for name in ("threads", "processes"):
-        results[name]["speedup_vs_serial"] = (
-            results["serial"]["wall_s"] / results[name]["wall_s"]
+    rng = np.random.default_rng(seed + 1)
+    low, high = SHARDING_QUERY_TABLES
+    queries = [
+        random_query(
+            catalog, int(rng.integers(low, high + 1)), rng,
+            name=f"q{index:03d}",
         )
-    return results
+        for index in range(num_queries)
+    ]
+    return catalog, queries
+
+
+def bench_workload_sharding(sizes, repeats, processes=2):
+    """Workload queries-per-second: serial vs a process pool, by size.
+
+    Every timed run plans on a fresh default planner, so neither mode
+    starts from a memo the other warmed.  Process shards each rebuild
+    the planner; that start-up cost is amortised only over many
+    queries, so the row records the smallest measured size from which
+    processes beat serial at every larger size too (``null`` when none
+    does).  Both modes are bit-identical, so this measures pure
+    orchestration throughput.
+    """
+    catalog, stream = sharding_workload(max(sizes))
+    WorkloadRunner(RaqoPlanner.default(catalog)).run(stream[: min(sizes)])
+
+    modes = {"serial": 0, "processes": processes}
+    rows = []
+    for size in sizes:
+        workload = stream[:size]
+        timings = _time_interleaved(
+            {
+                name: lambda procs=procs: WorkloadRunner(
+                    RaqoPlanner.default(catalog)
+                ).run(workload, processes=procs)
+                for name, procs in modes.items()
+            },
+            repeats,
+        )
+        row = {"num_queries": size}
+        for name in modes:
+            best_s, median_s = timings[name]
+            row[name] = {
+                "wall_s": best_s,
+                "wall_s_median": median_s,
+                "queries_per_s": size / best_s,
+            }
+        row["processes"]["speedup_vs_serial"] = (
+            row["serial"]["wall_s"] / row["processes"]["wall_s"]
+        )
+        rows.append(row)
+    overtake_at = None
+    for row in reversed(rows):
+        if row["processes"]["speedup_vs_serial"] <= 1.0:
+            break
+        overtake_at = row["num_queries"]
+    return {
+        "shards": processes,
+        "schema_tables": SHARDING_SCHEMA_TABLES,
+        "query_tables": list(SHARDING_QUERY_TABLES),
+        "sizes": rows,
+        "processes_overtake_at": overtake_at,
+    }
 
 
 #: Scalar scans per probe pass: enough that a pass takes about as long
@@ -552,7 +603,8 @@ def main(argv=None):
     subplan = bench_subplan_throughput(queries, repeats)
     pareto = bench_pareto_frontiers(queries, repeats)
     workload = bench_workload_sharding(
-        queries, repeats=2 if args.quick else 3
+        SHARDING_SIZES[:2] if args.quick else SHARDING_SIZES,
+        repeats=2 if args.quick else 3,
     )
     report = {
         "mode": "quick" if args.quick else "full",
@@ -597,18 +649,25 @@ def main(argv=None):
         f"({pareto['overhead_vs_fastest']:.2f}x the fastest-objective "
         f"planning time)"
     )
+    low, high = workload["query_tables"]
     print(
-        f"workload sharding ({workload['num_queries']} queries, "
-        f"{workload['shards']} shards):"
+        f"workload sharding ({workload['shards']} processes; "
+        f"{low}-{high}-table queries over a "
+        f"{workload['schema_tables']}-table schema):"
     )
-    for name in ("serial", "threads", "processes"):
-        row = workload[name]
-        speedup = row.get("speedup_vs_serial")
-        suffix = f" ({speedup:.2f}x vs serial)" if speedup else ""
+    for row in workload["sizes"]:
         print(
-            f"  {name:<10} {row['queries_per_s']:8,.2f} "
-            f"queries/s{suffix}"
+            f"  {row['num_queries']:>4} queries: serial "
+            f"{row['serial']['queries_per_s']:8,.1f} queries/s, "
+            f"processes {row['processes']['queries_per_s']:8,.1f} "
+            f"queries/s ({row['processes']['speedup_vs_serial']:.2f}x)"
         )
+    overtake_at = workload["processes_overtake_at"]
+    print(
+        f"  processes overtake serial at {overtake_at} queries"
+        if overtake_at is not None
+        else "  processes never overtake serial at these sizes"
+    )
     print(f"wrote {args.output}")
     return 0
 

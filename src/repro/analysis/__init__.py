@@ -9,7 +9,7 @@ package *enforces* them on the source itself:
 - :mod:`repro.analysis.framework` -- a small AST-based analysis
   framework: rule registry, per-module parse + suppression comments,
   an intra-package import graph for scoping rules to the code actually
-  reachable from the planner or the parallel runner, and a findings
+  reachable from the planner or the serving worker pool, and a findings
   reporter with ``file:line:col`` output.
 - :mod:`repro.analysis.rules` -- the concrete passes codifying the
   project invariants (determinism, float comparisons, thread safety,

@@ -10,13 +10,6 @@ import json
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    build_baseline,
-    format_stale,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.framework import (
     AnalysisError,
     AnalysisSession,
@@ -75,18 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stdout)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="only fail on findings not recorded in this baseline "
-        "file; stale entries are reported as warnings",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the --baseline file from the current findings "
-        "(keeping existing justifications) and exit 0",
-    )
-    parser.add_argument(
         "--graph",
         action="store_true",
         help="dump the resolved whole-program call graph and exit",
@@ -133,9 +114,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{rule.id}  {rule.name}{scope}")
             print(f"    {rule.description}")
         return 0
-    if args.update_baseline and not args.baseline:
-        print("error: --update-baseline requires --baseline FILE")
-        return 2
     try:
         if args.graph:
             files = iter_python_files(args.paths)
@@ -158,31 +136,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 Path(args.sarif).write_text(
                     sarif_text + "\n", encoding="utf-8"
                 )
-        if args.baseline:
-            baseline_path = Path(args.baseline)
-            previous = (
-                load_baseline(baseline_path)
-                if baseline_path.exists()
-                else []
-            )
-            if args.update_baseline:
-                document = build_baseline(findings, previous=previous)
-                write_baseline(baseline_path, document)
-                print(
-                    f"baseline updated: {len(document['findings'])} "
-                    f"entr{'y' if len(document['findings']) == 1 else 'ies'} "
-                    f"in {baseline_path}"
-                )
-                return 0
-            result = apply_baseline(findings, previous)
-            for warning in format_stale(result.stale):
-                print(f"warning: {warning}")
-            if result.matched:
-                print(
-                    f"{len(result.matched)} finding(s) covered by "
-                    f"baseline {baseline_path}"
-                )
-            findings = result.new
     except AnalysisError as exc:
         print(f"error: {exc}")
         return 2

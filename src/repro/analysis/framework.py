@@ -20,9 +20,9 @@ rule id, its name slug, or ``all``.
 Scoped rules declare ``scope_roots``: dotted module names from which an
 intra-package import graph is walked.  Only modules *reachable* from a
 root are checked -- e.g. the thread-safety pass only applies to code
-the parallel workload runner can actually execute.  Standalone files
-outside any package (test fixtures) are always in scope, so rules can
-be exercised on snippets.
+the optimizer service's worker threads can actually execute.
+Standalone files outside any package (test fixtures) are always in
+scope, so rules can be exercised on snippets.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """Thread-safety passes: RAQO005 shared-mutable-state and RAQO006
 mutable-default-arg.
 
-The parallel :class:`~repro.workloads.runner.WorkloadRunner` plans on
-one :meth:`RaqoPlanner.clone` per worker thread, so *instance* state is
-isolated by construction.  What clones cannot isolate is state attached
-to a module or a class object -- that is shared by every thread in the
-process.  RAQO005 flags any mutable module-/class-level binding in code
-reachable from the parallel runner unless the binding declares, via
-``# lint: guarded-by=<LOCK>``, which module-level ``threading.Lock`` /
-``RLock`` serializes access to it (the rule verifies the lock exists).
+The :class:`~repro.serving.service.OptimizerService` worker pool plans
+on one :meth:`RaqoPlanner.clone` per worker thread, so *instance* state
+is isolated by construction.  What clones cannot isolate is state
+attached to a module or a class object -- that is shared by every
+thread in the process.  RAQO005 flags any mutable module-/class-level
+binding in code reachable from the service unless the binding
+declares, via ``# lint: guarded-by=<LOCK>``, which module-level
+``threading.Lock`` / ``RLock`` serializes access to it (the rule
+verifies the lock exists).
 
 RAQO006 is the classic mutable-default-argument trap: a shared default
 ``[]``/``{}`` is exactly the kind of cross-call (and cross-thread)
@@ -83,12 +84,12 @@ class SharedMutableStateRule(Rule):
     name = "shared-mutable-state"
     description = (
         "module- and class-level mutable containers in code reachable "
-        "from the parallel WorkloadRunner are shared across worker "
+        "from the OptimizerService are shared across its worker "
         "threads; guard them with a module-level threading.Lock "
         "declared via '# lint: guarded-by=<LOCK>' (or suppress with a "
         "rationale)"
     )
-    scope_roots = ("repro.workloads.runner",)
+    scope_roots = ("repro.serving.service",)
 
     def check(
         self, info: ModuleInfo, session: AnalysisSession
@@ -115,7 +116,7 @@ class SharedMutableStateRule(Rule):
                     info,
                     stmt,
                     f"{owner} mutable binding '{name}' is shared by "
-                    "every worker thread of the parallel runner; guard "
+                    "every worker thread of the optimizer service; guard "
                     "it with a threading.Lock and declare "
                     "'# lint: guarded-by=<LOCK>'",
                 )

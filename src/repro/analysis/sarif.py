@@ -6,8 +6,7 @@ that ``github/codeql-action/upload-sarif`` turns into inline PR
 annotations.  Only the small stable core of the spec is emitted: one
 run, a ``tool.driver`` with the full rule catalog, and one ``result``
 per finding with a physical location and a stable partial fingerprint
-(shared with the baseline layer, so baselined findings keep their
-identity across line drift).
+(line-independent, so a finding keeps its identity across line drift).
 
 The container has no ``jsonschema``, so :func:`validate_sarif` is a
 hand-rolled structural checker covering the subset this exporter can
@@ -16,11 +15,11 @@ produce; tests run every exported log through it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.baseline import finding_fingerprint
 from repro.analysis.framework import Finding, Rule
 
 SARIF_VERSION = "2.1.0"
@@ -31,6 +30,20 @@ SARIF_SCHEMA_URI = (
 _TOOL_NAME = "repro-lint"
 _TOOL_URI = "https://github.com/repro/raqo"
 _FINGERPRINT_KEY = "reproLint/v1"
+
+
+def finding_fingerprint(
+    finding: Finding, base_dir: Optional[Path] = None
+) -> str:
+    """Stable, line-independent identity of one finding."""
+    base = (base_dir or Path.cwd()).resolve()
+    path = Path(finding.path).resolve()
+    try:
+        relative = path.relative_to(base).as_posix()
+    except ValueError:
+        relative = path.as_posix()
+    payload = f"{finding.rule_id}|{relative}|{finding.message}"
+    return hashlib.sha1(payload.encode("utf-8")).hexdigest()
 
 
 def findings_to_sarif(

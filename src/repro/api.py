@@ -136,7 +136,9 @@ class RaqoSession:
     Hive profile, the paper's 100 x 10 GB cluster); everything else is
     keyword-only.  Pass a :class:`~repro.obs.tracing.Tracer` to record
     spans for every call made through the session -- the same tracer is
-    shared with planner clones, so parallel workloads land in one trace.
+    shared with the serving layer's planner clones, and process-sharded
+    workloads graft their spans onto it, so everything lands in one
+    trace.
     """
 
     def __init__(
@@ -292,21 +294,18 @@ class RaqoSession:
         queries: Sequence[QueryLike],
         *,
         objective: Optional[PlanObjective] = None,
-        parallel: int = 1,
         processes: int = 0,
         label: str = "workload",
         faults: Optional[FaultsLike] = None,
         recovery: Optional[RecoveryPolicy] = None,
     ) -> WorkloadReport:
-        """Plan and simulate a batch of queries, optionally in parallel.
+        """Plan and simulate a batch of queries.
 
-        ``parallel`` > 1 shards queries across *threads* (cheap to spin
-        up; wins when planning time is dominated by numpy kernels that
-        release the GIL). ``processes`` > 0 shards across a *process
-        pool* instead (wins for GIL-bound planning on multi-core
-        machines; pays a pool startup cost). The two are mutually
-        exclusive; results are bit-identical to a serial run either
-        way.
+        ``processes`` > 0 shards the queries across a *process pool*
+        (see :meth:`~repro.workloads.runner.WorkloadRunner.run`); it
+        pays a pool start-up cost, so it wins only on workloads of many
+        queries.  Reports, span trees and sim-domain telemetry are
+        identical to a serial run either way, timings aside.
         """
         resolved = [self.resolve_query(q) for q in queries]
         fault_plan = self._resolve_faults(faults)
@@ -323,7 +322,6 @@ class RaqoSession:
         report = runner.run(
             resolved,
             label=label,
-            max_workers=parallel,
             processes=processes,
         )
         self._record_workload(report)
@@ -489,8 +487,8 @@ class RaqoSession:
         """The telemetry plane's deterministic snapshot.
 
         ``clock="sim"`` restricts to the simulated-clock series, whose
-        snapshots are byte-identical for same-seed runs regardless of
-        parallelism.
+        snapshots are byte-identical for same-seed runs whether a workload
+        ran serially or sharded over processes.
         """
         return self.telemetry.snapshot(clock=clock)
 

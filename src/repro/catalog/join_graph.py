@@ -61,7 +61,7 @@ class JoinGraph:
         #: every subset of every lattice level (often across many
         #: queries over one catalog), and the search behind each probe
         #: dominates batched planning time. Entries are idempotent, so
-        #: concurrent refills by parallel workload threads are benign;
+        #: concurrent refills by serving worker threads are benign;
         #: ``add_edge`` invalidates.
         self._connected_cache: Dict[FrozenSet[str], bool] = {}
         for edge in edges:

@@ -26,8 +26,8 @@ from repro.catalog.queries import Query
 from repro.catalog.schema import Catalog, Column, Schema, Table
 
 # The shared tables below are wrapped in read-only views (and the edge
-# list is a tuple) so they can be safely shared across the parallel
-# workload runner's worker threads (lint rule RAQO005).
+# list is a tuple) so they can be safely shared across the optimizer
+# service's worker threads (lint rule RAQO005).
 
 #: Base cardinalities at scale factor 1. ``region``/``nation`` do not scale.
 _BASE_ROWS: Mapping[str, int] = MappingProxyType({

@@ -10,7 +10,7 @@ Subcommands:
 - ``trees``   -- print the default (Fig 10) and learned RAQO (Fig 11)
   decision trees for an engine.
 - ``workload`` -- plan and simulate a generated multi-query workload,
-  optionally fanning queries out over a worker pool (``--parallel N``).
+  optionally sharding queries over a process pool (``--procs N``).
 - ``run``     -- alias of ``execute``; with ``--faults SPEC`` the
   simulated cluster injects deterministic preemptions, OOM kills, and
   stragglers, and the engine recovers via retries, speculation, and
@@ -45,7 +45,7 @@ Examples::
     python -m repro workload --num-queries 20 --faults oom=0.2,seed=1
     python -m repro figure fig03
     python -m repro trees --engine spark
-    python -m repro workload --num-queries 20 --parallel 4 --trace-dir t/
+    python -m repro workload --num-queries 200 --procs 2 --trace-dir t/
     python -m repro lint src --plans
     python -m repro serve --requests 12 --workers 4
     python -m repro serve --requests 50 --metrics-addr 127.0.0.1:0
@@ -159,26 +159,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="workload generator seed",
     )
     workload.add_argument(
-        "--parallel",
-        "--workers",
-        dest="parallel",
-        type=int,
-        default=1,
-        metavar="WORKERS",
-        help=(
-            "plan queries concurrently on this many threads "
-            "(best when planning is numpy-kernel dominated)"
-        ),
-    )
-    workload.add_argument(
         "--procs",
         type=int,
         default=0,
         metavar="PROCS",
         help=(
-            "shard queries across a process pool of this size instead "
-            "of threads (best for GIL-bound planning on many cores); "
-            "mutually exclusive with --parallel/--workers"
+            "shard queries across a process pool of this size (pays "
+            "off on workloads of many queries; default: serial)"
         ),
     )
     workload.add_argument(
@@ -337,16 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="additionally write a SARIF 2.1.0 log to FILE ('-' for "
         "stdout)",
-    )
-    lint.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="only fail on findings not recorded in this baseline file",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the --baseline file from the current findings",
     )
     lint.add_argument(
         "--graph",
@@ -718,17 +695,8 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
     from repro.workloads.generator import WorkloadSpec, generate_workload
 
-    if args.parallel < 1:
-        print("--parallel must be >= 1", file=sys.stderr)
-        return 2
     if args.procs < 0:
         print("--procs must be >= 0", file=sys.stderr)
-        return 2
-    if args.procs and args.parallel > 1:
-        print(
-            "--procs and --parallel/--workers are mutually exclusive",
-            file=sys.stderr,
-        )
         return 2
     session = _make_session(args, seed=args.seed)
     faults, recovery = _make_faults(args)
@@ -739,7 +707,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     )
     report = session.workload(
         queries,
-        parallel=args.parallel,
         processes=args.procs,
         label="baseline" if args.baseline else "raqo",
         faults=faults,
@@ -753,14 +720,9 @@ def _cmd_workload(args: argparse.Namespace) -> int:
             f"simulated {outcome.executed_time_s:8.1f} s | "
             f"${outcome.executed_dollars:.3f}"
         )
+    mode = f"{args.procs} process(es)" if args.procs else "serial"
     print(
-        f"\n{report.label}: {len(report.outcomes)} queries "
-        + (
-            f"({args.procs} process(es)) | "
-            if args.procs
-            else f"({args.parallel} worker(s)) | "
-        )
-        +
+        f"\n{report.label}: {len(report.outcomes)} queries ({mode}) | "
         f"planning {report.total_planning_ms:.1f} ms | "
         f"{report.total_resource_iterations} resource iters | "
         f"simulated {report.total_executed_time_s:.1f} s | "
@@ -979,10 +941,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         argv.append("--no-suppress")
     if args.sarif:
         argv.extend(["--sarif", args.sarif])
-    if args.baseline:
-        argv.extend(["--baseline", args.baseline])
-    if args.update_baseline:
-        argv.append("--update-baseline")
     if args.graph:
         argv.append("--graph")
     status = lint_main(argv)

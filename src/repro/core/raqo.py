@@ -1296,8 +1296,8 @@ class RaqoPlanner:
 
         The clone shares the (immutable, already-fitted) cost model but
         gets its own resource plan cache and coster, so clones can plan
-        on separate threads without sharing mutable state. The parallel
-        workload runner builds one clone per worker.
+        on separate threads without sharing mutable state. The optimizer
+        service builds one clone per worker thread.
         """
         kwargs = dict(self._init_kwargs)
         kwargs["cost_model"] = self.cost_model  # skip any re-fitting

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 from repro.catalog.statistics import StatisticsEstimator
 from repro.cluster.containers import ResourceConfiguration
@@ -263,11 +263,11 @@ def execute_plan(
             total_time += report.time_s
             total_gb_seconds += report.gb_seconds
             if telemetry is not None:
-                stage_end_s = sim_epoch_s + (
-                    total_time if math.isfinite(total_time) else 0.0
-                )
                 _record_stage_telemetry(
-                    telemetry, stage_id, report, stage_end_s
+                    telemetry,
+                    stage_id,
+                    report,
+                    _stage_end_s(sim_epoch_s, total_time),
                 )
         if run_span.active:
             run_span.set_attributes(
@@ -302,6 +302,34 @@ def execute_plan(
         degraded_stages=sum(1 for r in reports if r.degraded),
         speculative_stages=sum(1 for r in reports if r.speculative),
     )
+
+
+def replay_stage_telemetry(
+    telemetry: TelemetryPlane,
+    stages: Sequence[JoinRunReport],
+) -> None:
+    """Land already-simulated stages on ``telemetry``.
+
+    Records exactly what :func:`execute_plan` records with
+    ``telemetry=`` set and the default ``sim_epoch_s=0``, for a plan
+    simulated where the plane could not go (a worker process of the
+    sharded workload runner).
+    """
+    total_time = 0.0
+    for stage_id, report in enumerate(stages):
+        total_time += report.time_s
+        _record_stage_telemetry(
+            telemetry, stage_id, report, _stage_end_s(0.0, total_time)
+        )
+
+
+def _stage_end_s(sim_epoch_s: float, total_time: float) -> float:
+    """Sim timestamp of a stage that ends ``total_time`` into its plan.
+
+    An infeasible (infinite) plan clock stamps at the epoch, so its
+    records still land in a finite window.
+    """
+    return sim_epoch_s + (total_time if math.isfinite(total_time) else 0.0)
 
 
 def _record_stage_telemetry(

@@ -5,37 +5,38 @@ overheads (wall time, resource configurations explored, cache behaviour)
 and the simulated execution outcomes (time, resources used, dollars) when
 the produced plans run on the engine simulator.
 
-Independent queries can be planned concurrently, two ways:
-
-- ``run(max_workers=N)`` fans the workload out over a *thread pool*,
-  giving each worker thread its own planner clone (own coster, own
-  resource plan cache) so no mutable planner state is shared.
-- ``run(processes=N)`` fans it out over a *process pool*: each worker
-  process rebuilds the planner from its picklable constructor state
-  (catalog, fitted cost model, knobs) once, then plans its share of the
-  queries free of the GIL. Traced runs give each worker a same-seed
-  child tracer and graft the finished spans back onto the parent
-  tracer, so the merged canonical span tree is byte-identical to a
-  serial run.
+The paper plans each query of a workload on its own, so a workload can
+be split by query: ``run(processes=N)`` fans it out over a *process
+pool*.  Each worker process rebuilds the planner from its picklable
+constructor state (catalog, fitted cost model, knobs) once, then plans
+its share of the queries free of the GIL.  Traced runs give each worker
+a same-seed child tracer and graft the finished spans back onto the
+parent tracer, and the parent lands each query's stages on its
+telemetry plane, so the merged canonical span tree and the sim-domain
+telemetry are byte-identical to a serial run.
 
 Results always come back in submission order, and with the default
-``clear_cache_between_queries=True`` planner the parallel report is
-identical to the sequential one except for wall-clock timings.
+``clear_cache_between_queries=True`` planner the sharded report is
+identical to the serial one except for wall-clock timings.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.queries import Query
 from repro.cluster.containers import ResourceConfiguration
 from repro.core.raqo import DEFAULT_QO_RESOURCES, RaqoPlanner
-from repro.engine.executor import execute_plan
+from repro.engine.executor import (
+    ExecutionResult,
+    JoinRunReport,
+    execute_plan,
+    replay_stage_telemetry,
+)
 from repro.engine.profiles import EngineProfile, HIVE_PROFILE
 from repro.faults.model import FaultPlan
 from repro.faults.recovery import RecoveryPolicy
@@ -155,29 +156,29 @@ def _init_workload_worker(payload: Dict[str, object]) -> None:
 
 def _run_workload_item(
     item: Tuple[int, Query, str],
-) -> Tuple["QueryOutcome", Tuple[Dict[str, object], ...]]:
+) -> Tuple[
+    QueryOutcome,
+    Tuple[JoinRunReport, ...],
+    Tuple[Dict[str, object], ...],
+]:
     """Plan and execute one workload query in a worker process.
 
-    Returns the outcome plus the spans this query produced (as
-    picklable dicts) for the parent tracer to adopt. The worker's
-    ``workload`` span handle is created but never entered: it only
-    anchors the query subtree at the same deterministic path the
-    parent's real workload root has, so grafted span IDs line up.
+    Returns the outcome, the executed stages (for the parent's telemetry
+    plane) and the spans this query produced (as picklable dicts, for
+    the parent tracer to adopt).  The worker's ``workload`` span handle
+    is created but never entered: it only anchors the query subtree at
+    the same deterministic path the parent's real workload root has, so
+    grafted span IDs line up.
     """
     index, query, label = item
     runner = _WORKER_RUNNER
     assert runner is not None, "worker used before initialization"
-    planner = runner.planner
-    tracer = planner.tracer
-    if not tracer.active:
-        return runner._run_one(planner, query), ()
+    tracer = runner.planner.tracer
     workload_span = tracer.span("workload", kind="planner", key=label)
-    outcome = runner._run_traced(
-        planner, query, tracer, workload_span, index
-    )
+    outcome, execution = runner._run_query(query, workload_span, index)
     spans = tuple(span.to_dict() for span in tracer.spans())
     tracer.clear()
-    return outcome, spans
+    return outcome, execution.joins, spans
 
 
 def _process_pool_context() -> multiprocessing.context.BaseContext:
@@ -203,205 +204,166 @@ class WorkloadRunner:
         self.planner = planner
         self.profile = profile
         self.default_resources = default_resources
-        #: Shared across workers: FaultPlan decisions are pure functions
-        #: of (seed, stage, attempt), so parallel runs stay identical to
-        #: serial ones.
+        #: Shipped to every worker process: FaultPlan decisions are pure
+        #: functions of (seed, stage, attempt), so sharded runs stay
+        #: identical to serial ones.
         self.faults = faults
         self.recovery = recovery
-        #: Shared across thread workers too: every windowed record
-        #: carries an explicit sim timestamp (each query's plan clock
-        #: starts at 0), and window aggregates are order-independent,
-        #: so serial and thread-parallel runs produce byte-identical
-        #: sim-domain snapshots.  Process pools skip live telemetry --
-        #: the plane is not picklable -- and rely on span harvesting
-        #: (:meth:`repro.obs.events.EventLog.harvest_tracer`) instead.
+        #: Every windowed record carries an explicit sim timestamp (each
+        #: query's plan clock starts at 0).  The plane is not picklable,
+        #: so process shards return their stage reports and the parent
+        #: lands them here in submission order, which keeps sim-domain
+        #: snapshots byte-identical to a serial run.
         self.telemetry = telemetry
 
-    def _run_one(
-        self, planner: RaqoPlanner, query: Query
-    ) -> QueryOutcome:
-        """Plan and execute a single workload query on ``planner``."""
-        result = planner.optimize(query)
-        # Scope faults per query (by its stable name): two queries
-        # sharing a join stage draw independent fault fates, while
-        # decisions stay order-independent so serial == parallel.
-        faults = (
-            self.faults.scoped(query.name)
-            if self.faults is not None
-            else None
-        )
-        execution = execute_plan(
-            result.plan,
-            planner.estimator,
-            self.profile,
-            default_resources=self.default_resources,
-            faults=faults,
-            recovery=self.recovery,
-            tracer=planner.tracer,
-            telemetry=self.telemetry,
-        )
-        return QueryOutcome(
-            query=query,
-            planning_ms=result.wall_time_s * 1000.0,
-            resource_iterations=result.resource_iterations,
-            cache_hits=result.counters.cache_hits,
-            predicted_time_s=result.cost.time_s,
-            executed_time_s=execution.time_s,
-            executed_gb_seconds=execution.gb_seconds,
-            executed_dollars=execution.dollars,
-            executed_feasible=execution.feasible,
-            retries=execution.retries,
-            faults_injected=execution.faults_injected,
-            degraded_stages=execution.degraded_stages,
-        )
-
-    def _run_traced(
+    def _run_query(
         self,
-        planner: RaqoPlanner,
         query: Query,
-        tracer: Tracer,
         workload_span: SpanHandle,
         index: int,
-    ) -> QueryOutcome:
-        """Run one query inside its ``query`` span.
+    ) -> Tuple[QueryOutcome, ExecutionResult]:
+        """Plan and execute one query inside its ``query`` span.
 
         The span is keyed by the query's workload position and parented
         explicitly on the workload root, so its ID -- and those of the
         plan/run subtrees opened beneath it -- do not depend on which
-        worker thread picked the query up.
+        process planned the query.
         """
+        planner = self.planner
+        tracer = planner.tracer
         with tracer.span(
             "query",
             kind="planner",
             parent=workload_span,
             key=str(index),
         ) as span:
-            span.set_attributes({"index": index, "query": query.name})
-            outcome = self._run_one(planner, query)
-            span.set_attributes(
-                {
-                    "feasible": outcome.executed_feasible,
-                    "retries": outcome.retries,
-                    "faults_injected": outcome.faults_injected,
-                    "degraded_stages": outcome.degraded_stages,
-                    "wall_planning_ms": outcome.planning_ms,
-                }
+            result = planner.optimize(query)
+            # Scope faults per query (by its stable name): two queries
+            # sharing a join stage draw independent fault fates, while
+            # decisions stay order-independent so serial == sharded.
+            faults = (
+                self.faults.scoped(query.name)
+                if self.faults is not None
+                else None
             )
-            if math.isfinite(outcome.executed_time_s):
-                span.set_attribute(
-                    "executed_time_s", outcome.executed_time_s
+            execution = execute_plan(
+                result.plan,
+                planner.estimator,
+                self.profile,
+                default_resources=self.default_resources,
+                faults=faults,
+                recovery=self.recovery,
+                tracer=tracer,
+                telemetry=self.telemetry,
+            )
+            outcome = QueryOutcome(
+                query=query,
+                planning_ms=result.wall_time_s * 1000.0,
+                resource_iterations=result.resource_iterations,
+                cache_hits=result.counters.cache_hits,
+                predicted_time_s=result.cost.time_s,
+                executed_time_s=execution.time_s,
+                executed_gb_seconds=execution.gb_seconds,
+                executed_dollars=execution.dollars,
+                executed_feasible=execution.feasible,
+                retries=execution.retries,
+                faults_injected=execution.faults_injected,
+                degraded_stages=execution.degraded_stages,
+            )
+            if span.active:
+                span.set_attributes(
+                    {
+                        "index": index,
+                        "query": query.name,
+                        "feasible": outcome.executed_feasible,
+                        "retries": outcome.retries,
+                        "faults_injected": outcome.faults_injected,
+                        "degraded_stages": outcome.degraded_stages,
+                        "wall_planning_ms": outcome.planning_ms,
+                    }
                 )
-            return outcome
+                if math.isfinite(outcome.executed_time_s):
+                    span.set_attribute(
+                        "executed_time_s", outcome.executed_time_s
+                    )
+            return outcome, execution
 
     def run(
         self,
         queries: Sequence[Query],
         label: str = "workload",
-        max_workers: int = 1,
         processes: int = 0,
     ) -> WorkloadReport:
         """Plan and execute every query; returns the aggregate report.
 
-        ``max_workers > 1`` plans independent queries concurrently on a
-        thread pool. Each worker thread plans on its own
-        :meth:`RaqoPlanner.clone`, so per-query counters cannot
-        interleave and the resource plan cache is never shared across
-        threads (warm-cache planners therefore keep one cache *per
-        worker* when parallel). ``pool.map`` preserves submission order,
-        so the report's outcome order matches the input order exactly.
-
-        ``processes > 0`` shards the workload over a process pool
-        instead (mutually exclusive with ``max_workers > 1``): each
-        worker process rebuilds the planner once from
-        :meth:`RaqoPlanner.picklable_init_kwargs` and plans its queries
-        without sharing the GIL. Threads win when the per-query work is
-        dominated by the stacked numpy kernels (which release little
-        Python time anyway) or when pool startup must be free; processes
-        win for numpy-light planning (hill climbing, many small
-        queries), where the GIL serializes threads.
+        By default the queries run one after another on this runner's
+        planner.  ``processes > 0`` shards them over a process pool
+        instead: each worker process rebuilds the planner once from
+        :meth:`RaqoPlanner.picklable_init_kwargs` and plans its share
+        without sharing the GIL.  Pool start-up costs tens of
+        milliseconds, so sharding pays only on workloads of many
+        queries (``BENCH_planning.json``'s ``workload_sharding`` row
+        records the size at which it overtakes serial).  Outcomes come
+        back in submission order either way.
 
         Tracing rides the planner's tracer: an active tracer gets one
         ``workload`` root span (keyed by ``label``) with a ``query``
-        child per entry, and -- because fault decisions and span keys
-        are order-independent -- the same seed produces byte-identical
-        span trees whether the workload runs serially, on threads, or
-        on processes (for the default clear-cache-between-queries
-        planner, whose counters do not depend on execution order).
+        child per entry.  Because fault decisions and span keys are
+        order-independent, the same seed produces byte-identical span
+        trees, reports (timings aside) and sim-domain telemetry whether
+        the workload runs serially or on processes (for the default
+        clear-cache-between-queries planner, whose counters do not
+        depend on execution order).
         """
-        if max_workers < 1:
-            raise ValueError(
-                f"max_workers must be >= 1, got {max_workers}"
-            )
         if processes < 0:
             raise ValueError(
                 f"processes must be >= 0, got {processes}"
             )
-        if processes and max_workers > 1:
-            raise ValueError(
-                "choose thread workers or processes, not both"
-            )
-        if processes:
-            return self._run_processes(queries, label, processes)
-        tracer = self.planner.tracer
-        if not tracer.active:
-            return self._run_untraced(queries, label, max_workers)
-        with tracer.span(
+        with self.planner.tracer.span(
             "workload", kind="planner", key=label
         ) as workload_span:
-            workload_span.set_attributes(
-                {
-                    "label": label,
-                    "queries": len(queries),
-                    "faulted": self.faults is not None,
-                }
-            )
-            if max_workers == 1 or len(queries) <= 1:
-                outcomes: List[QueryOutcome] = [
-                    self._run_traced(
-                        self.planner, query, tracer, workload_span, i
-                    )
-                    for i, query in enumerate(queries)
-                ]
+            if workload_span.active:
+                workload_span.set_attributes(
+                    {
+                        "label": label,
+                        "queries": len(queries),
+                        "faulted": self.faults is not None,
+                    }
+                )
+            if processes:
+                outcomes = self._run_sharded(queries, label, processes)
             else:
-                local = threading.local()
-
-                def worker(
-                    item: Tuple[int, Query],
-                ) -> QueryOutcome:
-                    index, query = item
-                    planner = getattr(local, "planner", None)
-                    if planner is None:
-                        planner = self.planner.clone()
-                        local.planner = planner
-                    return self._run_traced(
-                        planner, query, tracer, workload_span, index
-                    )
-
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    outcomes = list(
-                        pool.map(worker, enumerate(queries))
-                    )
+                outcomes = [
+                    self._run_query(query, workload_span, index)[0]
+                    for index, query in enumerate(queries)
+                ]
             report = WorkloadReport(
                 label=label, outcomes=tuple(outcomes)
             )
-            workload_span.set_attributes(
-                {
-                    "infeasible": report.infeasible_queries,
-                    "total_retries": report.total_retries,
-                    "total_faults_injected": (
-                        report.total_faults_injected
-                    ),
-                }
-            )
-            return report
+            if workload_span.active:
+                workload_span.set_attributes(
+                    {
+                        "infeasible": report.infeasible_queries,
+                        "total_retries": report.total_retries,
+                        "total_faults_injected": (
+                            report.total_faults_injected
+                        ),
+                    }
+                )
+        return report
 
-    def _run_processes(
+    def _run_sharded(
         self,
         queries: Sequence[Query],
         label: str,
         processes: int,
-    ) -> WorkloadReport:
-        """Shard the workload over a process pool; see :meth:`run`."""
+    ) -> List[QueryOutcome]:
+        """Outcomes of ``queries`` planned on a process pool.
+
+        The workers' spans are grafted onto this planner's tracer and
+        their stages landed on this runner's telemetry plane, one query
+        at a time in submission order.
+        """
         tracer = self.planner.tracer
         payload = {
             "catalog": self.planner.catalog,
@@ -416,82 +378,27 @@ class WorkloadRunner:
             (index, query, label)
             for index, query in enumerate(queries)
         ]
+        outcomes: List[QueryOutcome] = []
         with ProcessPoolExecutor(
-            max_workers=processes,
+            processes,
             mp_context=_process_pool_context(),
             initializer=_init_workload_worker,
             initargs=(payload,),
         ) as pool:
-            if not tracer.active:
-                outcomes = [
-                    outcome
-                    for outcome, _ in pool.map(_run_workload_item, items)
-                ]
-                return WorkloadReport(
-                    label=label, outcomes=tuple(outcomes)
-                )
-            with tracer.span(
-                "workload", kind="planner", key=label
-            ) as workload_span:
-                workload_span.set_attributes(
-                    {
-                        "label": label,
-                        "queries": len(queries),
-                        "faulted": self.faults is not None,
-                    }
-                )
-                outcomes = []
-                for outcome, spans in pool.map(
-                    _run_workload_item, items
-                ):
-                    tracer.adopt(spans)
-                    outcomes.append(outcome)
-                report = WorkloadReport(
-                    label=label, outcomes=tuple(outcomes)
-                )
-                workload_span.set_attributes(
-                    {
-                        "infeasible": report.infeasible_queries,
-                        "total_retries": report.total_retries,
-                        "total_faults_injected": (
-                            report.total_faults_injected
-                        ),
-                    }
-                )
-                return report
-
-    def _run_untraced(
-        self,
-        queries: Sequence[Query],
-        label: str,
-        max_workers: int,
-    ) -> WorkloadReport:
-        """The original zero-instrumentation execution paths."""
-        if max_workers == 1 or len(queries) <= 1:
-            outcomes: List[QueryOutcome] = [
-                self._run_one(self.planner, query) for query in queries
-            ]
-            return WorkloadReport(label=label, outcomes=tuple(outcomes))
-
-        local = threading.local()
-
-        def worker(query: Query) -> QueryOutcome:
-            planner = getattr(local, "planner", None)
-            if planner is None:
-                planner = self.planner.clone()
-                local.planner = planner
-            return self._run_one(planner, query)
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(worker, queries))
-        return WorkloadReport(label=label, outcomes=tuple(outcomes))
+            for outcome, stages, spans in pool.map(
+                _run_workload_item, items
+            ):
+                tracer.adopt(spans)
+                if self.telemetry is not None:
+                    replay_stage_telemetry(self.telemetry, stages)
+                outcomes.append(outcome)
+        return outcomes
 
 
 def compare_planners(
     planners: Dict[str, RaqoPlanner],
     queries: Sequence[Query],
     profile: EngineProfile = HIVE_PROFILE,
-    max_workers: int = 1,
     faults: Optional[FaultPlan] = None,
     recovery: Optional[RecoveryPolicy] = None,
 ) -> List[WorkloadReport]:
@@ -504,6 +411,6 @@ def compare_planners(
     return [
         WorkloadRunner(
             planner, profile, faults=faults, recovery=recovery
-        ).run(queries, label=label, max_workers=max_workers)
+        ).run(queries, label=label)
         for label, planner in planners.items()
     ]

@@ -167,98 +167,6 @@ class TestSarifFlag:
         assert [r["id"] for r in catalog] == ["RAQO001"]
 
 
-class TestBaselineFlags:
-    def test_update_baseline_requires_baseline(self, bad_file, capsys):
-        assert lint_main(["--update-baseline", str(bad_file)]) == 2
-        assert "--baseline" in capsys.readouterr().out
-
-    def test_update_then_apply_round_trip(
-        self, bad_file, tmp_path, capsys
-    ):
-        baseline = tmp_path / "lint_baseline.json"
-        assert (
-            lint_main(
-                [
-                    "--baseline",
-                    str(baseline),
-                    "--update-baseline",
-                    str(bad_file),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "baseline updated" in out
-        assert baseline.exists()
-        assert (
-            lint_main(["--baseline", str(baseline), str(bad_file)]) == 0
-        )
-        out = capsys.readouterr().out
-        assert "covered by baseline" in out
-        assert "invariants clean" in out
-
-    def test_new_finding_still_fails_under_baseline(
-        self, bad_file, tmp_path, capsys
-    ):
-        baseline = tmp_path / "lint_baseline.json"
-        lint_main(
-            [
-                "--baseline",
-                str(baseline),
-                "--update-baseline",
-                "--rule",
-                "RAQO008",
-                str(bad_file),
-            ]
-        )
-        capsys.readouterr()
-        # The RAQO001 finding was never baselined, so it still fails.
-        assert (
-            lint_main(["--baseline", str(baseline), str(bad_file)]) == 1
-        )
-        out = capsys.readouterr().out
-        assert "RAQO001" in out
-        assert "RAQO008" not in out
-
-    def test_stale_entries_warn_once_fixed(
-        self, bad_file, tmp_path, capsys
-    ):
-        baseline = tmp_path / "lint_baseline.json"
-        lint_main(
-            [
-                "--baseline",
-                str(baseline),
-                "--update-baseline",
-                str(bad_file),
-            ]
-        )
-        capsys.readouterr()
-        bad_file.write_text(CLEAN_SOURCE)
-        assert (
-            lint_main(["--baseline", str(baseline), str(bad_file)]) == 0
-        )
-        out = capsys.readouterr().out
-        assert "warning: stale baseline entry" in out
-
-    def test_missing_baseline_file_fails_open(self, bad_file, capsys):
-        # No baseline on disk yet: everything is a new finding.
-        assert (
-            lint_main(
-                ["--baseline", str(bad_file.parent / "nope.json"),
-                 str(bad_file)]
-            )
-            == 1
-        )
-
-    def test_corrupt_baseline_exits_two(self, bad_file, tmp_path, capsys):
-        baseline = tmp_path / "lint_baseline.json"
-        baseline.write_text("{nope")
-        assert (
-            lint_main(["--baseline", str(baseline), str(bad_file)]) == 2
-        )
-        assert "error:" in capsys.readouterr().out
-
-
 class TestGraphFlag:
     def test_graph_dumps_resolved_edges(self, tmp_path, capsys):
         path = tmp_path / "mod.py"
@@ -296,23 +204,11 @@ class TestEntryPoints:
         self, bad_file, tmp_path, capsys
     ):
         target = tmp_path / "out.sarif"
-        baseline = tmp_path / "lint_baseline.json"
         assert (
-            repro_main(
-                [
-                    "lint",
-                    "--sarif",
-                    str(target),
-                    "--baseline",
-                    str(baseline),
-                    "--update-baseline",
-                    str(bad_file),
-                ]
-            )
-            == 0
+            repro_main(["lint", "--sarif", str(target), str(bad_file)])
+            == 1
         )
         assert validate_sarif(json.loads(target.read_text())) == []
-        assert baseline.exists()
 
 
 class TestLiveTree:

@@ -148,8 +148,8 @@ class TestImportGraphAndScoping:
             tmp_path,
             {
                 "repro/__init__.py": "",
-                "repro/workloads/__init__.py": "",
-                "repro/workloads/runner.py": (
+                "repro/serving/__init__.py": "",
+                "repro/serving/service.py": (
                     "from repro import reachable\n"
                 ),
                 "repro/reachable.py": "from . import leaf\nSHARED = {}\n",
@@ -164,7 +164,7 @@ class TestImportGraphAndScoping:
             for path in iter_python_files([package])
         ]
         graph = ImportGraph(modules)
-        reachable = graph.reachable_from(["repro.workloads.runner"])
+        reachable = graph.reachable_from(["repro.serving.service"])
         assert "repro.reachable" in reachable
         assert "repro.leaf" in reachable
         assert "repro.isolated" not in reachable
@@ -177,7 +177,7 @@ class TestImportGraphAndScoping:
         assert flagged == {"reachable.py", "leaf.py"}
 
     def test_standalone_files_fail_open_for_scoped_rules(self, lint):
-        # RAQO005 is scoped to the runner, yet a bare fixture file is
+        # RAQO005 is scoped to the service, yet a bare fixture file is
         # still checked so snippets can exercise the rule.
         findings = lint("SHARED = {}\n", rule="RAQO005")
         assert [f.rule_id for f in findings] == ["RAQO005"]

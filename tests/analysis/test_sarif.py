@@ -11,6 +11,7 @@ from repro.analysis.framework import (
 )
 from repro.analysis.sarif import (
     SARIF_VERSION,
+    finding_fingerprint,
     findings_to_sarif,
     render_sarif,
     validate_sarif,
@@ -30,6 +31,59 @@ def _export(tmp_path):
     return findings, findings_to_sarif(
         findings, all_rules(), base_dir=tmp_path
     )
+
+
+def make_finding(
+    path="src/mod.py", line=10, rule_id="RAQO001", message="boom"
+):
+    return Finding(
+        path=path,
+        line=line,
+        col=1,
+        rule_id=rule_id,
+        rule_name="unseeded-random",
+        message=message,
+    )
+
+
+class TestFingerprint:
+    def test_line_drift_does_not_change_identity(self, tmp_path):
+        a = make_finding(path=str(tmp_path / "m.py"), line=10)
+        b = make_finding(path=str(tmp_path / "m.py"), line=99)
+        assert finding_fingerprint(a, tmp_path) == finding_fingerprint(
+            b, tmp_path
+        )
+
+    def test_rule_path_and_message_all_matter(self, tmp_path):
+        base = make_finding(path=str(tmp_path / "m.py"))
+        fingerprints = {
+            finding_fingerprint(base, tmp_path),
+            finding_fingerprint(
+                make_finding(path=str(tmp_path / "m.py"), rule_id="RAQO002"),
+                tmp_path,
+            ),
+            finding_fingerprint(
+                make_finding(path=str(tmp_path / "other.py")), tmp_path
+            ),
+            finding_fingerprint(
+                make_finding(path=str(tmp_path / "m.py"), message="kaboom"),
+                tmp_path,
+            ),
+        }
+        assert len(fingerprints) == 4
+
+    def test_fingerprint_is_relative_to_base_dir(self, tmp_path):
+        # The same repo checked out at two roots produces identical
+        # fingerprints, so code-scanning identities are portable.
+        one = tmp_path / "clone_a" / "src"
+        two = tmp_path / "clone_b" / "src"
+        one.mkdir(parents=True)
+        two.mkdir(parents=True)
+        a = make_finding(path=str(one / "m.py"))
+        b = make_finding(path=str(two / "m.py"))
+        assert finding_fingerprint(
+            a, one.parent
+        ) == finding_fingerprint(b, two.parent)
 
 
 class TestExport:

@@ -88,18 +88,18 @@ class TestVerbs:
         )
 
     def test_workload_round_trip(self, session):
-        report = session.workload(["Q3", "Q12"], parallel=2, label="batch")
+        report = session.workload(["Q3", "Q12"], processes=2, label="batch")
         assert report.label == "batch"
         assert [o.query.name for o in report.outcomes] == ["Q3", "Q12"]
 
     def test_workload_process_pool(self, session):
-        threaded = session.workload(["Q3", "Q12"], parallel=2)
+        serial = session.workload(["Q3", "Q12"])
         sharded = session.workload(["Q3", "Q12"], processes=2)
         assert [o.query.name for o in sharded.outcomes] == ["Q3", "Q12"]
-        assert sharded.total_dollars == threaded.total_dollars
+        assert sharded.total_dollars == serial.total_dollars
 
     def test_workload_rejects_threads_and_processes(self, session):
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="parallel"):
             session.workload(["Q3"], parallel=2, processes=2)
 
     def test_explain_renders_text(self, session):

@@ -18,6 +18,9 @@ the ``pareto_frontiers`` section the ``--assert-overhead`` gate reads
         json.dumps(schema_skeleton(report), indent=2) + "\n"
     )
     PY
+
+then set ``workload_sharding.processes_overtake_at`` back to
+``"number|null"``: the skeleton of one report sees only one of the two.
 """
 
 import json
@@ -65,6 +68,18 @@ class TestGoldenSchema:
         mutated["pareto_frontiers"]["pareto_frontiers_per_s"] = "fast"
         problems = validate_planning_report(mutated)
         assert any("pareto_frontiers_per_s" in p for p in problems)
+
+    def test_overtake_size_may_be_null(self):
+        # A run whose sizes are all too small for processes to win
+        # records null; that is a value, not schema drift.
+        baseline = json.loads(BASELINE_PATH.read_text())
+        mutated = dict(baseline)
+        mutated["workload_sharding"] = dict(mutated["workload_sharding"])
+        mutated["workload_sharding"]["processes_overtake_at"] = None
+        assert validate_planning_report(mutated) == []
+        mutated["workload_sharding"]["processes_overtake_at"] = "100"
+        problems = validate_planning_report(mutated)
+        assert any("processes_overtake_at" in p for p in problems)
 
 
 class TestBaselinePayload:

@@ -1,7 +1,7 @@
 """The TelemetryPlane: instrument registry, snapshots, determinism.
 
 The headline property lives in the last class: a workload recorded
-serially and the same workload recorded across threads produce
+serially and the same workload sharded over processes produce
 byte-identical ``sim``-domain telemetry snapshots.
 """
 
@@ -116,19 +116,19 @@ class TestSerialParallelByteIdentity:
     QUERIES = ("Q12", "Q3", "Q2", "All", "Q3", "Q12")
 
     @staticmethod
-    def _sim_snapshot(parallel):
+    def _sim_snapshot(processes):
         session = RaqoSession(scale_factor=10)
         session.workload(
-            TestSerialParallelByteIdentity.QUERIES, parallel=parallel
+            TestSerialParallelByteIdentity.QUERIES, processes=processes
         )
         return json.dumps(
             session.telemetry_snapshot(clock="sim"), sort_keys=True
         )
 
     def test_workload_sim_snapshots_are_byte_identical(self):
-        serial = self._sim_snapshot(parallel=1)
-        threaded = self._sim_snapshot(parallel=4)
-        assert serial == threaded
+        serial = self._sim_snapshot(processes=0)
+        sharded = self._sim_snapshot(processes=2)
+        assert serial == sharded
         # And the snapshot is not trivially empty.
         payload = json.loads(serial)
         assert payload["counters"]

@@ -278,7 +278,8 @@ class TestObjectiveOption:
 
 class TestWorkloadSharding:
     def test_procs_and_workers_conflict_is_usage_error(self, capsys):
-        assert (
+        """Thread workers are gone, so naming both is a usage error."""
+        with pytest.raises(SystemExit) as excinfo:
             main(
                 [
                     "workload",
@@ -290,9 +291,8 @@ class TestWorkloadSharding:
                     "2",
                 ]
             )
-            == 2
-        )
-        assert "mutually exclusive" in capsys.readouterr().err
+        assert excinfo.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
 
     def test_negative_procs_is_usage_error(self, capsys):
         assert (
@@ -301,23 +301,12 @@ class TestWorkloadSharding:
         )
         assert "--procs" in capsys.readouterr().err
 
-    def test_workers_alias_matches_parallel(self, capsys):
-        import re
-
-        def strip_wall_time(out):
-            return re.sub(r"planning\s+[\d.,]+ ms", "planning -", out)
-
-        assert (
-            main(["workload", "--num-queries", "3", "--workers", "2"])
-            == 0
-        )
-        first = capsys.readouterr().out
-        assert (
-            main(["workload", "--num-queries", "3", "--parallel", "2"])
-            == 0
-        )
-        second = capsys.readouterr().out
-        assert strip_wall_time(second) == strip_wall_time(first)
+    @pytest.mark.parametrize("flag", ["--parallel", "--workers"])
+    def test_thread_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["workload", "--num-queries", "3", flag, "2"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_procs_match_serial_output(self, capsys):
         import re
@@ -334,5 +323,5 @@ class TestWorkloadSharding:
         sharded = capsys.readouterr().out
         assert "2 process(es)" in sharded
         assert strip_wall_time(sharded.replace(
-            "2 process(es)", "1 worker(s)"
+            "2 process(es)", "serial"
         )) == strip_wall_time(serial)

@@ -1,4 +1,8 @@
-"""Tests for the parallel workload runner (thread-pool fan-out)."""
+"""Tests for the parallel workload runner (process-pool fan-out).
+
+Thread mode is gone: a workload shards over processes only, and the
+planner clones tested here serve the optimizer service's threads.
+"""
 
 import dataclasses
 
@@ -34,15 +38,18 @@ def _strip_timing(report):
 
 class TestParallelRunner:
     def test_rejects_zero_workers(self, catalog, workload):
+        """Thread workers are not an option any more, at any count."""
         runner = WorkloadRunner(RaqoPlanner.default(catalog))
-        with pytest.raises(ValueError, match="max_workers"):
+        with pytest.raises(TypeError, match="max_workers"):
             runner.run(workload, max_workers=0)
+        with pytest.raises(TypeError, match="max_workers"):
+            runner.run(workload, max_workers=2)
 
     def test_parallel_matches_sequential(self, catalog, workload):
         """Same queries, same report -- only wall-clock may differ."""
         runner = WorkloadRunner(RaqoPlanner.default(catalog))
-        sequential = runner.run(workload, max_workers=1)
-        parallel = runner.run(workload, max_workers=4)
+        sequential = runner.run(workload)
+        parallel = runner.run(workload, processes=2)
         assert _strip_timing(parallel) == _strip_timing(sequential)
         assert [o.query.name for o in parallel.outcomes] == [
             q.name for q in workload
@@ -50,8 +57,8 @@ class TestParallelRunner:
 
     def test_parallel_totals_match_sequential(self, catalog, workload):
         runner = WorkloadRunner(RaqoPlanner.default(catalog))
-        sequential = runner.run(workload, max_workers=1)
-        parallel = runner.run(workload, max_workers=4)
+        sequential = runner.run(workload)
+        parallel = runner.run(workload, processes=2)
         assert (
             parallel.total_resource_iterations
             == sequential.total_resource_iterations
@@ -67,13 +74,14 @@ class TestParallelRunner:
     def test_counters_not_corrupted_by_concurrency(
         self, catalog, workload
     ):
-        """Per-query counters must not interleave across threads.
+        """Per-query counters must not interleave across workers.
 
-        Each worker plans on its own clone, so every outcome's counter
-        must equal what a fresh planner reports for that query alone.
+        Each worker process plans on its own rebuilt planner, so every
+        outcome's counter must equal what a fresh planner reports for
+        that query alone.
         """
         runner = WorkloadRunner(RaqoPlanner.default(catalog))
-        parallel = runner.run(workload, max_workers=4)
+        parallel = runner.run(workload, processes=2)
         for query, outcome in zip(workload, parallel.outcomes):
             solo = RaqoPlanner.default(catalog).optimize(query)
             assert outcome.resource_iterations == (
@@ -85,19 +93,19 @@ class TestParallelRunner:
         self, catalog, workload
     ):
         runner = WorkloadRunner(RaqoPlanner.default(catalog))
-        report = runner.run(workload[:2], max_workers=16)
+        report = runner.run(workload[:2], processes=3)
         assert len(report.outcomes) == 2
 
     def test_parallel_randomized_planner(self, catalog, workload):
-        """Clones reproduce the seeded randomized planner exactly."""
+        """Rebuilt workers reproduce the seeded randomized planner."""
         planner = RaqoPlanner(
             catalog,
             planner_kind=PlannerKind.FAST_RANDOMIZED,
             seed=3,
         )
         runner = WorkloadRunner(planner)
-        sequential = runner.run(workload, max_workers=1)
-        parallel = runner.run(workload, max_workers=4)
+        sequential = runner.run(workload)
+        parallel = runner.run(workload, processes=2)
         assert _strip_timing(parallel) == _strip_timing(sequential)
 
 

@@ -48,8 +48,9 @@ class TestProcessRunner:
     def test_rejects_threads_and_processes_together(
         self, catalog, workload
     ):
+        """Processes are the one parallel mode: no thread workers."""
         runner = WorkloadRunner(RaqoPlanner.default(catalog))
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="max_workers"):
             runner.run(workload, max_workers=4, processes=2)
 
     def test_processes_match_sequential(self, catalog, workload):

@@ -1,16 +1,13 @@
-"""Stress tests for the shared-state audit under WorkloadRunner(max_workers>1).
+"""Stress tests for the shared-state audit and for sharded workloads.
 
-The thread-safety pass (lint rule RAQO005) assumes two things about the
-parallel runner:
-
-1. every piece of module-level mutable state reachable from a worker is
-   lock-guarded -- the only such state is the default-cost-model memo in
-   :mod:`repro.core.raqo`, guarded by ``_MODEL_CACHE_LOCK``;
-2. all *planner* state is isolated per worker via
-   :meth:`RaqoPlanner.clone` (own coster, own resource plan cache), so
-   workers never share mutable planner internals.
-
-These tests hammer both assumptions with real thread pools.
+The thread-safety pass (lint rule RAQO005) assumes that every piece of
+module-level mutable state reachable from the optimizer service's
+worker threads is lock-guarded -- the only such state is the
+default-cost-model memo in :mod:`repro.core.raqo`, guarded by
+``_MODEL_CACHE_LOCK``.  These tests hammer that assumption with real
+thread pools, and check that process-sharded workloads
+(``WorkloadRunner.run(processes=N)``) keep all planner state isolated
+per worker and reproduce the serial report.
 """
 
 import dataclasses
@@ -88,10 +85,10 @@ class TestDefaultModelCacheLock:
 
 class TestCloneIsolationUnderStress:
     def test_parallel_runs_are_reproducible(self, catalog, workload):
-        """Repeated parallel runs return byte-identical reports."""
+        """Repeated sharded runs return byte-identical reports."""
         runner = WorkloadRunner(RaqoPlanner.default(catalog))
         reports = [
-            runner.run(workload, max_workers=8) for _ in range(3)
+            runner.run(workload, processes=2) for _ in range(3)
         ]
         first = _strip_timing(reports[0])
         for report in reports[1:]:
@@ -100,30 +97,27 @@ class TestCloneIsolationUnderStress:
     def test_parallel_run_never_touches_the_shared_planner_cache(
         self, catalog, workload
     ):
-        """Workers plan on clones: the original planner's resource plan
-        cache must see zero traffic from a parallel run."""
+        """Workers plan on rebuilt planners: the original planner's
+        resource plan cache must see zero traffic from a sharded run."""
         planner = RaqoPlanner.default(catalog)
         runner = WorkloadRunner(planner)
         assert planner.cache is not None
         before = dataclasses.replace(planner.cache.stats)
-        runner.run(workload, max_workers=4)
+        runner.run(workload, processes=2)
         after = planner.cache.stats
         assert after.lookups == before.lookups
         assert after.inserts == before.inserts
 
     def test_interleaved_runners_do_not_cross_talk(self, catalog, workload):
-        """Two runners fanning out simultaneously stay independent."""
+        """Two runners planning on two threads at once stay
+        independent (the module-level state they share is guarded)."""
         runner_a = WorkloadRunner(RaqoPlanner.default(catalog))
         runner_b = WorkloadRunner(
             RaqoPlanner.two_step_baseline(catalog)
         )
         with ThreadPoolExecutor(max_workers=2) as pool:
-            future_a = pool.submit(
-                runner_a.run, workload, "raqo", 4
-            )
-            future_b = pool.submit(
-                runner_b.run, workload, "baseline", 4
-            )
+            future_a = pool.submit(runner_a.run, workload, "raqo")
+            future_b = pool.submit(runner_b.run, workload, "baseline")
             report_a, report_b = future_a.result(), future_b.result()
         solo_a = WorkloadRunner(RaqoPlanner.default(catalog)).run(
             workload, "raqo"
@@ -138,7 +132,7 @@ class TestCloneIsolationUnderStress:
 class TestFaultDeterminism:
     """The fault subsystem's parallel-determinism acceptance criterion:
     with faults enabled, same-seed runs are bit-identical across the
-    serial and the parallel runner (fault decisions are pure functions
+    serial and the process-sharded runner (fault decisions are pure functions
     of (seed, scope, stage, attempt), never of execution order)."""
 
     @pytest.fixture(scope="class")
@@ -161,7 +155,7 @@ class TestFaultDeterminism:
             RaqoPlanner.default(catalog), faults=faults
         )
         reports = [
-            runner.run(workload, max_workers=8) for _ in range(2)
+            runner.run(workload, processes=2) for _ in range(2)
         ]
         assert _strip_timing(reports[0]) == _strip_timing(reports[1])
 
@@ -170,10 +164,10 @@ class TestFaultDeterminism:
     ):
         serial = WorkloadRunner(
             RaqoPlanner.default(catalog), faults=faults
-        ).run(workload, max_workers=1)
+        ).run(workload)
         parallel = WorkloadRunner(
             RaqoPlanner.default(catalog), faults=faults
-        ).run(workload, max_workers=6)
+        ).run(workload, processes=2)
         assert _strip_timing(serial) == _strip_timing(parallel)
         # The runs really injected something (the test is not vacuous).
         assert serial.total_faults_injected > 0
