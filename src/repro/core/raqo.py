@@ -99,10 +99,24 @@ DEFAULT_CLUSTER = ClusterConditions(
 )
 
 #: Entries the cross-query search memo of one :class:`RaqoCoster` keeps
-#: before it evicts the oldest. 2,000 ad-hoc TPC-H queries run ~37.6k
-#: searches over only 125 distinct inputs on one cluster; twice that
-#: leaves room for a replan to a second cluster.
-_SEARCH_MEMO_CAP = 256
+#: before it evicts the oldest. The paper's resource plan cache is a
+#: sorted key array searched by bisection (Sec VI-B3); the memo's cold
+#: tier is built the same way, at 48 bytes an entry, so the cap holds a
+#: whole ``fleet-pareto`` window of searches (one 1,400-query trace ran
+#: 43,284 distinct ones) in ~3 MB. A FIFO memo of this size serves as
+#: many of that trace's kernel rows as an unbounded one (77%).
+_SEARCH_MEMO_CAP = 65_536
+
+#: Entries the memo's hot tier keeps as Python objects after a merge: the
+#: newest searches, looked up by one dict probe. 2,000 ad-hoc TPC-H
+#: queries search only 125 distinct inputs on one cluster, so their hill
+#: climbs never leave this tier. The tier grows to twice this size
+#: before its oldest half merges into the cold tier in one batch.
+_HOT_TIER_CAP = 256
+
+#: Estimated bytes of one hot entry: its dict slot, key tuple and two
+#: floats, the entry tuple with its floats, and its order record.
+_HOT_ENTRY_BYTES = 350
 
 
 class _SearchEntry(NamedTuple):
@@ -127,9 +141,79 @@ _WALL_ENTRY = _SearchEntry(None, math.inf, 0, math.inf)
 #: A search outcome or its replay: both carry ``iterations``.
 _Charged = TypeVar("_Charged", ResourcePlanOutcome, _SearchEntry)
 
-#: One ``(algorithm, cluster)`` group: ``(small_gb, large_gb)`` -> entry.
-_SearchGroup = Dict[Tuple[float, float], _SearchEntry]
 _GroupKey = Tuple[JoinAlgorithm, ClusterConditions]
+
+#: Column dtypes of a cold tier: the ``small_gb + large_gb * 1j`` key,
+#: the index into the memo's configuration table, the objective cost,
+#: ``iterations``, the re-predicted time and the insertion sequence
+#: number (48 bytes a row).
+_COLD_DTYPES = (
+    np.complex128,
+    np.int32,
+    np.float64,
+    np.int32,
+    np.float64,
+    np.int64,
+)
+
+
+def _complex_keys(
+    small_gb: Union[np.ndarray, List[float]],
+    large_gb: Union[np.ndarray, List[float]],
+) -> np.ndarray:
+    """Cold-tier keys. Assigned part by part: ``small + 1j * large``
+    would turn an infinite ``large_gb`` into a NaN real part."""
+    keys = np.empty(len(small_gb), dtype=np.complex128)
+    keys.real = small_gb
+    keys.imag = large_gb
+    return keys
+
+
+class _MemoGroup:
+    """The entries of one ``(algorithm, cluster)`` group.
+
+    ``hot`` maps ``(small_gb, large_gb)`` to an entry. ``cold`` is a
+    tuple of parallel arrays (:data:`_COLD_DTYPES`) sorted by key, and
+    may still hold rows evicted since this group last merged.
+    """
+
+    __slots__ = ("hot", "cold")
+
+    def __init__(self) -> None:
+        self.hot: Dict[Tuple[float, float], _SearchEntry] = {}
+        self.cold: Tuple[np.ndarray, ...] = tuple(
+            np.empty(0, dtype=dtype) for dtype in _COLD_DTYPES
+        )
+
+    def keep(self, mask: np.ndarray) -> int:
+        """Keep the cold rows ``mask`` selects; returns how many went."""
+        dropped = len(mask) - int(np.count_nonzero(mask))
+        if dropped:
+            self.cold = tuple(column[mask] for column in self.cold)
+        return dropped
+
+
+@dataclass(frozen=True)
+class SearchMemoStats:
+    """What the cross-query search memo of one coster holds and served.
+
+    ``hot_hits`` and ``cold_hits`` count the lookups each tier served;
+    ``searched`` counts the searches the coster ran with the memo on
+    (misses and NaN-sized inputs). ``merged`` counts entries moved from the hot tier into the
+    cold tier, ``evicted`` entries dropped at the cap. ``bytes`` is the
+    cold tier's and configuration table's array ``nbytes`` plus an
+    estimate for the hot tier's Python objects.
+    """
+
+    entries: int
+    hot_entries: int
+    cold_entries: int
+    hot_hits: int
+    cold_hits: int
+    searched: int
+    merged: int
+    evicted: int
+    bytes: int
 
 
 class _SearchMemo:
@@ -138,31 +222,126 @@ class _SearchMemo:
     Entries are grouped by ``(algorithm, cluster)`` and keyed within a
     group by ``(small_gb, large_gb)``. The enum and the dataclass hash
     in Python code, so the stacked kernel hashes them once per
-    algorithm group, not once per row. One FIFO order across all groups
-    keeps at most ``_SEARCH_MEMO_CAP`` entries in total, and a group
-    whose last entry is evicted is dropped, so replanning to many
-    clusters retains nothing beyond the cap.
+    algorithm group, not once per row.
+
+    Two tiers. The hot tier holds the newest entries in one dict per
+    group, in one FIFO order across groups. Once it holds twice
+    ``_HOT_TIER_CAP`` entries, its oldest ``_HOT_TIER_CAP`` merge into
+    the groups' cold tiers in one batch: per group, a sorted
+    ``complex128`` key array and parallel value arrays, looked up by
+    ``np.searchsorted``. Configurations live once in a per-memo table
+    of every distinct one stored, all grid points (index 0 stands for
+    the BHJ wall's ``None``).
+
+    Every stored entry takes the next sequence number, and callers
+    store only keys the memo does not hold, so the memo holds exactly
+    the entries numbered from ``_floor`` up: eviction at
+    ``_SEARCH_MEMO_CAP`` only raises ``_floor``. Lookups ignore cold
+    rows below it; a merge drops its group's, and once they amount to
+    an eighth of the cap a sweep drops all of them, along with groups
+    left with no entries. Hot entries are never below the floor, so a
+    cap smaller than the hot tier evicts hot entries as they fall
+    under it, and a group whose last entry is evicted is dropped.
     """
 
     def __init__(self) -> None:
-        self._groups: Dict[_GroupKey, _SearchGroup] = {}
-        #: Insertion order: (group key, group, key within the group).
-        self._order: Deque[
-            Tuple[_GroupKey, _SearchGroup, Tuple[float, float]]
-        ] = collections.deque()
+        self.clear()
 
     def __len__(self) -> int:
-        return len(self._order)
+        return self._next_seq - self._floor
 
     def clear(self) -> None:
-        self._groups.clear()
-        self._order.clear()
+        self._groups: Dict[_GroupKey, _MemoGroup] = {}
+        #: The hot tier's insertion order: (group key, group, key).
+        self._order: Deque[
+            Tuple[_GroupKey, _MemoGroup, Tuple[float, float]]
+        ] = collections.deque()
+        self._next_seq = 0
+        self._floor = 0
+        #: Rows in all cold tiers, evicted ones included.
+        self._cold_rows = 0
+        self._configs: List[Optional[ResourceConfiguration]] = [None]
+        self._config_ids: Dict[ResourceConfiguration, int] = {}
+        #: ``(num_containers, container_gb)`` of the table as floats,
+        #: rebuilt when the table grew.
+        self._config_axes: Tuple[np.ndarray, np.ndarray] = (
+            np.full(1, math.nan),
+            np.full(1, math.nan),
+        )
+        self.hot_hits = 0
+        self.cold_hits = 0
+        self.searched = 0
+        self.merged = 0
+        self.evicted = 0
 
     def group(
         self, algorithm: JoinAlgorithm, cluster: ClusterConditions
-    ) -> Optional[_SearchGroup]:
-        """The entries of one group, read-only; None when it has none."""
+    ) -> Optional[_MemoGroup]:
+        """One group's tiers, read-only; None when it holds nothing."""
         return self._groups.get((algorithm, cluster))
+
+    def get(
+        self,
+        algorithm: JoinAlgorithm,
+        cluster: ClusterConditions,
+        key: Tuple[float, float],
+    ) -> Optional[_SearchEntry]:
+        """The entry for one key, from either tier; None on a miss."""
+        group = self._groups.get((algorithm, cluster))
+        if group is None:
+            return None
+        entry = group.hot.get(key)
+        if entry is not None:
+            self.hot_hits += 1
+            return entry
+        keys, configs, costs, iterations, times, seqs = group.cold
+        if not keys.size:
+            return None
+        needle = complex(*key)
+        at = int(np.searchsorted(keys, needle))
+        if at == keys.size or keys[at] != needle or seqs[at] < self._floor:
+            return None
+        self.cold_hits += 1
+        return _SearchEntry(
+            self._configs[configs[at]],
+            float(costs[at]),
+            int(iterations[at]),
+            float(times[at]),
+        )
+
+    def cold_lookup(
+        self, group: _MemoGroup, small_gb: np.ndarray, large_gb: np.ndarray
+    ) -> Tuple[
+        np.ndarray,
+        List[Optional[ResourceConfiguration]],
+        np.ndarray,
+        np.ndarray,
+        np.ndarray,
+    ]:
+        """Look many keys up in one group's cold tier at once.
+
+        Returns a hit mask over the keys and, for the hits in key
+        order, their configurations, re-predicted times, and container
+        counts and sizes as floats. The cold tier must not be empty.
+        """
+        keys, configs, _, _, times, seqs = group.cold
+        needles = _complex_keys(small_gb, large_gb)
+        at = np.searchsorted(keys, needles)
+        np.minimum(at, keys.size - 1, out=at)
+        # NaN never equals itself: a NaN key never hits.
+        hit = (keys[at] == needles) & (seqs[at] >= self._floor)
+        at = at[hit]
+        ids = configs[at]
+        counts, sizes = self._config_axes
+        self.cold_hits += len(at)
+        table = self._configs
+        return (
+            hit,
+            [table[index] for index in ids.tolist()],
+            times[at],
+            counts[ids],
+            sizes[ids],
+        )
 
     def store(
         self,
@@ -170,31 +349,167 @@ class _SearchMemo:
         cluster: ClusterConditions,
         entries: List[Tuple[Tuple[float, float], _SearchEntry]],
     ) -> None:
-        """Add entries in order, then evict the oldest beyond the cap."""
+        """Add entries the memo does not hold, in order; then evict the
+        oldest beyond the cap and merge the hot tier's overflow."""
         cap = _SEARCH_MEMO_CAP
         if len(entries) > cap:
             # The older ones would be evicted before this call returns.
+            self.evicted += len(entries) - cap
             entries = entries[-cap:]
         group_key = (algorithm, cluster)
         group = self._groups.get(group_key)
         if group is None:
-            group = self._groups[group_key] = {}
+            group = self._groups[group_key] = _MemoGroup()
+        hot = group.hot
         order = self._order
         for key, entry in entries:
-            if key not in group:
-                order.append((group_key, group, key))
-            group[key] = entry
-        while len(order) > cap:
-            old_key, old_group, key = order.popleft()
-            del old_group[key]
-            if not old_group:
-                del self._groups[old_key]
+            hot[key] = entry
+            order.append((group_key, group, key))
+        self._next_seq += len(entries)
+        excess = len(self) - cap
+        if excess > 0:
+            self._floor += excess
+            self.evicted += excess
+            # Cold rows are older than every hot entry; hot entries fall
+            # under the floor only once no cold row is left above it.
+            while len(order) > len(self):
+                old_key, old_group, key = order.popleft()
+                del old_group.hot[key]
+                if not old_group.hot and not old_group.cold[0].size:
+                    del self._groups[old_key]
+        hot_cap = _HOT_TIER_CAP
+        if len(order) >= 2 * hot_cap:
+            self._merge(len(order) - hot_cap)
+        if self._cold_rows - (len(self) - len(order)) > cap // 8:
+            self._sweep()
+
+    def _config_id(self, config: Optional[ResourceConfiguration]) -> int:
+        if config is None:
+            return 0
+        index = self._config_ids.get(config)
+        if index is None:
+            index = self._config_ids[config] = len(self._configs)
+            self._configs.append(config)
+            live = self._configs[1:]
+            self._config_axes = (
+                np.array(
+                    [math.nan] + [c.num_containers for c in live],
+                    dtype=float,
+                ),
+                np.array(
+                    [math.nan] + [c.container_gb for c in live],
+                    dtype=float,
+                ),
+            )
+        return index
+
+    def _merge(self, count: int) -> None:
+        """Move the oldest ``count`` hot entries into the cold tiers:
+        per group, one ``searchsorted`` merge of the sorted batch."""
+        order = self._order
+        seq = self._next_seq - len(order)
+        batches: Dict[_GroupKey, Tuple[_MemoGroup, List]] = {}
+        for _ in range(count):
+            group_key, group, key = order.popleft()
+            entry = group.hot.pop(key)
+            batches.setdefault(group_key, (group, []))[1].append(
+                (key, entry, seq)
+            )
+            seq += 1
+        self.merged += count
+        floor = self._floor
+        for group, rows in batches.values():
+            new = (
+                _complex_keys(
+                    [key[0] for key, _, _ in rows],
+                    [key[1] for key, _, _ in rows],
+                ),
+                np.array(
+                    [self._config_id(entry.config) for _, entry, _ in rows],
+                    dtype=np.int32,
+                ),
+                np.array([entry.cost for _, entry, _ in rows]),
+                np.array(
+                    [entry.iterations for _, entry, _ in rows],
+                    dtype=np.int32,
+                ),
+                np.array([entry.time_s for _, entry, _ in rows]),
+                np.array([seq for _, _, seq in rows], dtype=np.int64),
+            )
+            by_key = np.argsort(new[0], kind="stable")
+            new = tuple(column[by_key] for column in new)
+            # A key stored again after its eviction must not meet its
+            # evicted row: drop this group's evicted rows first.
+            self._cold_rows -= group.keep(group.cold[5] >= floor)
+            old = group.cold
+            size = len(old[0]) + len(rows)
+            slots = np.searchsorted(old[0], new[0]) + np.arange(len(rows))
+            kept = np.ones(size, dtype=bool)
+            kept[slots] = False
+            merged = []
+            for old_column, new_column in zip(old, new):
+                column = np.empty(size, dtype=old_column.dtype)
+                column[slots] = new_column
+                column[kept] = old_column
+                merged.append(column)
+            group.cold = tuple(merged)
+            self._cold_rows += len(rows)
+
+    def _sweep(self) -> None:
+        """Drop every evicted cold row, and the groups left empty."""
+        floor = self._floor
+        for group_key, group in list(self._groups.items()):
+            self._cold_rows -= group.keep(group.cold[5] >= floor)
+            if not group.hot and not group.cold[0].size:
+                del self._groups[group_key]
 
     def items(self) -> Iterator[Tuple[Tuple, _SearchEntry]]:
         """``((algorithm, small_gb, large_gb, cluster), entry)``, oldest
-        first."""
+        first across both tiers."""
+        floor = self._floor
+        cold = []
+        for (algorithm, cluster), group in self._groups.items():
+            keys, configs, costs, iterations, times, seqs = group.cold
+            for row in zip(
+                seqs.tolist(),
+                keys.tolist(),
+                configs.tolist(),
+                costs.tolist(),
+                iterations.tolist(),
+                times.tolist(),
+            ):
+                seq, key, config, cost, iters, time_s = row
+                if seq >= floor:
+                    entry = _SearchEntry(
+                        self._configs[config], cost, iters, time_s
+                    )
+                    cold.append(
+                        (seq, (algorithm, key.real, key.imag, cluster), entry)
+                    )
+        cold.sort(key=lambda row: row[0])
+        for _, key, entry in cold:
+            yield key, entry
         for (algorithm, cluster), group, key in self._order:
-            yield (algorithm, *key, cluster), group[key]
+            yield (algorithm, *key, cluster), group.hot[key]
+
+    def stats(self) -> SearchMemoStats:
+        hot = len(self._order)
+        arrays = sum(
+            column.nbytes
+            for group in self._groups.values()
+            for column in group.cold
+        ) + sum(axis.nbytes for axis in self._config_axes)
+        return SearchMemoStats(
+            entries=len(self),
+            hot_entries=hot,
+            cold_entries=len(self) - hot,
+            hot_hits=self.hot_hits,
+            cold_hits=self.cold_hits,
+            searched=self.searched,
+            merged=self.merged,
+            evicted=self.evicted,
+            bytes=arrays + hot * _HOT_ENTRY_BYTES,
+        )
 
 
 class _PendingKeys:
@@ -338,9 +653,13 @@ class RaqoCoster:
       lookups and inserts run as before. Plans, costs, counters, cache
       statistics and canonical span trees are those of a fresh search;
       only the wall-clock changes. ``memoize=False`` turns it off too.
+      Its newest entries sit in a hot tier of Python dicts; older ones
+      merge in batches into a cold tier of sorted arrays per
+      ``(algorithm, cluster)``, the layout of the paper's plan cache.
       It holds at most ``_SEARCH_MEMO_CAP`` entries in total, evicting
       the oldest first, and a coster built by :meth:`RaqoPlanner.clone`
       or :meth:`RaqoPlanner.with_objective` starts with it empty.
+      :meth:`search_memo_stats` reports what it holds and served.
     - grid costing: resource planning costs the whole configuration
       grid through the model's batched ``predict_time_grid`` (a few
       array operations for learned models) instead of one scalar call
@@ -364,6 +683,11 @@ class RaqoCoster:
     _search_memo: _SearchMemo = field(
         default_factory=_SearchMemo, init=False, repr=False, compare=False
     )
+
+    def search_memo_stats(self) -> SearchMemoStats:
+        """Entries, hits per tier, searches, merges, evictions and bytes
+        of the cross-query search memo, read-only."""
+        return self._search_memo.stats()
 
     def join_cost(
         self,
@@ -687,10 +1011,13 @@ class RaqoCoster:
     ) -> None:
         """Grid-cost all kernel rows, one stacked call per algorithm.
 
-        Each row is looked up in the cross-query search memo first; only
-        the misses go through ``predict_time_grid_batch``, and their
-        winners fill the memo. A hit takes the stored configuration and
-        time. Everything else -- the ``resource_iterations`` charge, the
+        The rows of an algorithm are looked up in the cross-query search
+        memo first (:meth:`_replay_rows`): one dict probe per row in the
+        hot tier, then one ``np.searchsorted`` over the cold tier for
+        all the rows the hot tier missed. Only the rows neither tier
+        holds go through ``predict_time_grid_batch``, and their winners
+        fill the memo. A hit takes the stored configuration and time.
+        Everything else -- the ``resource_iterations`` charge, the
         plan-cache inserts and the commits, in row order -- runs the
         same for hits and misses.
         """
@@ -705,7 +1032,6 @@ class RaqoCoster:
         for i in kernel_rows:
             by_algorithm.setdefault(batch.algorithms[i], []).append(i)
         memo = self._search_memo if self.memoize else None
-        rate = self.price_model.dollars_per_gb_hour
         #: Winners cluster on few grid points; materialise each once.
         config_cache: Dict[int, ResourceConfiguration] = {}
         for algorithm, rows in by_algorithm.items():
@@ -721,26 +1047,11 @@ class RaqoCoster:
                 memo.group(algorithm, cluster) if memo is not None else None
             )
             if group is not None:
-                misses = []
-                for i in rows:
-                    # A kernel row is never at the BHJ wall, so a stored
-                    # entry for its key always holds a configuration.
-                    entry = group.get((smalls[i], larges[i]))
-                    if entry is None:
-                        misses.append(i)
-                        continue
-                    config = entry.config
-                    time_s = entry.time_s
-                    # _cost_at's money expression, lane for lane.
-                    chosen[i] = (
-                        config,
-                        time_s,
-                        config.num_containers
-                        * config.container_gb
-                        * time_s
-                        / 3600.0
-                        * rate,
-                    )
+                misses = self._replay_rows(
+                    group, rows, smalls, larges, batch, chosen
+                )
+            if memo is not None:
+                memo.searched += len(misses)
             if misses:
                 searched = self._search_rows(
                     batch, algorithm, misses, grid, config_cache
@@ -774,6 +1085,58 @@ class RaqoCoster:
                     commit(i, (INFEASIBLE_COST, None))
                     continue
                 commit(i, (Cost(time_s=time_s, money=money_usd), config))
+
+    def _replay_rows(
+        self,
+        group: _MemoGroup,
+        rows: List[int],
+        smalls: List[float],
+        larges: List[float],
+        batch: CandidateBatch,
+        chosen: Dict[int, Tuple[ResourceConfiguration, float, float]],
+    ) -> List[int]:
+        """Serve kernel rows of one algorithm from the search memo.
+
+        Each row probes the hot tier's dict; the rows it misses go to
+        the cold tier in one ``searchsorted``. A hit's ``(config, time,
+        money)`` goes into ``chosen``, money by :meth:`_cost_at`'s lane
+        expression. Returns the rows neither tier holds, in row order.
+        """
+        memo = self._search_memo
+        rate = self.price_model.dollars_per_gb_hour
+        hot = group.hot
+        rest = []
+        for i in rows:
+            # A kernel row is never at the BHJ wall, so a stored entry
+            # for its key always holds a configuration.
+            entry = hot.get((smalls[i], larges[i]))
+            if entry is None:
+                rest.append(i)
+                continue
+            config = entry.config
+            time_s = entry.time_s
+            chosen[i] = (
+                config,
+                time_s,
+                config.num_containers
+                * config.container_gb
+                * time_s
+                / 3600.0
+                * rate,
+            )
+        memo.hot_hits += len(rows) - len(rest)
+        if not rest or not group.cold[0].size:
+            return rest
+        hit, configs, times, counts, sizes = memo.cold_lookup(
+            group, batch.small_gb[rest], batch.large_gb[rest]
+        )
+        money = counts * sizes * times / 3600.0 * rate
+        served = hit.tolist()
+        found = [i for i, ok in zip(rest, served) if ok]
+        chosen.update(
+            zip(found, zip(configs, times.tolist(), money.tolist()))
+        )
+        return [i for i, ok in zip(rest, served) if not ok]
 
     def _search_rows(
         self,
@@ -1004,15 +1367,17 @@ class RaqoCoster:
         """Run brute force or Algorithm 1 for one operator, or replay
         the memoized search of the same input."""
         key = None
-        # NaN never equals itself: a NaN size is never memoized.
-        if self.memoize and small_gb == small_gb and large_gb == large_gb:
-            key = (small_gb, large_gb)
-            group = self._search_memo.group(algorithm, context.cluster)
-            memoized = group.get(key) if group is not None else None
-            if memoized is not None:
-                if memoized.config is not None:
-                    self._charged(lambda: memoized, context)
-                return memoized
+        memo = self._search_memo
+        if self.memoize:
+            # NaN never equals itself: a NaN size is never memoized.
+            if small_gb == small_gb and large_gb == large_gb:
+                key = (small_gb, large_gb)
+                memoized = memo.get(algorithm, context.cluster, key)
+                if memoized is not None:
+                    if memoized.config is not None:
+                        self._charged(lambda: memoized, context)
+                    return memoized
+            memo.searched += 1
         outcome = self._search(algorithm, small_gb, large_gb, context)
         if outcome is None:
             searched = _WALL_ENTRY
@@ -1026,9 +1391,7 @@ class RaqoCoster:
                 outcome.config, outcome.cost, outcome.iterations, time_s
             )
         if key is not None:
-            self._search_memo.store(
-                algorithm, context.cluster, [(key, searched)]
-            )
+            memo.store(algorithm, context.cluster, [(key, searched)])
         return searched
 
     def _search(

@@ -12,6 +12,7 @@ really have skipped searches.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,8 +132,8 @@ def _run(
 ):
     """Plan ``queries`` in order on one planner; returns each query's
     observables, the cache statistics after each query, the canonical
-    span tree, the number of scalar searches that ran and the number of
-    rows the stacked kernel costed."""
+    span tree, the number of scalar searches that ran, the number of
+    rows the stacked kernel costed and the memo's statistics."""
     tracer = Tracer(seed=11)
     planner = build(catalog, tracer=tracer, **kwargs)
     calls = _count_searches(planner.coster)
@@ -156,6 +157,7 @@ def _run(
         canonical_span_tree_json(tracer),
         calls[0],
         kernel.grid_rows,
+        planner.coster.search_memo_stats(),
     )
 
 
@@ -180,6 +182,7 @@ def _assert_identical(
         # A plan cache kept across queries serves every repeat before
         # the kernel sees it, so the memo has nothing left to save.
         assert warm[3] <= cold[3]
+    return warm[4]
 
 
 def _tpch_stream():
@@ -638,3 +641,327 @@ class TestKernelMemo:
             assert cluster in {key[3] for key in keys}
             # No group outlives its last entry.
             assert {(key[0], key[3]) for key in keys} == set(memo._groups)
+
+
+#: A hot tier of two entries: the memo merges after every second store,
+#: so nearly every hit is served by the cold tier.
+@pytest.fixture
+def tiny_hot_tier(monkeypatch):
+    monkeypatch.setattr(raqo, "_HOT_TIER_CAP", 2)
+
+
+@pytest.mark.usefixtures("tiny_hot_tier")
+class TestColdTierIsInvisible:
+    """Replays from the array-backed cold tier equal fresh searches."""
+
+    @pytest.mark.parametrize("cache", ["nearest-0", "nearest-0.5", "exact"])
+    @pytest.mark.parametrize("method", [HC, BF], ids=str)
+    def test_tpch(self, catalog, method, cache):
+        stats = _assert_identical(
+            catalog,
+            _tpch_stream(),
+            resource_method=method,
+            **CACHES[cache],
+        )
+        assert stats.cold_hits > 0
+        assert stats.merged > 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("method", [HC, BF], ids=str)
+    def test_random_schema(self, seed, method):
+        catalog, queries = _random_stream(seed)
+        stats = _assert_identical(
+            catalog,
+            queries,
+            resource_method=method,
+            cost_model=SimulatorCostModel(HIVE_PROFILE),
+            cache_mode=LookupMode.EXACT,
+        )
+        assert stats.cold_hits > 0
+
+    @pytest.mark.parametrize("objective", OBJECTIVES, ids=str)
+    def test_random_schema_brute_force_objectives(self, objective):
+        catalog, queries = _random_stream(4)
+        stats = _assert_identical(
+            catalog, queries, resource_method=BF, objective=objective
+        )
+        assert stats.cold_hits > 0
+
+    @pytest.mark.parametrize("method", [HC, BF], ids=str)
+    def test_tpch_replan_to_new_cluster(self, catalog, method):
+        queries = _tpch_stream() + _tpch_stream()
+        stats = _assert_identical(
+            catalog,
+            queries,
+            replan_at=len(queries) // 2,
+            resource_method=method,
+        )
+        assert stats.cold_hits > 0
+
+    @pytest.mark.parametrize("method", [HC, BF], ids=str)
+    def test_tpch_per_candidate_reference(self, catalog, method):
+        stats = _assert_identical(
+            catalog,
+            _tpch_stream(),
+            build=reference_planner,
+            resource_method=method,
+            cache_mode=None,
+        )
+        assert stats.cold_hits > 0
+
+
+def _spill(coster, count=4):
+    """Store ``count`` fresh searches, pushing older entries out of a
+    two-entry hot tier into the cold tier."""
+    for k in range(count):
+        _join_cost(coster, 1000.0 + k, 2000.0)
+
+
+@pytest.mark.usefixtures("tiny_hot_tier")
+class TestColdTierMechanics:
+    @pytest.mark.parametrize("method", [HC, BF], ids=str)
+    def test_signed_zeros_share_a_cold_entry(self, method):
+        cold = {
+            small_gb: _join_cost(
+                RaqoCoster(raqo.default_cost_model(), method=method),
+                small_gb,
+                20.0,
+            )
+            for small_gb in (0.0, -0.0)
+        }
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            coster = RaqoCoster(raqo.default_cost_model(), method=method)
+            assert _join_cost(coster, first, 20.0) == cold[first]
+            _spill(coster)
+            calls = _count_searches(coster)
+            assert _join_cost(coster, second, 20.0) == cold[second]
+            assert calls[0] == 0
+            assert coster.search_memo_stats().cold_hits == 1
+            assert len(coster._search_memo) == 5
+
+    def test_nan_sizes_are_never_stored(self):
+        coster = RaqoCoster(raqo.default_cost_model(), method=HC)
+        for sizes in [(NAN, 5.0), (1.0, NAN), (NAN, NAN)] * 3:
+            _join_cost(coster, *sizes)
+        assert len(coster._search_memo) == 0
+        _spill(coster, 8)
+        memo = coster._search_memo
+        group = memo.group(JoinAlgorithm.SORT_MERGE, raqo.DEFAULT_CLUSTER)
+        assert group.cold[0].size > 0
+        hit, *_ = memo.cold_lookup(
+            group, np.array([NAN, 1000.0]), np.array([2000.0, NAN])
+        )
+        assert not hit.any()
+        assert not any(math.isnan(key[1]) for key in _memo_keys(coster))
+
+    def test_infinite_large_input_round_trips(self):
+        # Brute force raises on this input (no finite winner); the climb
+        # stores its infeasible outcome.
+        fresh = _join_cost(
+            RaqoCoster(raqo.default_cost_model(), method=HC), 2.0, math.inf
+        )
+        coster = RaqoCoster(raqo.default_cost_model(), method=HC)
+        assert _join_cost(coster, 2.0, math.inf) == fresh
+        _spill(coster)
+        calls = _count_searches(coster)
+        assert _join_cost(coster, 2.0, math.inf) == fresh
+        assert calls[0] == 0
+        assert coster.search_memo_stats().cold_hits == 1
+        key = _memo_keys(coster)[0]
+        assert key[1:3] == (2.0, math.inf)
+        group = coster._search_memo.group(key[0], key[3])
+        hit, *_ = coster._search_memo.cold_lookup(
+            group, np.array([2.0, 2.0]), np.array([math.inf, -math.inf])
+        )
+        assert hit.tolist() == [True, False]
+
+    def test_bhj_wall_replays_as_none_from_the_cold_tier(self):
+        coster = RaqoCoster(raqo.default_cost_model())
+        bhj = JoinAlgorithm.BROADCAST_HASH
+        first = _join_cost(coster, 500.0, 900.0, bhj)
+        _spill(coster)
+        calls = _count_searches(coster)
+        second = _join_cost(coster, 500.0, 900.0, bhj)
+        assert first == second
+        assert second[2] is None and second[3].resource_iterations == 0
+        assert calls[0] == 0
+        assert coster.search_memo_stats().cold_hits == 1
+        (_, entry), *_ = coster._search_memo.items()
+        assert entry.config is None
+        assert entry == raqo._WALL_ENTRY
+
+    def test_kernel_group_that_raises_stores_nothing(self):
+        coster = RaqoCoster(raqo.default_cost_model(), method=BF)
+        stored = [
+            (JoinAlgorithm.SORT_MERGE, float(gb), 50.0) for gb in range(1, 7)
+        ]
+        _cost_batch(coster, stored)
+        before = _memo_keys(coster)
+        assert coster.search_memo_stats().cold_entries > 0
+        rows = stored + [
+            (JoinAlgorithm.SORT_MERGE, 9.0, 50.0),
+            (JoinAlgorithm.SORT_MERGE, NAN, NAN),
+        ]
+        with pytest.raises(ResourcePlanningError):
+            _cost_batch(coster, rows)
+        assert _memo_keys(coster) == before
+
+    def test_kernel_replays_cold_rows_bit_for_bit(self):
+        rows = [
+            (JoinAlgorithm.SORT_MERGE, float(gb), 50.0) for gb in range(1, 9)
+        ] + [(JoinAlgorithm.BROADCAST_HASH, 0.5, 50.0)]
+        coster = RaqoCoster(
+            raqo.default_cost_model(), method=BF, money_weight=0.5
+        )
+        kernel = _count_kernel_rows(coster)
+        first = _cost_batch(coster, rows)
+        assert coster.search_memo_stats().cold_entries > 0
+        assert _cost_batch(coster, rows) == first
+        assert kernel.grid_rows == len(rows)
+        stats = coster.search_memo_stats()
+        assert stats.hot_hits + stats.cold_hits == len(rows)
+        assert stats.cold_hits > 0
+        assert stats.searched == len(rows)
+
+    @pytest.mark.parametrize("cap", [3, 5, 40])
+    def test_items_stay_oldest_first_across_tiers(self, monkeypatch, cap):
+        monkeypatch.setattr(raqo, "_SEARCH_MEMO_CAP", cap)
+        coster = RaqoCoster(raqo.default_cost_model(), method=BF)
+        stored = []
+        for step in range(12):
+            rows = [
+                (algorithm, 0.25 * step + 0.01 * k, 40.0 + step)
+                for k, algorithm in enumerate(
+                    [JoinAlgorithm.SORT_MERGE, JoinAlgorithm.BROADCAST_HASH]
+                )
+            ]
+            _cost_batch(coster, rows)
+            # The kernel stores one algorithm group after the other.
+            stored += sorted(rows, key=lambda row: row[0] is not rows[0][0])
+            keys = _memo_keys(coster)
+            expected = stored[-cap:]
+            assert len(keys) == len(coster._search_memo) == len(expected)
+            assert [key[:3] for key in keys] == expected
+        stats = coster.search_memo_stats()
+        assert stats.entries == min(cap, len(stored))
+        assert stats.evicted == len(stored) - stats.entries
+
+
+class TestEvictionAcrossColdTiers:
+    def test_evicted_rows_never_hit_and_are_swept(self, monkeypatch):
+        monkeypatch.setattr(raqo, "_HOT_TIER_CAP", 4)
+        monkeypatch.setattr(raqo, "_SEARCH_MEMO_CAP", 64)
+        memo = raqo._SearchMemo()
+        config = raqo.DEFAULT_QO_RESOURCES
+        clusters = [
+            ClusterConditions(max_containers=10 + k, max_container_gb=4.0)
+            for k in range(3)
+        ]
+        stored = []
+        for step in range(300):
+            cluster = clusters[step % 3]
+            key = (float(step), 1.0)
+            memo.store(
+                JoinAlgorithm.SORT_MERGE,
+                cluster,
+                [(key, raqo._SearchEntry(config, step, step, step))],
+            )
+            stored.append((cluster, key))
+            assert len(memo) == min(step + 1, 64)
+            # Evicted rows left in the cold tiers stay bounded.
+            assert memo._cold_rows <= 64 + 64 // 8
+        for index, (cluster, key) in enumerate(stored):
+            entry = memo.get(JoinAlgorithm.SORT_MERGE, cluster, key)
+            if index < len(stored) - 64:
+                assert entry is None
+            else:
+                assert entry.iterations == index
+        assert [key[1:3] for key, _ in memo.items()] == [
+            key for _, key in stored[-64:]
+        ]
+        # Storing a key again after its eviction gives it one live row.
+        cluster, key = stored[0]
+        memo.store(
+            JoinAlgorithm.SORT_MERGE,
+            cluster,
+            [(key, raqo._SearchEntry(config, -1.0, 7, -1.0))],
+        )
+        for step in range(8):
+            memo.store(
+                JoinAlgorithm.SORT_MERGE,
+                cluster,
+                [((1e6 + step, 1.0), raqo._SearchEntry(config, 0, 0, 0))],
+            )
+        assert memo.get(JoinAlgorithm.SORT_MERGE, cluster, key).iterations == 7
+
+    def test_groups_with_no_live_rows_are_dropped(self, monkeypatch):
+        monkeypatch.setattr(raqo, "_HOT_TIER_CAP", 2)
+        monkeypatch.setattr(raqo, "_SEARCH_MEMO_CAP", 16)
+        memo = raqo._SearchMemo()
+        config = raqo.DEFAULT_QO_RESOURCES
+        for containers in range(10, 60):
+            cluster = ClusterConditions(
+                max_containers=containers, max_container_gb=4.0
+            )
+            memo.store(
+                JoinAlgorithm.SORT_MERGE,
+                cluster,
+                [
+                    ((float(k), 1.0), raqo._SearchEntry(config, 0, 0, 0))
+                    for k in range(3)
+                ],
+            )
+            assert len(memo) <= 16
+            live = {(key[0], key[3]) for key, _ in memo.items()}
+            assert live <= set(memo._groups)
+            # At most the groups whose evicted rows await a sweep linger.
+            assert len(memo._groups) <= len(live) + 16 // 8
+
+
+class TestByteBudget:
+    """The memo's footprint per entry at the cap: a store that keeps a
+    Python object per cold entry fails here."""
+
+    def test_full_memo_fits_the_byte_budget(self):
+        cap = raqo._SEARCH_MEMO_CAP
+        memo = raqo._SearchMemo()
+        configs = [
+            raqo.ResourceConfiguration(num_containers=n, container_gb=4.0)
+            for n in range(1, 101)
+        ]
+        clusters = [
+            raqo.DEFAULT_CLUSTER,
+            ClusterConditions(max_containers=40, max_container_gb=6.0),
+        ]
+        algorithms = [JoinAlgorithm.SORT_MERGE, JoinAlgorithm.BROADCAST_HASH]
+
+        def fill(start, stop):
+            for first in range(start, stop, 64):
+                rows = range(first, min(first + 64, stop))
+                group = first // 64 % 4
+                memo.store(
+                    algorithms[group % 2],
+                    clusters[group // 2],
+                    [
+                        (
+                            (k * 0.5, 1.0 + k % 7),
+                            raqo._SearchEntry(
+                                configs[k % 100], k * 0.25, 100, k * 0.125
+                            ),
+                        )
+                        for k in rows
+                    ],
+                )
+
+        fill(0, 256)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fill(256, cap)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        stats = memo.stats()
+        assert stats.entries == cap and stats.evicted == 0
+        assert stats.bytes <= 64 * cap
+        assert grown <= 4.5 * 2**20
