@@ -51,19 +51,20 @@ class JoinEdge:
 
 
 class JoinGraph:
-    """Undirected graph of join edges between named tables."""
+    """Undirected graph of join edges between named tables.
+
+    Each table gets one bit, in order of first appearance, and a table
+    set is an int mask over those bits (:meth:`mask_of`). Connectivity
+    and joinability are bit operations over per-table adjacency masks,
+    so the graph keeps no state per table subset.
+    """
 
     def __init__(self, edges: Iterable[JoinEdge] = ()) -> None:
         self._edges: Dict[FrozenSet[str], JoinEdge] = {}
-        #: Table -> directly joinable tables.
-        self._adjacency: Dict[str, Set[str]] = {}
-        #: Connectivity answers by table set. The DP planners probe
-        #: every subset of every lattice level (often across many
-        #: queries over one catalog), and the search behind each probe
-        #: dominates batched planning time. Entries are idempotent, so
-        #: concurrent refills by serving worker threads are benign;
-        #: ``add_edge`` invalidates.
-        self._connected_cache: Dict[FrozenSet[str], bool] = {}
+        #: Table -> its bit.
+        self._bits: Dict[str, int] = {}
+        #: Bit of a table -> mask of the tables directly joinable with it.
+        self._adjacent: Dict[int, int] = {}
         for edge in edges:
             self.add_edge(edge)
 
@@ -74,9 +75,24 @@ class JoinGraph:
                 f"duplicate join edge {edge.left!r}-{edge.right!r}"
             )
         self._edges[edge.key] = edge
-        self._adjacency.setdefault(edge.left, set()).add(edge.right)
-        self._adjacency.setdefault(edge.right, set()).add(edge.left)
-        self._connected_cache.clear()
+        for table in (edge.left, edge.right):
+            if table not in self._bits:
+                bit = self._bits[table] = 1 << len(self._bits)
+                self._adjacent[bit] = 0
+        left, right = self._bits[edge.left], self._bits[edge.right]
+        self._adjacent[left] |= right
+        self._adjacent[right] |= left
+
+    def mask_of(self, tables: Iterable[str]) -> Optional[int]:
+        """The bit mask of ``tables``; None when one is not in the graph."""
+        bits = self._bits
+        mask = 0
+        for table in tables:
+            bit = bits.get(table)
+            if bit is None:
+                return None
+            mask |= bit
+        return mask
 
     def edges(self) -> List[JoinEdge]:
         """All join edges in insertion order."""
@@ -118,9 +134,9 @@ class JoinGraph:
         """True when some edge crosses the two disjoint sets.
 
         The same answer as ``bool(edges_between(...))``, from the
-        adjacency sets instead of a scan over every edge: the planners
-        ask it of every candidate split. Overlapping sets raise, as in
-        :meth:`edges_between`.
+        smaller side's neighbour mask ANDed with the other side's bits:
+        the planners ask it of every candidate split. Overlapping sets
+        raise, as in :meth:`edges_between`.
         """
         left_set, right_set = frozenset(left_tables), frozenset(right_tables)
         if not left_set.isdisjoint(right_set):
@@ -129,47 +145,49 @@ class JoinGraph:
             )
         if len(right_set) < len(left_set):
             left_set, right_set = right_set, left_set
+        bits, adjacent = self._bits, self._adjacent
+        reach = 0
         for table in left_set:
-            neighbours = self._adjacency.get(table)
-            if neighbours is not None and not neighbours.isdisjoint(right_set):
+            reach |= adjacent.get(bits.get(table, 0), 0)
+        for table in right_set:
+            if bits.get(table, 0) & reach:
                 return True
         return False
 
     def neighbors(self, table: str) -> Set[str]:
         """Tables directly joinable with ``table``."""
-        return set(self._adjacency.get(table, ()))
+        mask = self._adjacent.get(self._bits.get(table, 0), 0)
+        return {name for name, bit in self._bits.items() if bit & mask}
 
     def tables(self) -> Set[str]:
         """All tables mentioned by at least one edge."""
-        return set(self._adjacency)
+        return set(self._bits)
 
     def is_connected(self, tables: Iterable[str]) -> bool:
         """True when ``tables`` induce a connected subgraph.
 
         Singleton sets are connected; tables absent from the graph make the
-        set disconnected (there is no join path to them).
+        set disconnected (there is no join path to them). A flood fill
+        over the adjacency masks from the set's lowest bit.
         """
-        table_list = list(dict.fromkeys(tables))
-        if not table_list:
+        table_set = frozenset(tables)
+        if not table_set:
             raise JoinGraphError("empty table set")
-        if len(table_list) == 1:
+        if len(table_set) == 1:
             return True
-        key = frozenset(table_list)
-        cached = self._connected_cache.get(key)
-        if cached is not None:
-            return cached
-        # Search the induced subgraph from one table; absent tables are
-        # never reached.
-        reached = {table_list[0]}
-        pending = [table_list[0]]
-        while pending:
-            for neighbour in self._adjacency.get(pending.pop(), ()):
-                if neighbour in key and neighbour not in reached:
-                    reached.add(neighbour)
-                    pending.append(neighbour)
-        connected = len(reached) == len(key)
-        self._connected_cache[key] = connected
-        return connected
+        mask = self.mask_of(table_set)
+        if mask is None:
+            return False
+        # Grow from the lowest bit; ``unreached`` is the rest of the set.
+        adjacent = self._adjacent
+        unreached = mask & (mask - 1)
+        frontier = mask ^ unreached
+        while frontier and unreached:
+            bit = frontier & -frontier
+            grown = adjacent[bit] & unreached
+            unreached ^= grown
+            frontier ^= bit | grown
+        return not unreached
 
     def selectivity_between(
         self, left_tables: Iterable[str], right_tables: Iterable[str]
@@ -190,7 +208,7 @@ class JoinGraph:
 
         Used by the workload generators to produce joinable queries.
         """
-        if seed not in self._adjacency:
+        if seed not in self._bits:
             raise JoinGraphError(f"unknown table {seed!r}")
         if size < 1:
             raise JoinGraphError(f"size must be >= 1, got {size}")

@@ -9,7 +9,7 @@ internal to the set. Sizes combine cardinalities with (joined) row widths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple, Union
 
 from repro.catalog.join_graph import JoinGraph, JoinGraphError
 from repro.catalog.schema import BYTES_PER_GB, Catalog
@@ -48,8 +48,9 @@ class StatisticsEstimator:
     ``filter_factors`` scales base-table cardinalities before any join
     arithmetic -- the paper's uniform sampling filters ("a specific
     fraction of the table each time"). Estimates for a relation *set*
-    are memoised: planners (especially the Selinger DP) ask for the same
-    subsets repeatedly.
+    are memoised by bit mask: planners (especially the Selinger DP) ask
+    for the same subsets repeatedly. Adding an edge to the join graph
+    drops the memo.
     """
 
     def __init__(
@@ -69,7 +70,11 @@ class StatisticsEstimator:
                     f"filter factor on {table!r} must be in (0, 1], "
                     f"got {factor}"
                 )
-        self._cache: Dict[FrozenSet[str], TableStats] = {}
+        #: Estimates by the join graph's bit mask of the relation set;
+        #: a table outside the graph (a lone scan) keys by its frozenset.
+        self._cache: Dict[Union[int, FrozenSet[str]], TableStats] = {}
+        #: Edge count of the join graph the cached estimates assume.
+        self._graph_edges = len(catalog.join_graph)
 
     def with_filters(
         self, filter_factors: Dict[str, float]
@@ -107,18 +112,26 @@ class StatisticsEstimator:
         (cross joins are rejected -- the paper's queries are all connected
         join queries).
         """
-        key = frozenset(tables)
-        if not key:
+        graph = self.join_graph
+        if len(graph) != self._graph_edges:
+            # Edges are only ever added, so the edge count versions the
+            # graph: a new edge can change any multi-table estimate.
+            self._cache.clear()
+            self._graph_edges = len(graph)
+        table_set = frozenset(tables)
+        if not table_set:
             raise JoinGraphError("empty table set")
+        mask = graph.mask_of(table_set)
+        key: Union[int, FrozenSet[str]] = table_set if mask is None else mask
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        names = sorted(key)
+        names = sorted(table_set)
         if len(names) == 1:
             stats = self.base_stats(names[0])
             self._cache[key] = stats
             return stats
-        if not self.join_graph.is_connected(names):
+        if not graph.is_connected(table_set):
             raise JoinGraphError(
                 f"tables {names} are not connected in the join graph"
             )
@@ -128,7 +141,7 @@ class StatisticsEstimator:
             base = self.base_stats(name)
             rows *= base.row_count
             width += base.row_width_bytes
-        for edge in self.join_graph.edges_within(names):
+        for edge in graph.edges_within(names):
             rows *= edge.selectivity
         stats = TableStats(row_count=rows, row_width_bytes=width)
         self._cache[key] = stats

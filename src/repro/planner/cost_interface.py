@@ -187,12 +187,32 @@ class PlanningContext:
     #: Sizes of the candidate batches costed during this run (feeds the
     #: session's ``planner.batch_size`` histogram).
     batch_sizes: List[int] = field(default_factory=list)
+    #: Output size in GB of every relation this run has costed, by
+    #: table set: the estimator is read once per relation per run, and
+    #: a candidate's sizes are two lookups by the planner's frozensets.
+    relation_gb: Dict[FrozenSet[str], GB] = field(default_factory=dict)
 
     def join_io_gb(
         self, left_tables: Iterable[str], right_tables: Iterable[str]
     ) -> Tuple[GB, GB]:
-        """(smaller, larger) input sizes in GB for a candidate join."""
-        return self.estimator.join_io_gb(left_tables, right_tables)
+        """(smaller, larger) input sizes in GB for a candidate join.
+
+        The values of :meth:`StatisticsEstimator.join_io_gb`, read
+        through :attr:`relation_gb`. A stand-in estimator without
+        ``stats_for`` answers each call itself.
+        """
+        left, right = frozenset(left_tables), frozenset(right_tables)
+        sizes = self.relation_gb
+        left_gb, right_gb = sizes.get(left), sizes.get(right)
+        if left_gb is None or right_gb is None:
+            stats_for = getattr(self.estimator, "stats_for", None)
+            if stats_for is None:
+                return self.estimator.join_io_gb(left, right)
+            if left_gb is None:
+                left_gb = sizes[left] = GB(stats_for(left).size_gb)
+            if right_gb is None:
+                right_gb = sizes[right] = GB(stats_for(right).size_gb)
+        return (min(left_gb, right_gb), max(left_gb, right_gb))
 
 
 class PlanCoster(Protocol):

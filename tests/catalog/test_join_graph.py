@@ -12,6 +12,27 @@ from repro.catalog.join_graph import JoinEdge, JoinGraph, JoinGraphError
 from repro.catalog.random_schema import RandomSchemaConfig, random_catalog
 
 
+def _reference_connected(edges, tables):
+    """Frozenset BFS over the induced subgraph of ``tables``."""
+    start = next(iter(tables))
+    reached, pending = {start}, [start]
+    while pending:
+        table = pending.pop()
+        for a, b in edges:
+            other = b if a == table else a if b == table else None
+            if other in tables and other not in reached:
+                reached.add(other)
+                pending.append(other)
+    return reached == set(tables)
+
+
+def _reference_joinable(edges, left, right):
+    return any(
+        (a in left and b in right) or (a in right and b in left)
+        for a, b in edges
+    )
+
+
 def chain_graph(n=4):
     """t0 - t1 - t2 - ... chain."""
     return JoinGraph(
@@ -104,6 +125,66 @@ class TestJoinGraph:
                         graph.edges_between(left, right)
                     ), (left, right)
         assert pairs > 1000
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_masks_match_a_frozenset_reference(self, data):
+        """``is_connected`` and ``joinable`` equal a frozenset BFS over
+        random schemas of up to 16 tables, with absent tables mixed in."""
+        num_tables = data.draw(st.integers(1, 16))
+        present = [f"t{i}" for i in range(num_tables)]
+        # A path through the tables in random order, with gaps, plus
+        # random chords: windows of the path are connected through
+        # long chains, and random sets mostly are not.
+        order = data.draw(st.permutations(present))
+        path = [
+            pair
+            for pair in zip(order, order[1:])
+            if data.draw(st.integers(0, 9)) > 0
+        ]
+        pairs = list(itertools.combinations(present, 2))
+        chords = data.draw(
+            st.lists(st.sampled_from(pairs), max_size=num_tables)
+            if pairs
+            else st.just([])
+        )
+        chosen = {frozenset(pair): pair for pair in path + chords}
+        graph = JoinGraph(JoinEdge(a, b, 0.5) for a, b in chosen.values())
+        edges = [tuple(edge.key) for edge in graph.edges()]
+        # Tables without an edge are absent from the graph.
+        names = present + ["ghost0", "ghost1"]
+        random_sets = st.frozensets(st.sampled_from(names), min_size=1)
+        windows = st.tuples(
+            st.integers(0, num_tables - 1), st.integers(1, num_tables)
+        ).map(lambda w: frozenset(order[w[0] : w[0] + w[1]]))
+        subsets = st.one_of(random_sets, windows)
+        for _ in range(20):
+            tables = data.draw(subsets)
+            ordered = data.draw(st.permutations(sorted(tables)))
+            expected = _reference_connected(edges, tables)
+            assert graph.is_connected(tables) == expected, tables
+            assert graph.is_connected(ordered) == expected, ordered
+            left, right = data.draw(subsets), data.draw(subsets)
+            if left & right:
+                with pytest.raises(JoinGraphError, match="overlap"):
+                    graph.joinable(left, right)
+                continue
+            expected = _reference_joinable(edges, left, right)
+            assert graph.joinable(left, right) == expected, (left, right)
+            assert graph.joinable(right, left) == expected, (left, right)
+            assert graph.joinable(sorted(left), list(right)) == expected
+
+    def test_absent_tables(self):
+        graph = chain_graph()
+        assert graph.is_connected(["ghost"])
+        assert graph.is_connected(["ghost", "ghost"])
+        assert not graph.is_connected(["ghost", "other"])
+        assert not graph.is_connected(["t1", "ghost", "t0"])
+        assert graph.mask_of(["t0", "ghost"]) is None
+        assert not graph.joinable(["ghost"], ["t0"])
+        assert graph.joinable(["ghost", "t1"], ["t2", "other"])
+        with pytest.raises(JoinGraphError, match="overlap"):
+            graph.joinable(["ghost"], ["ghost", "t0"])
 
     def test_neighbors(self):
         graph = chain_graph()

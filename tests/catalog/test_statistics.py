@@ -1,8 +1,18 @@
 """Tests for repro.catalog.statistics."""
 
+import gc
+import tracemalloc
+
+import numpy as np
 import pytest
 
+from repro.catalog import tpch
 from repro.catalog.join_graph import JoinEdge, JoinGraph, JoinGraphError
+from repro.catalog.random_schema import (
+    RandomSchemaConfig,
+    random_catalog,
+    random_query,
+)
 from repro.catalog.schema import Catalog, Schema, Table
 from repro.catalog.statistics import StatisticsEstimator, TableStats
 
@@ -124,3 +134,86 @@ class TestTpchEstimates:
         small, large = est.join_io_gb(["orders"], ["lineitem"])
         assert small == est.base_stats("orders").size_gb
         assert large == est.base_stats("lineitem").size_gb
+
+
+class TestGraphChanges:
+    def test_added_edge_reaches_a_live_estimator(self):
+        """A new edge changes the estimate of every set it lies in, also
+        for an estimator that answered before the edge was added."""
+        catalog = tpch.tpch_catalog(1)
+        est = StatisticsEstimator(catalog)
+        tables = ["nation", "supplier", "customer"]
+        before = est.stats_for(tables)
+        catalog.join_graph.add_edge(JoinEdge("supplier", "customer", 0.001))
+        after = est.stats_for(tables)
+        fresh = StatisticsEstimator(catalog).stats_for(tables)
+        assert before.row_count == pytest.approx(60_000_000)
+        assert after.row_count == fresh.row_count
+        assert after.row_count == pytest.approx(60_000)
+
+    def test_lone_table_outside_the_graph(self):
+        schema = Schema(
+            "s",
+            tables=[
+                Table("a", row_count=10, row_width_bytes=8),
+                Table("b", row_count=20, row_width_bytes=8),
+                Table("lone", row_count=30, row_width_bytes=8),
+            ],
+        )
+        catalog = Catalog(
+            schema=schema, join_graph=JoinGraph([JoinEdge("a", "b", 0.1)])
+        )
+        est = StatisticsEstimator(catalog)
+        assert est.stats_for(["lone"]).row_count == 30
+        assert est.stats_for(("lone",)) is est.stats_for(["lone"])
+        with pytest.raises(JoinGraphError, match="not connected"):
+            est.stats_for(["a", "lone"])
+
+
+class TestMemoFootprint:
+    """The estimator's memo after a stream of planned queries on a
+    16-table schema: no state per subset on the join graph, and a small
+    memo entry per subset.
+
+    By ``sys.getsizeof`` a mask-keyed entry is ~115 B (int key, dict
+    slot, ``TableStats``) and a frozenset-keyed one ~800 B. What
+    clearing the memo frees, by ``tracemalloc`` on CPython 3.12, also
+    counts the ``TableStats`` attribute dict and floats: ~205 B per
+    mask-keyed entry on this stream, ~645 B per frozenset-keyed one
+    (sets of 4-8 tables). 400 B sits midway: room for other interpreter
+    versions, and still well below any frozenset key of 5 or more.
+    """
+
+    BYTES_PER_ENTRY = 400
+
+    def test_memo_stays_small_and_the_graph_keeps_no_subsets(self):
+        from repro.core.raqo import RaqoPlanner
+
+        catalog = random_catalog(
+            RandomSchemaConfig(num_tables=16), np.random.default_rng(7)
+        )
+        graph = catalog.join_graph
+        graph_state = {name: repr(value) for name, value in vars(graph).items()}
+        planner = RaqoPlanner(catalog)
+        rng = np.random.default_rng(1)
+        queries = [
+            random_query(catalog, int(rng.integers(4, 9)), rng)
+            for _ in range(24)
+        ]
+        tracemalloc.start()
+        try:
+            for query in queries:
+                planner.optimize(query)
+            entries = len(planner.estimator._cache)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            planner.estimator.clear_cache()
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert entries > 200
+        assert freed / entries <= self.BYTES_PER_ENTRY, freed / entries
+        assert {
+            name: repr(value) for name, value in vars(graph).items()
+        } == graph_state

@@ -1,5 +1,6 @@
 """Tests for repro.core.raqo: the joint planner and its costers."""
 
+import collections
 import contextlib
 import math
 
@@ -411,3 +412,52 @@ class TestRaqoPlanner:
     def test_default_qo_resources_shape(self):
         assert DEFAULT_QO_RESOURCES.num_containers == 10
         assert DEFAULT_QO_RESOURCES.container_gb == 4.0
+
+
+class _CountingEstimator:
+    """Delegates to a real estimator, counting the reads of each
+    relation's statistics."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.reads = collections.Counter()
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def stats_for(self, tables):
+        self.reads[frozenset(tables)] += 1
+        return self._inner.stats_for(tables)
+
+    def join_io_gb(self, left_tables, right_tables):
+        left_gb = self.stats_for(left_tables).size_gb
+        right_gb = self.stats_for(right_tables).size_gb
+        return (min(left_gb, right_gb), max(left_gb, right_gb))
+
+
+class TestRelationSizeTable:
+    """The planning context reads each relation's size from the
+    estimator once per planning run, whatever the search method."""
+
+    @pytest.mark.parametrize("planner_kind", list(PlannerKind))
+    @pytest.mark.parametrize("method", list(ResourcePlanningMethod))
+    def test_each_relation_read_at_most_once_per_run(
+        self, catalog, method, planner_kind
+    ):
+        counted = RaqoPlanner(
+            catalog, resource_method=method, planner_kind=planner_kind
+        )
+        counting = _CountingEstimator(counted.estimator)
+        counted.estimator = counting
+        plain = RaqoPlanner(
+            catalog, resource_method=method, planner_kind=planner_kind
+        )
+        for query in tpch.EVALUATION_QUERIES:
+            counting.reads.clear()
+            result = counted.optimize(query)
+            assert counting.reads
+            assert max(counting.reads.values()) == 1, query.name
+            expected = plain.optimize(query)
+            assert result.plan == expected.plan
+            assert result.cost.time_s.hex() == expected.cost.time_s.hex()
+            assert result.counters == expected.counters
