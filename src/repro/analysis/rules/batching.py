@@ -8,11 +8,9 @@ in the planner search paths that invokes the scalar costing surface --
 candidate reintroduces exactly the per-candidate interpreter overhead
 the batch kernel removed, and such regressions are invisible to the
 bit-identity tests (the scalar path produces the same answers, just
-slowly). The only in-tree exemption is ``cost_batch_scalar``, the
-per-candidate loop costers without a stacked kernel (hill climbing,
-the fixed-resource baseline) delegate to; it carries a
-``lint: disable=RAQO010`` pragma. The planners' per-candidate
-reference lives in the test suite. Anything else is a finding.
+slowly). There is no in-tree exemption: every coster implements
+``cost_batch``, and the planners' per-candidate reference lives in the
+test suite. Anything else is a finding.
 """
 
 from __future__ import annotations

@@ -51,6 +51,13 @@ class ResourceDimension:
             self.minimum + i * self.step for i in range(self.num_values)
         ]
 
+    @functools.cached_property
+    def largest(self) -> float:
+        """The last of :meth:`values`, by the same expression: the
+        largest value on the grid, which is not :attr:`maximum` when
+        that lies between two steps."""
+        return self.minimum + (self.num_values - 1) * self.step
+
     def clamp(self, value: float) -> float:
         """Clip ``value`` into the dimension's bounds."""
         return min(max(value, self.minimum), self.maximum)
@@ -287,10 +294,14 @@ class ClusterConditions:
         return size
 
     def contains(self, config: ResourceConfiguration) -> bool:
-        """True when ``config`` lies within the envelope."""
-        return self.dimension("num_containers").contains(
-            float(config.num_containers)
-        ) and self.dimension("container_gb").contains(config.container_gb)
+        """True when ``config`` lies within the envelope (the bounds of
+        :attr:`dimensions`, read from the fields they are built from)."""
+        return (
+            self.min_containers <= config.num_containers <= self.max_containers
+            and self.min_container_gb
+            <= config.container_gb
+            <= self.max_container_gb
+        )
 
     def clamp(self, config: ResourceConfiguration) -> ResourceConfiguration:
         """Clip a configuration into the envelope."""

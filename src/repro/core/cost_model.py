@@ -210,12 +210,22 @@ class OperatorCostModel:
         BLAS): :meth:`predict_grid` accumulates its per-configuration
         lanes in exactly the same order, which is what makes the two
         paths bit-identical (BLAS dot vs matmul kernels can differ by
-        ULPs, enough to flip argmin tie-breaks).
+        ULPs, enough to flip argmin tie-breaks). The transform runs on
+        the Python floats themselves: ``float`` of each feature is the
+        value :class:`FeatureMap` would store in its array, without
+        building one.
         """
-        features = self.feature_map(small_gb, large_gb, config)
+        features = self.feature_map.transform(
+            small_gb,
+            large_gb,
+            config.container_gb,
+            float(config.num_containers),
+        )
         acc = 0.0
-        for coefficient, feature in zip(self.coefficients, features):
-            acc = acc + coefficient * float(feature)
+        for coefficient, feature in zip(
+            self.coefficients, map(float, features)
+        ):
+            acc = acc + coefficient * feature
         raw = self.intercept + acc
         if math.isnan(raw):
             return Seconds(math.inf)

@@ -80,9 +80,8 @@ from repro.planner.cost_interface import (
     INFEASIBLE_COST,
     PlanningContext,
     PlanningResult,
-    cost_batch_scalar,
 )
-from repro.planner.plan import CandidateBatch
+from repro.planner.plan import ALGORITHM_CODES, CandidateBatch
 from repro.planner.randomized import FastRandomizedPlanner
 from repro.planner.selinger import SelingerPlanner, _counters_delta
 
@@ -143,6 +142,9 @@ _Charged = TypeVar("_Charged", ResourcePlanOutcome, _SearchEntry)
 
 _GroupKey = Tuple[JoinAlgorithm, ClusterConditions]
 
+#: Join algorithms by :data:`ALGORITHM_CODES` code.
+_BY_CODE: Tuple[JoinAlgorithm, ...] = tuple(ALGORITHM_CODES)
+
 #: Column dtypes of a cold tier: the ``small_gb + large_gb * 1j`` key,
 #: the index into the memo's configuration table, the objective cost,
 #: ``iterations``, the re-predicted time and the insertion sequence
@@ -201,8 +203,8 @@ class SearchMemoStats:
     ``searched`` counts the searches the coster ran with the memo on
     (misses and NaN-sized inputs). ``merged`` counts entries moved from the hot tier into the
     cold tier, ``evicted`` entries dropped at the cap. ``bytes`` is the
-    cold tier's and configuration table's array ``nbytes`` plus an
-    estimate for the hot tier's Python objects.
+    cold tier's array ``nbytes`` plus an estimate for the hot tier's
+    Python objects.
     """
 
     entries: int
@@ -262,12 +264,6 @@ class _SearchMemo:
         self._cold_rows = 0
         self._configs: List[Optional[ResourceConfiguration]] = [None]
         self._config_ids: Dict[ResourceConfiguration, int] = {}
-        #: ``(num_containers, container_gb)`` of the table as floats,
-        #: rebuilt when the table grew.
-        self._config_axes: Tuple[np.ndarray, np.ndarray] = (
-            np.full(1, math.nan),
-            np.full(1, math.nan),
-        )
         self.hot_hits = 0
         self.cold_hits = 0
         self.searched = 0
@@ -311,37 +307,31 @@ class _SearchMemo:
 
     def cold_lookup(
         self, group: _MemoGroup, small_gb: np.ndarray, large_gb: np.ndarray
-    ) -> Tuple[
-        np.ndarray,
-        List[Optional[ResourceConfiguration]],
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-    ]:
+    ) -> Tuple[np.ndarray, List[_SearchEntry]]:
         """Look many keys up in one group's cold tier at once.
 
-        Returns a hit mask over the keys and, for the hits in key
-        order, their configurations, re-predicted times, and container
-        counts and sizes as floats. The cold tier must not be empty.
+        Returns a hit mask over the keys and the hits' entries, in key
+        order. The cold tier must not be empty.
         """
-        keys, configs, _, _, times, seqs = group.cold
+        keys, configs, costs, iterations, times, seqs = group.cold
         needles = _complex_keys(small_gb, large_gb)
         at = np.searchsorted(keys, needles)
         np.minimum(at, keys.size - 1, out=at)
         # NaN never equals itself: a NaN key never hits.
         hit = (keys[at] == needles) & (seqs[at] >= self._floor)
         at = at[hit]
-        ids = configs[at]
-        counts, sizes = self._config_axes
         self.cold_hits += len(at)
         table = self._configs
-        return (
-            hit,
-            [table[index] for index in ids.tolist()],
-            times[at],
-            counts[ids],
-            sizes[ids],
-        )
+        entries = [
+            _SearchEntry(table[index], cost, iters, time_s)
+            for index, cost, iters, time_s in zip(
+                configs[at].tolist(),
+                costs[at].tolist(),
+                iterations[at].tolist(),
+                times[at].tolist(),
+            )
+        ]
+        return hit, entries
 
     def store(
         self,
@@ -390,17 +380,6 @@ class _SearchMemo:
         if index is None:
             index = self._config_ids[config] = len(self._configs)
             self._configs.append(config)
-            live = self._configs[1:]
-            self._config_axes = (
-                np.array(
-                    [math.nan] + [c.num_containers for c in live],
-                    dtype=float,
-                ),
-                np.array(
-                    [math.nan] + [c.container_gb for c in live],
-                    dtype=float,
-                ),
-            )
         return index
 
     def _merge(self, count: int) -> None:
@@ -498,7 +477,7 @@ class _SearchMemo:
             column.nbytes
             for group in self._groups.values()
             for column in group.cold
-        ) + sum(axis.nbytes for axis in self._config_axes)
+        )
         return SearchMemoStats(
             entries=len(self),
             hot_entries=hot,
@@ -612,12 +591,42 @@ class QueryOptimizerCoster:
     def cost_batch(
         self, batch: CandidateBatch, context: PlanningContext
     ) -> BatchCostResult:
-        """Batched protocol for the baseline: per-candidate costing.
-
-        The fixed-configuration coster has no resource grid to stack,
-        so the batch runs through the scalar reference loop.
-        """
-        return cost_batch_scalar(self, batch, context)
+        """:meth:`join_cost` for a whole batch, at the clamped default
+        configuration: one scalar ``predict_time`` per candidate (most
+        batches are small, and below ~20 rows per algorithm that is
+        cheaper than a ``predict_time_rows`` call), priced lane for lane
+        as ``cost_of_gb_seconds(config.gb_seconds(t))``."""
+        context.counters.batched_calls += 1
+        n = len(batch)
+        context.batch_sizes.append(n)
+        config = context.cluster.clamp(self.default_resources)
+        predict = self.model.predict_time
+        times = np.array(
+            [
+                predict(algorithm, small_gb, large_gb, config)
+                for algorithm, small_gb, large_gb in zip(
+                    batch.algorithms,
+                    batch.small_gb.tolist(),
+                    batch.large_gb.tolist(),
+                )
+            ],
+            dtype=float,
+        )
+        # As in join_cost, a time that is not finite is infeasible: an
+        # infinite time and price.
+        times[~np.isfinite(times)] = math.inf
+        money = (
+            config.total_memory_gb
+            * times
+            / 3600.0
+            * self.price_model.dollars_per_gb_hour
+        )
+        return BatchCostResult(
+            time_s=times,
+            money=money,
+            feasible=np.isfinite(times) & np.isfinite(money),
+            configs=(None,) * n,
+        )
 
 
 @dataclass
@@ -645,9 +654,9 @@ class RaqoCoster:
       ``(algorithm, small_gb, large_gb, cluster)``; method, model and
       weights are fixed per coster. The search is a pure function of
       that key, so a repeat replays the stored outcome. The scalar
-      searches and the stacked brute-force kernel share the one memo:
-      a kernel row that hits skips the grid costing, and a scalar
-      search can replay what the kernel stored, and the reverse. A
+      searches and the ``cost_batch`` kernel share the one memo: a
+      kernel row that hits skips its search, and a scalar search can
+      replay what the kernel stored, and the reverse. A
       replay charges the same ``resource_iterations`` and opens the
       same ``hill-climb`` / ``grid-costing`` span, and plan-cache
       lookups and inserts run as before. Plans, costs, counters, cache
@@ -678,8 +687,8 @@ class RaqoCoster:
     money_weight: float = 0.0
     time_weight: float = 1.0
     memoize: bool = True
-    #: The cross-query search memo, shared by the stacked kernel and
-    #: the scalar searches.
+    #: The cross-query search memo, shared by the ``cost_batch``
+    #: kernel and the scalar searches.
     _search_memo: _SearchMemo = field(
         default_factory=_SearchMemo, init=False, repr=False, compare=False
     )
@@ -710,357 +719,354 @@ class RaqoCoster:
             memoized = context.resource_plan_memo.get(memo_key)
             if memoized is not None:
                 context.counters.memo_hits += 1
-                return memoized
-        result = self._plan_and_cost(
+                time_s, money, config = memoized
+                return Cost(time_s=time_s, money=money), config
+        cost, config = self._plan_and_cost(
             algorithm, small_gb, large_gb, context
         )
         if memo_key is not None:
-            context.resource_plan_memo[memo_key] = result
-        return result
+            context.resource_plan_memo[memo_key] = (
+                cost.time_s,
+                cost.money,
+                config,
+            )
+        return cost, config
 
     # Candidate classifications used by :meth:`cost_batch`. Finished
     # candidates (memo hits and within-batch aliases) need no further
-    # work; CACHED/WALL candidates resolved inline (plan-cache hit / BHJ
-    # memory wall); KERNEL candidates go through the stacked grid
-    # kernel; TAIL candidates wait until the kernel has inserted, since
-    # their cache lookup may see an earlier candidate's insert. The tail
-    # walk serves its cache hits in bulk (they become CACHED) and
-    # replays only misses and infeasible hits through the scalar path.
+    # work; CACHED/WALL candidates are resolved in the partition
+    # (plan-cache hit / BHJ memory wall); KERNEL candidates are searched
+    # or replayed by the kernel; TAIL candidates wait until the kernel
+    # has inserted, since their cache lookup may see an earlier
+    # candidate's insert. The tail walk serves its cache hits like the
+    # partition does (they become CACHED) and replays only misses and
+    # infeasible hits through the scalar path.
     _DONE, _CACHED, _WALL, _KERNEL, _TAIL = range(5)
 
     def cost_batch(
         self, batch: CandidateBatch, context: PlanningContext
     ) -> BatchCostResult:
-        """Cost a whole candidate batch through one stacked kernel.
+        """Cost a whole candidate batch: one in-order partition, then one
+        kernel for the candidates that need a resource search.
 
-        The batch is partitioned *in candidate order* into memo hits,
-        cache hits, and kernel rows. The kernel replays the rows whose
-        search the cross-query search memo holds, then costs all other
-        rows of one algorithm against the full resource grid in a
-        single ``predict_time_grid_batch`` call (N candidates x G
-        configurations, zero-copy shared grid axes). Every live
-        candidate is peeked against the plan cache as it stood before
-        the batch, and all found configurations are checked for
-        feasibility in one ``predict_time_rows`` call per algorithm.
+        The partition visits candidates *in candidate order*. Each one
+        is a within-run memo hit or a within-batch alias; or it waits in
+        a tail, because its plan-cache lookup could observe an insert
+        made by an *earlier* candidate of the batch; or its lookup hits
+        (a peek at the cache as it stood before the batch, which is
+        what the lookup returns until the kernel inserts) and it is
+        costed there at once with the scalar ``predict_time``; or it is
+        a BHJ at the memory wall; or it is a kernel row. Most batches
+        are small, and below ~20 rows per algorithm one scalar predict
+        per hit is cheaper than a ``predict_time_rows`` call.
 
-        A candidate whose lookup could observe an insert made by an
-        *earlier* candidate of the same batch is deferred to a tail,
-        walked in candidate order after the kernel has inserted: each
-        run of consecutive cache hits is costed in one
-        ``predict_time_rows`` call per algorithm, and only a miss or an
-        infeasible hit replays the scalar :meth:`_plan_and_cost` (which
-        plans and inserts) before the walk resumes. Every observable --
-        chosen configurations, costs, counters, cache statistics, and
-        traced span trees -- is bit-identical to costing the candidates
-        one at a time. Hill climbing has no stacked kernel and runs
-        candidate by candidate through :func:`cost_batch_scalar`.
+        The kernel (:meth:`_run_kernel`) replays the rows whose search
+        the cross-query search memo holds and searches the rest: brute
+        force in one stacked ``predict_time_grid_batch`` call per
+        algorithm, hill climbing with one Algorithm 1 climb per row. The
+        tail is then walked in candidate order: a peek that finds a
+        feasible configuration is served like a partition hit, and only
+        a miss or an infeasible hit replays the scalar
+        :meth:`_plan_and_cost` (which plans and inserts). Every
+        observable -- chosen configurations, costs, counters, cache
+        statistics, and traced span trees -- is bit-identical to costing
+        the candidates one at a time, except ``batch_memo_hits``, which
+        only batches count.
         """
-        if self.method is not ResourcePlanningMethod.BRUTE_FORCE:
-            return cost_batch_scalar(self, batch, context)
         counters = context.counters
         counters.batched_calls += 1
-        context.batch_sizes.append(len(batch))
+        n = len(batch)
+        context.batch_sizes.append(n)
         cache = self.cache
         cluster = context.cluster
-        n = len(batch)
-        times = np.full(n, math.inf)
-        money = np.full(n, math.inf)
+        model = self.model
+        rate = self.price_model.dollars_per_gb_hour
+        # Result columns as Python lists, converted to arrays once.
+        times = [math.inf] * n
+        money = [math.inf] * n
         configs: List[Optional[ResourceConfiguration]] = [None] * n
         kinds = [self._DONE] * n
-        cache_hit = [False] * n
+        #: The iterations each kernel row charged (its span attribute).
+        charged = [0] * n
         alias_of: Dict[int, int] = {}
+        memo = context.resource_plan_memo if self.memoize else None
         memo_keys: List[Optional[Tuple]] = [None] * n
         #: First in-batch candidate computing each memo key.
         batch_first: Dict[Tuple, int] = {}
 
         def commit(
-            index: int, result: Tuple[Cost, Optional[ResourceConfiguration]]
+            index: int,
+            config: Optional[ResourceConfiguration],
+            time_s: float,
         ) -> None:
-            cost, config = result
-            times[index] = cost.time_s
-            money[index] = cost.money
+            """Record one candidate's outcome, priced as the scalar path
+            prices it: ``cost_of_gb_seconds(config.gb_seconds(time_s))``,
+            inlined. No configuration, or a time that is not finite, is
+            infeasible."""
+            if config is None or not math.isfinite(time_s):
+                config, time_s, money_usd = None, math.inf, math.inf
+            else:
+                money_usd = (
+                    config.num_containers
+                    * config.container_gb
+                    * time_s
+                    / 3600.0
+                    * rate
+                )
+            times[index] = time_s
+            money[index] = money_usd
             configs[index] = config
             memo_key = memo_keys[index]
-            if memo_key is not None:
-                context.resource_plan_memo[memo_key] = result
+            if memo is not None and memo_key is not None:
+                memo[memo_key] = (time_s, money_usd, config)
 
-        # Loop-invariant lookups hoisted out of the per-candidate scan:
-        # model keys are pure per-algorithm strings, and the BHJ wall is
+        # Model keys are pure per-algorithm strings, looked up by the
+        # batch's operator codes; the BHJ wall is
         # `feasible_bhj_start(...) is None`, which only compares
         # small_gb / hash_memory_fraction against the largest container
-        # size on the grid.
-        model_keys = {
-            algorithm: self.model.model_key(algorithm)
-            for algorithm in dict.fromkeys(batch.algorithms)
-        }
-        # Per-candidate columns as Python lists (tolist() keeps every
-        # float's bits), read many times below.
+        # size on the grid. Per-candidate columns as Python lists
+        # (tolist() keeps every float's bits).
         algorithms = batch.algorithms
-        keys = [model_keys[algorithm] for algorithm in algorithms]
+        codes = batch.algorithm_codes.tolist()
+        model_keys = [model.model_key(algorithm) for algorithm in _BY_CODE]
         smalls = batch.small_gb.tolist()
         larges = batch.large_gb.tolist()
-        bhj_fraction = self.model.hash_memory_fraction
-        bhj_max_gb = cluster.dimension("container_gb").values()[-1]
-
-        # Phase 1a -- memo hits and in-batch aliases; the rest is live.
-        live: List[int] = []
-        for i in range(n):
-            if self.memoize:
+        bhj = JoinAlgorithm.BROADCAST_HASH
+        bhj_fraction = model.hash_memory_fraction
+        bhj_max_gb = cluster.dimension("container_gb").largest
+        money_weight, time_weight = self.money_weight, self.time_weight
+        pending = _PendingKeys(
+            cache.threshold_gb
+            if cache is not None and cache.mode is not LookupMode.EXACT
+            else 0.0
+        )
+        # Memo hits, cache lookups, configurations found and hits
+        # served, counted locally and added once the partition is done.
+        memo_hits = looked = found = served = 0
+        kernel_rows: List[int] = []
+        has_tail = False
+        for i, code in enumerate(codes):
+            model_key = model_keys[code]
+            small_gb = smalls[i]
+            if memo is not None:
                 memo_key = (
-                    keys[i],
-                    smalls[i],
+                    model_key,
+                    small_gb,
                     larges[i],
-                    self.money_weight,
-                    self.time_weight,
+                    money_weight,
+                    time_weight,
                 )
-                memoized = context.resource_plan_memo.get(memo_key)
+                memoized = memo.get(memo_key)
                 if memoized is not None:
-                    counters.memo_hits += 1
-                    counters.batch_memo_hits += 1
-                    cost, config = memoized
-                    times[i] = cost.time_s
-                    money[i] = cost.money
-                    configs[i] = config
+                    memo_hits += 1
+                    times[i], money[i], configs[i] = memoized
                     continue
                 first = batch_first.get(memo_key)
                 if first is not None:
                     # A duplicate of a still-pending candidate: by the
                     # time the scalar loop reached it, the first
                     # occurrence's result would be memoized.
-                    counters.memo_hits += 1
-                    counters.batch_memo_hits += 1
+                    memo_hits += 1
                     alias_of[i] = first
                     continue
                 batch_first[memo_key] = i
                 memo_keys[i] = memo_key
-            live.append(i)
-
-        # Phase 1b -- peek every live candidate. Until the kernel
-        # inserts, a non-tail lookup sees the cache as it was before the
-        # batch, so peeks taken now are what those lookups return. The
-        # peeks of candidates that end up in the tail go unused.
-        peeked: Dict[int, ResourceConfiguration] = {}
-        if cache is not None:
-            for i in live:
-                config = cache.peek(keys[i], smalls[i], cluster)
-                if config is not None:
-                    peeked[i] = config
-        hit_costs = self._cost_at(batch, peeked)
-
-        # Phase 1c -- partition, visiting candidates in scalar order and
-        # charging each lookup where the scalar loop would have.
-        pending = _PendingKeys(
-            cache.threshold_gb
-            if cache is not None and cache.mode is not LookupMode.EXACT
-            else 0.0
-        )
-        kernel_rows: List[int] = []
-        for i in live:
-            small_gb = smalls[i]
-            model_key = keys[i]
+            algorithm = algorithms[i]
             if cache is not None:
                 if pending.near(model_key, small_gb):
                     # The scalar loop would have inserted the pending
                     # candidate's configuration before this lookup ran.
                     kinds[i] = self._TAIL
                     pending.add(model_key, small_gb)
+                    has_tail = True
                     continue
-                config = peeked.get(i)
-                if config is None:
-                    cache.stats.misses += 1
-                    counters.cache_misses += 1
-                else:
-                    cache.stats.hits += 1
-                    time_s, money_usd = hit_costs[i]
+                looked += 1
+                config = cache.peek(model_key, small_gb, cluster)
+                if config is not None:
+                    found += 1
+                    time_s = model.predict_time(
+                        algorithm, small_gb, larges[i], config
+                    )
                     if math.isfinite(time_s):
-                        counters.cache_hits += 1
-                        cache_hit[i] = True
+                        served += 1
                         kinds[i] = self._CACHED
-                        commit(
-                            i, (Cost(time_s=time_s, money=money_usd), config)
-                        )
+                        commit(i, config, time_s)
                         continue
                     # A neighbour's configuration violates this
                     # operator's memory wall: a miss, as in
                     # _cached_config.
-                    counters.cache_misses += 1
-            if algorithms[i] is JoinAlgorithm.BROADCAST_HASH:
+            if algorithm is bhj:
                 if small_gb < 0:
                     raise ResourcePlanningError(
                         f"small_gb must be >= 0, got {small_gb}"
                     )
                 if small_gb / bhj_fraction > bhj_max_gb:
                     kinds[i] = self._WALL
-                    commit(i, (INFEASIBLE_COST, None))
+                    commit(i, None, math.inf)
                     continue
             kinds[i] = self._KERNEL
             kernel_rows.append(i)
-            pending.add(model_key, small_gb)
+            if cache is not None:
+                pending.add(model_key, small_gb)
+        counters.memo_hits += memo_hits
+        counters.batch_memo_hits += memo_hits
+        if cache is not None:
+            # The cache's statistics count an infeasible hit as a hit,
+            # the counters as a miss.
+            cache.stats.hits += found
+            cache.stats.misses += looked - found
+            counters.cache_hits += served
+            counters.cache_misses += looked - served
 
-        # Phase 2 -- one stacked kernel call per algorithm present.
         if kernel_rows:
             self._run_kernel(
-                batch, kernel_rows, smalls, larges, context, commit
+                batch,
+                kernel_rows,
+                codes,
+                model_keys,
+                smalls,
+                larges,
+                context,
+                commit,
+                charged,
             )
 
-        # Phase 3 -- the tail walk and span emission, in candidate order
-        # (span ordinals under the plan span must match the scalar
-        # loop's creation order).
-        tail = [i for i in live if kinds[i] == self._TAIL]
-
-        def serve_hits(start: int) -> int:
-            """Serve tail[start:] from the cache up to the first miss or
-            infeasible hit; returns that candidate's tail position."""
-            assert cache is not None  # only a cache defers candidates
-            found: Dict[int, ResourceConfiguration] = {}
-            for i in tail[start:]:
-                config = cache.peek(keys[i], smalls[i], cluster)
-                if config is None:
-                    break
-                found[i] = config
-            costs = self._cost_at(batch, found)
-            for position, i in enumerate(found, start):
-                time_s, money_usd = costs[i]
-                if not math.isfinite(time_s):
-                    return position
-                cache.stats.hits += 1
-                counters.cache_hits += 1
-                cache_hit[i] = True
-                kinds[i] = self._CACHED
-                commit(i, (Cost(time_s=time_s, money=money_usd), found[i]))
-            return start + len(found)
-
-        stop = serve_hits(0) if tail else 0
+        # The tail walk and span emission, in candidate order (span
+        # ordinals under the plan span must match the scalar loop's
+        # creation order).
         tracer = context.tracer
-        for i in range(n):
-            kind = kinds[i]
-            if kind == self._TAIL:
-                # Only the candidate that ended the last run of hits is
-                # still a tail candidate here: replay it, then resume.
-                result = self._plan_and_cost(
-                    algorithms[i], smalls[i], larges[i], context
-                )
-                commit(i, result)
-                stop = serve_hits(stop + 1)
-            elif tracer.active and kind != self._DONE:
-                self._emit_candidate_span(
-                    batch, i, kind, cache_hit[i], times, configs, context
-                )
+        traced = tracer.active
+        if has_tail or traced:
+            for i in range(n):
+                kind = kinds[i]
+                if kind == self._TAIL and cache is not None:
+                    algorithm = algorithms[i]
+                    config = cache.peek(
+                        model_keys[codes[i]], smalls[i], cluster
+                    )
+                    if config is not None:
+                        time_s = model.predict_time(
+                            algorithm, smalls[i], larges[i], config
+                        )
+                        if math.isfinite(time_s):
+                            cache.stats.hits += 1
+                            counters.cache_hits += 1
+                            kinds[i] = self._CACHED
+                            commit(i, config, time_s)
+                            if traced:
+                                self._emit_candidate_span(
+                                    batch,
+                                    i,
+                                    self._CACHED,
+                                    times,
+                                    configs,
+                                    charged,
+                                    context,
+                                )
+                            continue
+                    cost, config = self._plan_and_cost(
+                        algorithm, smalls[i], larges[i], context
+                    )
+                    commit(i, config, cost.time_s)
+                elif traced and kind != self._DONE:
+                    self._emit_candidate_span(
+                        batch, i, kind, times, configs, charged, context
+                    )
         for i, source in alias_of.items():
             times[i] = times[source]
             money[i] = money[source]
             configs[i] = configs[source]
-        feasible = np.isfinite(times) & np.isfinite(money)
+        time_column = np.array(times)
+        money_column = np.array(money)
         return BatchCostResult(
-            time_s=times,
-            money=money,
-            feasible=feasible,
+            time_s=time_column,
+            money=money_column,
+            feasible=np.isfinite(time_column) & np.isfinite(money_column),
             configs=tuple(configs),
         )
 
-    def _cost_at(
+    def _times_at(
         self,
         batch: CandidateBatch,
         chosen: Dict[int, ResourceConfiguration],
-    ) -> Dict[int, Tuple[float, float]]:
-        """(time, money) of candidates at given configurations.
-
-        One ``predict_time_rows`` call per algorithm; each lane equals
-        the scalar ``predict_time`` at that configuration, and money
-        runs the scalar ``cost_of_gb_seconds(config.gb_seconds(t))``
-        chain ``((nc * cs) * t) / 3600 * rate`` lane for lane.
-        """
+    ) -> Dict[int, float]:
+        """Times of candidates at given configurations: one
+        ``predict_time_rows`` call per algorithm, each lane equal to the
+        scalar ``predict_time`` at that configuration."""
         by_algorithm: Dict[JoinAlgorithm, List[int]] = {}
         for i in chosen:
             by_algorithm.setdefault(batch.algorithms[i], []).append(i)
-        costs: Dict[int, Tuple[float, float]] = {}
+        times: Dict[int, float] = {}
         for algorithm, rows in by_algorithm.items():
-            counts = np.array(
-                [chosen[i].num_containers for i in rows], dtype=float
-            )
-            sizes = np.array(
-                [chosen[i].container_gb for i in rows], dtype=float
-            )
             row_times = self.model.predict_time_rows(
                 algorithm,
                 batch.small_gb[rows],
                 batch.large_gb[rows],
-                sizes,
-                counts,
+                np.array([chosen[i].container_gb for i in rows], dtype=float),
+                np.array(
+                    [chosen[i].num_containers for i in rows], dtype=float
+                ),
             )
-            row_money = (
-                counts
-                * sizes
-                * row_times
-                / 3600.0
-                * self.price_model.dollars_per_gb_hour
-            )
-            costs.update(
-                zip(rows, zip(row_times.tolist(), row_money.tolist()))
-            )
-        return costs
+            times.update(zip(rows, row_times.tolist()))
+        return times
 
     def _run_kernel(
         self,
         batch: CandidateBatch,
         kernel_rows: List[int],
+        codes: List[int],
+        model_keys: List[str],
         smalls: List[float],
         larges: List[float],
         context: PlanningContext,
-        commit,
+        commit: Callable[[int, Optional[ResourceConfiguration], float], None],
+        charged: List[int],
     ) -> None:
-        """Grid-cost all kernel rows, one stacked call per algorithm.
+        """Search or replay all kernel rows, one group per algorithm.
 
         The rows of an algorithm are looked up in the cross-query search
         memo first (:meth:`_replay_rows`): one dict probe per row in the
         hot tier, then one ``np.searchsorted`` over the cold tier for
         all the rows the hot tier missed. Only the rows neither tier
-        holds go through ``predict_time_grid_batch``, and their winners
-        fill the memo. A hit takes the stored configuration and time.
-        Everything else -- the ``resource_iterations`` charge, the
-        plan-cache inserts and the commits, in row order -- runs the
-        same for hits and misses.
+        holds are searched -- brute force in one stacked
+        ``predict_time_grid_batch`` call (:meth:`_search_rows`), hill
+        climbing one climb per row (:meth:`_climb_rows`) -- and their
+        outcomes fill the memo. Everything else -- each row's own
+        ``resource_iterations`` charge, the plan-cache inserts (none when
+        the search found no finite cost) and the commits, in row order
+        -- runs the same for hits and misses.
         """
         cluster = context.cluster
-        grid = cluster.config_grid()
-        num_configs = grid.num_configs
-        if num_configs == 0:
-            raise ResourcePlanningError(
-                "cluster offers no configurations"
-            )
-        by_algorithm: Dict[JoinAlgorithm, List[int]] = {}
+        counters = context.counters
+        by_code: Dict[int, List[int]] = {}
         for i in kernel_rows:
-            by_algorithm.setdefault(batch.algorithms[i], []).append(i)
+            by_code.setdefault(codes[i], []).append(i)
         memo = self._search_memo if self.memoize else None
-        #: Winners cluster on few grid points; materialise each once.
-        config_cache: Dict[int, ResourceConfiguration] = {}
-        for algorithm, rows in by_algorithm.items():
-            # Counted exactly like the scalar scan: one resource
-            # iteration per (candidate, configuration) pair.
-            context.counters.resource_iterations += num_configs * len(rows)
-            #: Each row's (config, time, money).
-            chosen: Dict[
-                int, Tuple[ResourceConfiguration, float, float]
-            ] = {}
+        cache = self.cache
+        for code, rows in by_code.items():
+            algorithm = _BY_CODE[code]
+            #: Each row's search outcome, replayed or fresh.
+            chosen: Dict[int, _SearchEntry] = {}
             misses = rows
-            group = (
-                memo.group(algorithm, cluster) if memo is not None else None
-            )
-            if group is not None:
-                misses = self._replay_rows(
-                    group, rows, smalls, larges, batch, chosen
-                )
             if memo is not None:
+                group = memo.group(algorithm, cluster)
+                if group is not None:
+                    misses = self._replay_rows(
+                        group, rows, smalls, larges, batch, chosen
+                    )
                 memo.searched += len(misses)
             if misses:
-                searched = self._search_rows(
-                    batch, algorithm, misses, grid, config_cache
-                )
+                if self.method is ResourcePlanningMethod.BRUTE_FORCE:
+                    searched = self._search_rows(
+                        batch, algorithm, misses, cluster
+                    )
+                else:
+                    searched = self._climb_rows(
+                        algorithm, misses, smalls, larges, cluster
+                    )
                 entries = []
-                for i, (config, best_cost, time_s, money_usd) in zip(
-                    misses, searched
-                ):
-                    chosen[i] = (config, time_s, money_usd)
+                for i, entry in zip(misses, searched):
+                    chosen[i] = entry
                     small_gb = smalls[i]
                     large_gb = larges[i]
                     # NaN never equals itself: a NaN size is never
@@ -1070,21 +1076,25 @@ class RaqoCoster:
                         and small_gb == small_gb
                         and large_gb == large_gb
                     ):
-                        entry = _SearchEntry(
-                            config, best_cost, num_configs, time_s
-                        )
                         entries.append(((small_gb, large_gb), entry))
                 if memo is not None and entries:
                     memo.store(algorithm, cluster, entries)
-            model_key = self.model.model_key(algorithm)
+            model_key = model_keys[code]
             for i in rows:
-                config, time_s, money_usd = chosen[i]
-                if self.cache is not None:
-                    self.cache.insert(model_key, smalls[i], config)
-                if not math.isfinite(time_s):
-                    commit(i, (INFEASIBLE_COST, None))
-                    continue
-                commit(i, (Cost(time_s=time_s, money=money_usd), config))
+                config, _, iterations, time_s = chosen[i]
+                counters.resource_iterations += iterations
+                charged[i] = iterations
+                # A kernel row is never at the BHJ wall, so its outcome
+                # always holds a configuration; its time is infinite
+                # exactly when the search found no finite cost, and then
+                # nothing is inserted.
+                if (
+                    cache is not None
+                    and config is not None
+                    and math.isfinite(time_s)
+                ):
+                    cache.insert(model_key, smalls[i], config)
+                commit(i, config, time_s)
 
     def _replay_rows(
         self,
@@ -1093,48 +1103,32 @@ class RaqoCoster:
         smalls: List[float],
         larges: List[float],
         batch: CandidateBatch,
-        chosen: Dict[int, Tuple[ResourceConfiguration, float, float]],
+        chosen: Dict[int, _SearchEntry],
     ) -> List[int]:
         """Serve kernel rows of one algorithm from the search memo.
 
         Each row probes the hot tier's dict; the rows it misses go to
-        the cold tier in one ``searchsorted``. A hit's ``(config, time,
-        money)`` goes into ``chosen``, money by :meth:`_cost_at`'s lane
-        expression. Returns the rows neither tier holds, in row order.
+        the cold tier in one ``searchsorted``. A hit's entry goes into
+        ``chosen``. Returns the rows neither tier holds, in row order.
         """
         memo = self._search_memo
-        rate = self.price_model.dollars_per_gb_hour
         hot = group.hot
         rest = []
         for i in rows:
-            # A kernel row is never at the BHJ wall, so a stored entry
-            # for its key always holds a configuration.
             entry = hot.get((smalls[i], larges[i]))
             if entry is None:
                 rest.append(i)
-                continue
-            config = entry.config
-            time_s = entry.time_s
-            chosen[i] = (
-                config,
-                time_s,
-                config.num_containers
-                * config.container_gb
-                * time_s
-                / 3600.0
-                * rate,
-            )
+            else:
+                chosen[i] = entry
         memo.hot_hits += len(rows) - len(rest)
         if not rest or not group.cold[0].size:
             return rest
-        hit, configs, times, counts, sizes = memo.cold_lookup(
+        hit, entries = memo.cold_lookup(
             group, batch.small_gb[rest], batch.large_gb[rest]
         )
-        money = counts * sizes * times / 3600.0 * rate
         served = hit.tolist()
-        found = [i for i, ok in zip(rest, served) if ok]
         chosen.update(
-            zip(found, zip(configs, times.tolist(), money.tolist()))
+            zip([i for i, ok in zip(rest, served) if ok], entries)
         )
         return [i for i, ok in zip(rest, served) if not ok]
 
@@ -1143,15 +1137,18 @@ class RaqoCoster:
         batch: CandidateBatch,
         algorithm: JoinAlgorithm,
         rows: List[int],
-        grid: ConfigurationGrid,
-        config_cache: Dict[int, ResourceConfiguration],
-    ) -> List[Tuple[ResourceConfiguration, float, float, float]]:
+        cluster: ClusterConditions,
+    ) -> List[_SearchEntry]:
         """Brute-force the rows of one algorithm in one stacked call.
 
-        Returns each row's winner, its objective cost and its
-        re-predicted time and money, in row order; raises before
-        returning anything if a row has no finite winner.
+        Returns each row's search outcome, the winner's re-predicted
+        time included, in row order; raises before returning anything
+        if a row has no finite winner.
         """
+        grid = cluster.config_grid()
+        num_configs = grid.num_configs
+        if num_configs == 0:
+            raise ResourcePlanningError("cluster offers no configurations")
         times = self.model.predict_time_grid_batch(
             algorithm, batch.small_gb[rows], batch.large_gb[rows], grid
         )
@@ -1181,6 +1178,8 @@ class RaqoCoster:
             objective = times
         # First-occurrence argmin per row = the scalar tie-break.
         best = np.argmin(objective, axis=1)
+        #: Winners cluster on few grid points; materialise each once.
+        config_cache: Dict[int, ResourceConfiguration] = {}
         winners: Dict[int, ResourceConfiguration] = {}
         best_costs: List[float] = []
         for position, i in enumerate(rows):
@@ -1198,49 +1197,78 @@ class RaqoCoster:
             best_costs.append(best_cost)
         # Re-predict the winners' unweighted times in one elementwise
         # call, as the scalar path re-predicts after its argmin.
-        costs = self._cost_at(batch, winners)
+        times_at = self._times_at(batch, winners)
         return [
-            (config, best_cost, *costs[i])
+            _SearchEntry(config, best_cost, num_configs, times_at[i])
             for (i, config), best_cost in zip(winners.items(), best_costs)
         ]
+
+    def _climb_rows(
+        self,
+        algorithm: JoinAlgorithm,
+        rows: List[int],
+        smalls: List[float],
+        larges: List[float],
+        cluster: ClusterConditions,
+    ) -> List[_SearchEntry]:
+        """Hill-climb the rows of one algorithm, one climb per row.
+
+        Each climb is :meth:`_search`'s, without its span: the kernel's
+        candidates emit theirs afterwards. Returns each row's outcome
+        (:meth:`_entry`), in row order.
+        """
+        searched = []
+        for i in rows:
+            small_gb, large_gb = smalls[i], larges[i]
+            start = None
+            if algorithm is JoinAlgorithm.BROADCAST_HASH:
+                # Never None: the partition keeps wall rows out.
+                start = feasible_bhj_start(
+                    small_gb, self.model.hash_memory_fraction, cluster
+                )
+            outcome = self._searched(
+                algorithm, small_gb, large_gb, cluster, start
+            )
+            searched.append(
+                self._entry(algorithm, small_gb, large_gb, outcome)
+            )
+        return searched
 
     def _emit_candidate_span(
         self,
         batch: CandidateBatch,
         index: int,
         kind: int,
-        hit: bool,
-        times: np.ndarray,
+        times: List[float],
         configs: List[Optional[ResourceConfiguration]],
+        charged: List[int],
         context: PlanningContext,
     ) -> None:
         """Emit the spans the scalar path would have for one candidate.
 
         Batched costing computes results out of band, so the
-        ``resource-planning`` (and, for kernel rows, ``grid-costing``)
-        spans are materialized afterwards with the same nesting,
-        creation order, and attributes as :meth:`_plan_and_cost` --
-        canonical span trees stay byte-identical to the scalar run.
+        ``resource-planning`` (and, for kernel rows, ``grid-costing`` or
+        ``hill-climb``) spans are materialized afterwards with the same
+        nesting, creation order, and attributes as
+        :meth:`_plan_and_cost` -- canonical span trees stay
+        byte-identical to the scalar run.
         """
         with context.tracer.span(
             "resource-planning", kind="planner"
         ) as span:
             if kind == self._KERNEL:
-                grid = context.cluster.config_grid()
                 with context.tracer.span(
-                    "grid-costing", kind="planner"
+                    self._search_span_name(), kind="planner"
                 ) as inner:
-                    inner.set_attribute(
-                        "iterations", grid.num_configs
-                    )
-            time_s = float(times[index])
+                    inner.set_attribute("iterations", charged[index])
+            time_s = times[index]
             config = configs[index]
             span.set_attributes(
                 {
                     "algorithm": batch.algorithms[index].value,
                     "small_gb": float(batch.small_gb[index]),
                     "large_gb": float(batch.large_gb[index]),
-                    "cache_hit": hit,
+                    "cache_hit": kind == self._CACHED,
                     "feasible": math.isfinite(time_s),
                 }
             )
@@ -1378,21 +1406,36 @@ class RaqoCoster:
                         self._charged(lambda: memoized, context)
                     return memoized
             memo.searched += 1
-        outcome = self._search(algorithm, small_gb, large_gb, context)
-        if outcome is None:
-            searched = _WALL_ENTRY
-        else:
-            time_s = math.inf
-            if math.isfinite(outcome.cost):
-                time_s = self.model.predict_time(
-                    algorithm, small_gb, large_gb, outcome.config
-                )
-            searched = _SearchEntry(
-                outcome.config, outcome.cost, outcome.iterations, time_s
-            )
+        searched = self._entry(
+            algorithm,
+            small_gb,
+            large_gb,
+            self._search(algorithm, small_gb, large_gb, context),
+        )
         if key is not None:
             memo.store(algorithm, context.cluster, [(key, searched)])
         return searched
+
+    def _entry(
+        self,
+        algorithm: JoinAlgorithm,
+        small_gb: float,
+        large_gb: float,
+        outcome: Optional[ResourcePlanOutcome],
+    ) -> _SearchEntry:
+        """A search outcome as the memo stores it: the winner's time
+        re-predicted (infinite when the search found no finite cost),
+        or the wall's entry for None."""
+        if outcome is None:
+            return _WALL_ENTRY
+        time_s = math.inf
+        if math.isfinite(outcome.cost):
+            time_s = self.model.predict_time(
+                algorithm, small_gb, large_gb, outcome.config
+            )
+        return _SearchEntry(
+            outcome.config, outcome.cost, outcome.iterations, time_s
+        )
 
     def _search(
         self,
@@ -1401,9 +1444,33 @@ class RaqoCoster:
         large_gb: float,
         context: PlanningContext,
     ) -> Optional[ResourcePlanOutcome]:
-        """Search the resource space for one operator; None at the BHJ
-        memory wall."""
+        """Search the resource space for one operator inside its span;
+        None at the BHJ memory wall."""
         cluster = context.cluster
+        start: Optional[ResourceConfiguration] = None
+        if algorithm is JoinAlgorithm.BROADCAST_HASH:
+            start = feasible_bhj_start(
+                small_gb, self.model.hash_memory_fraction, cluster
+            )
+            if start is None:
+                return None
+        return self._charged(
+            lambda: self._searched(
+                algorithm, small_gb, large_gb, cluster, start
+            ),
+            context,
+        )
+
+    def _searched(
+        self,
+        algorithm: JoinAlgorithm,
+        small_gb: float,
+        large_gb: float,
+        cluster: ClusterConditions,
+        start: Optional[ResourceConfiguration],
+    ) -> ResourcePlanOutcome:
+        """Brute force or Algorithm 1 over the grid-costed objective,
+        with no span and no charge."""
 
         def objective(config: ResourceConfiguration) -> float:
             time_s = self.model.predict_time(
@@ -1451,27 +1518,23 @@ class RaqoCoster:
                 return np.where(np.isnan(weighted), math.inf, weighted)
             return times
 
-        start: Optional[ResourceConfiguration] = None
-        if algorithm is JoinAlgorithm.BROADCAST_HASH:
-            start = feasible_bhj_start(
-                small_gb, self.model.hash_memory_fraction, cluster
+        if self.method is ResourcePlanningMethod.BRUTE_FORCE:
+            return brute_force_resource_plan(
+                objective, cluster, grid_cost_fn=grid_objective
             )
-            if start is None:
-                return None
+        return hill_climb_resource_plan(
+            objective,
+            cluster,
+            start=start,
+            grid_cost_fn=grid_objective,
+        )
 
-        def search() -> ResourcePlanOutcome:
-            if self.method is ResourcePlanningMethod.BRUTE_FORCE:
-                return brute_force_resource_plan(
-                    objective, cluster, grid_cost_fn=grid_objective
-                )
-            return hill_climb_resource_plan(
-                objective,
-                cluster,
-                start=start,
-                grid_cost_fn=grid_objective,
-            )
-
-        return self._charged(search, context)
+    def _search_span_name(self) -> str:
+        return (
+            "grid-costing"
+            if self.method is ResourcePlanningMethod.BRUTE_FORCE
+            else "hill-climb"
+        )
 
     def _charged(
         self,
@@ -1486,12 +1549,9 @@ class RaqoCoster:
             outcome = search()
             context.counters.resource_iterations += outcome.iterations
             return outcome
-        span_name = (
-            "grid-costing"
-            if self.method is ResourcePlanningMethod.BRUTE_FORCE
-            else "hill-climb"
-        )
-        with context.tracer.span(span_name, kind="planner") as span:
+        with context.tracer.span(
+            self._search_span_name(), kind="planner"
+        ) as span:
             outcome = search()
             context.counters.resource_iterations += outcome.iterations
             span.set_attribute("iterations", outcome.iterations)

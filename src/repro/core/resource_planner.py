@@ -410,7 +410,7 @@ def feasible_bhj_start(
     dim = cluster.dimension("container_gb")
     # The wall is the largest size on the grid, not the axis maximum: a
     # maximum between two steps (say 10.5 with step 1) is not offered.
-    largest_gb = dim.values()[-1]
+    largest_gb = dim.largest
     if needed_gb > largest_gb:
         return None
     # Round the needed size up to the next discrete step.

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
 
+import numpy as np
+
 from repro.catalog.statistics import StatisticsEstimator
 from repro.cluster.containers import ResourceConfiguration
 from repro.core.decision_tree import DecisionTreeClassifier
@@ -230,7 +232,11 @@ class RuleBasedOptimizer:
     ) -> PlanNode:
         """Order joins by cardinality, pick implementations by rule."""
         from repro.cluster.cluster import ClusterConditions
-        from repro.planner.cost_interface import Cost, PlanningContext
+        from repro.planner.cost_interface import (
+            BatchCostResult,
+            Cost,
+            PlanningContext,
+        )
         from repro.planner.selinger import SelingerPlanner
 
         estimator = self.estimator
@@ -243,6 +249,23 @@ class RuleBasedOptimizer:
             def join_cost(self, left, right, algorithm, context):
                 stats = context.estimator.join_stats(left, right)
                 return Cost(time_s=stats.size_gb, money=0.0), None
+
+            def cost_batch(self, batch, context):
+                sizes = np.array(
+                    [
+                        context.estimator.join_stats(left, right).size_gb
+                        for left, right in zip(
+                            batch.left_tables, batch.right_tables
+                        )
+                    ],
+                    dtype=float,
+                )
+                return BatchCostResult(
+                    time_s=sizes,
+                    money=np.zeros(len(sizes)),
+                    feasible=np.isfinite(sizes),
+                    configs=(None,) * len(sizes),
+                )
 
         context = PlanningContext(
             estimator=estimator,

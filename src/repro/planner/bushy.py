@@ -25,7 +25,6 @@ from repro.planner.cost_interface import (
     PlanningResult,
     Stopwatch,
     ZERO_COST,
-    dispatch_cost_batch,
 )
 from repro.planner.operators import JOIN_IMPLEMENTATIONS
 from repro.planner.plan import CandidateBatch, JoinNode, PlanNode, ScanNode
@@ -149,7 +148,7 @@ class BushyPlanner:
         if not rows:
             return
         batch = CandidateBatch.build(candidates, context.join_io_gb)
-        costed = dispatch_cost_batch(self._coster, batch, context)
+        costed = self._coster.cost_batch(batch, context)
         champions: Dict[FrozenSet[str], Tuple[PlanNode, Cost]] = {}
         for index, (
             subset,

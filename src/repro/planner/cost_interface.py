@@ -38,6 +38,7 @@ from repro.catalog.queries import Query
 from repro.catalog.statistics import StatisticsEstimator
 from repro.units import GB
 from repro.cluster.cluster import ClusterConditions
+from repro.cluster.containers import ResourceConfiguration
 from repro.engine.joins import JoinAlgorithm
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.planner.plan import CandidateBatch, JoinNode, PlanNode
@@ -177,10 +178,13 @@ class PlanningContext:
     estimator: StatisticsEstimator
     cluster: ClusterConditions
     counters: PlanningCounters = field(default_factory=PlanningCounters)
-    #: Per-run scratch space for the RAQO coster's sub-plan memo: one
-    #: planning run = one context = one memo lifetime, so entries can
-    #: never leak across queries or changed cluster conditions.
-    resource_plan_memo: Dict[Tuple, object] = field(default_factory=dict)
+    #: Per-run scratch space for the RAQO coster's sub-plan memo, as
+    #: ``(time_s, money, config)`` per key: one planning run = one
+    #: context = one memo lifetime, so entries can never leak across
+    #: queries or changed cluster conditions.
+    resource_plan_memo: Dict[
+        Tuple, Tuple[float, float, Optional[ResourceConfiguration]]
+    ] = field(default_factory=dict)
     #: Observability sink for this planning run; the shared null tracer
     #: by default, so uninstrumented callers pay one attribute check.
     tracer: Tracer = NULL_TRACER
@@ -273,60 +277,6 @@ class BatchCostResult:
         return len(self.configs)
 
 
-def cost_batch_scalar(
-    coster: PlanCoster,
-    batch: CandidateBatch,
-    context: PlanningContext,
-) -> BatchCostResult:
-    """``cost_batch`` as per-candidate ``join_cost`` calls.
-
-    Costers without a stacked kernel (the fixed-resource baseline, hill
-    climbing) implement the batched protocol by delegating here, so
-    planners stay on the batch API unconditionally. Candidates run in
-    batch order, so spans and counters are those of costing them one at
-    a time.
-    """
-    context.counters.batched_calls += 1
-    context.batch_sizes.append(len(batch))
-    times = np.empty(len(batch))
-    money = np.empty(len(batch))
-    configs: List[Optional["ResourceConfiguration"]] = []  # noqa: F821
-    for index in range(len(batch)):  # lint: disable=RAQO010 -- the fallback for costers without a kernel
-        cost, config = coster.join_cost(
-            batch.left_tables[index],
-            batch.right_tables[index],
-            batch.algorithms[index],
-            context,
-        )
-        times[index] = cost.time_s
-        money[index] = cost.money
-        configs.append(config)
-    feasible = np.isfinite(times) & np.isfinite(money)
-    return BatchCostResult(
-        time_s=times,
-        money=money,
-        feasible=feasible,
-        configs=tuple(configs),
-    )
-
-
-def dispatch_cost_batch(
-    coster: PlanCoster,
-    batch: CandidateBatch,
-    context: PlanningContext,
-) -> BatchCostResult:
-    """Route a batch to ``coster.cost_batch``, or :func:`cost_batch_scalar`.
-
-    The planners call this instead of ``coster.cost_batch`` directly so
-    that minimal :class:`PlanCoster` implementations (test doubles,
-    ad-hoc costers exposing only ``join_cost``) keep working.
-    """
-    cost_batch = getattr(coster, "cost_batch", None)
-    if cost_batch is None:
-        return cost_batch_scalar(coster, batch, context)
-    return cost_batch(batch, context)
-
-
 def get_plan_cost(
     plan: PlanNode, coster: PlanCoster, context: PlanningContext
 ) -> Tuple[PlanNode, Cost]:
@@ -350,7 +300,7 @@ def get_plan_cost(
         ],
         context.join_io_gb,
     )
-    result = dispatch_cost_batch(coster, batch, context)
+    result = coster.cost_batch(batch, context)
     total = ZERO_COST
     indexes = iter(range(len(joins)))
 

@@ -26,7 +26,6 @@ from repro.planner.cost_interface import (
     PlanningResult,
     Stopwatch,
     ZERO_COST,
-    dispatch_cost_batch,
 )
 from repro.planner.operators import JOIN_IMPLEMENTATIONS
 from repro.planner.plan import (
@@ -151,7 +150,7 @@ class SelingerPlanner:
             ],
             context.join_io_gb,
         )
-        costed = dispatch_cost_batch(self._coster, batch, context)
+        costed = self._coster.cost_batch(batch, context)
         rest_costs = [best[rest][1] for _, rest, _ in pairs]
         # A 0 * inf or an overflow can only come from an infeasible
         # total, which the scan below skips; Python floats do not warn.

@@ -17,6 +17,20 @@ class TestResourceDimension:
         dim = ResourceDimension("x", 1.0, 3.0, 1.0)
         assert dim.values() == [1.0, 2.0, 3.0]
 
+    @given(
+        minimum=st.floats(min_value=0.1, max_value=50.0),
+        span=st.floats(min_value=0.0, max_value=100.0),
+        step=st.sampled_from((0.1, 0.3, 0.5, 1.0, 2.0, 3.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_largest_is_the_last_value(self, minimum, span, step):
+        dim = ResourceDimension("x", minimum, minimum + span, step)
+        values = dim.values()
+        assert dim.largest.hex() == values[-1].hex()
+        # values() still hands out a fresh list.
+        values.append(-1.0)
+        assert dim.values()[-1].hex() == dim.largest.hex()
+
     def test_clamp(self):
         dim = ResourceDimension("x", 2.0, 5.0, 1.0)
         assert dim.clamp(0.0) == 2.0

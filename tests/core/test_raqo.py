@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import functools
 import math
 
 import pytest
@@ -25,6 +26,8 @@ from repro.core.raqo import (
 from repro.engine.joins import JoinAlgorithm
 from repro.engine.profiles import HIVE_PROFILE
 from repro.planner.cost_interface import PlanningContext
+from repro.planner.plan import CandidateBatch
+from scalar_reference import cost_batch_per_candidate
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +104,55 @@ class TestQueryOptimizerCoster:
             ResourceConfiguration(num_containers=4, container_gb=2.0),
         )
         assert cost.time_s == pytest.approx(expected)
+
+    @pytest.mark.parametrize("estimator", ["learned", "simulator"])
+    @pytest.mark.parametrize(
+        "cluster",
+        [
+            DEFAULT_CLUSTER,
+            ClusterConditions(max_containers=4, max_container_gb=3.0),
+        ],
+        ids=["paper", "tiny"],
+    )
+    def test_cost_batch_matches_join_cost(self, catalog, estimator, cluster):
+        """One predict_time_rows call per algorithm equals join_cost per
+        candidate bit for bit, infeasible broadcasts included."""
+        from repro.catalog.statistics import StatisticsEstimator
+
+        model = (
+            default_cost_model()
+            if estimator == "learned"
+            else SimulatorCostModel(HIVE_PROFILE)
+        )
+        coster = QueryOptimizerCoster(model=model)
+        tables = ["nation", "supplier", "orders", "lineitem", "customer"]
+        candidates = [
+            (frozenset((left,)), frozenset((right,)), algorithm)
+            for left in tables
+            for right in tables
+            if left != right
+            for algorithm in JoinAlgorithm
+        ]
+        per_candidate = functools.partial(cost_batch_per_candidate, coster)
+        observed = []
+        for cost_batch in (coster.cost_batch, per_candidate):
+            context = PlanningContext(
+                estimator=StatisticsEstimator(catalog), cluster=cluster
+            )
+            batch = CandidateBatch.build(candidates, context.join_io_gb)
+            result = cost_batch(batch, context)
+            observed.append(
+                (
+                    [t.hex() for t in result.time_s.tolist()],
+                    [m.hex() for m in result.money.tolist()],
+                    result.feasible.tolist(),
+                    result.configs,
+                    context.counters,
+                    context.batch_sizes,
+                )
+            )
+        assert observed[0] == observed[1]
+        assert not all(observed[0][2])
 
 
 class TestRaqoCoster:

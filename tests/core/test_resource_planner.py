@@ -26,9 +26,9 @@ from repro.core.resource_planner import (
     hill_climb_resource_plan,
 )
 from repro.engine.joins import JoinAlgorithm
-from repro.planner.cost_interface import PlanningContext, cost_batch_scalar
+from repro.planner.cost_interface import PlanningContext
 from repro.planner.plan import CandidateBatch
-from scalar_reference import scalar_resource_search
+from scalar_reference import cost_batch_per_candidate, scalar_resource_search
 
 
 def quadratic_bowl(optimum_nc, optimum_cs):
@@ -335,7 +335,7 @@ class TestBhjWallUsesLargestGridSize:
                 cost_batch = (
                     coster.cost_batch
                     if vectorized
-                    else functools.partial(cost_batch_scalar, coster)
+                    else functools.partial(cost_batch_per_candidate, coster)
                 )
                 result = cost_batch(batch, context)
                 assert not result.feasible[0]

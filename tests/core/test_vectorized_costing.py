@@ -19,7 +19,9 @@ from repro.cluster.cluster import ClusterConditions
 from repro.cluster.containers import ResourceConfiguration
 from repro.core.cost_model import (
     EXTENDED_FEATURES,
+    FeatureMap,
     JoinCostEstimator,
+    OperatorCostModel,
     PAPER_FEATURES,
     SimulatorCostModel,
 )
@@ -158,6 +160,87 @@ class TestLearnedModelEquivalence:
             )
             scalar = _scalar_times(model, algorithm, ss, ls, cluster)
             np.testing.assert_array_equal(batched, scalar)
+
+
+def _numpy_scalar_transform(ss, ls, cs, nc):
+    """A custom feature transform built from float64 ufuncs: on Python
+    floats it returns numpy scalars, on arrays it returns arrays."""
+    return (
+        np.sqrt(np.add(ss, 1.0)),
+        np.multiply(cs, nc),
+        np.log1p(ls),
+        np.divide(ss, nc),
+        np.float64(2.5),
+    )
+
+
+NUMPY_SCALAR_FEATURES = FeatureMap(
+    name="numpy-scalars",
+    feature_names=("sqrt(ss+1)", "cs*nc", "log1p(ls)", "ss/nc", "const"),
+    transform=_numpy_scalar_transform,
+)
+
+#: Input sizes, with the edge values every lane must agree on.
+edge_sizes = st.one_of(
+    st.sampled_from([0.0, 1e-9, 1e6, math.nan, math.inf]),
+    st.floats(min_value=0.0, max_value=1e4),
+)
+
+
+@st.composite
+def operator_models(draw):
+    """A linear model over one of the feature maps, with random
+    coefficients, or a fitted default model."""
+    feature_map = draw(
+        st.sampled_from(
+            [PAPER_FEATURES, EXTENDED_FEATURES, NUMPY_SCALAR_FEATURES, None]
+        )
+    )
+    algorithm = draw(algorithms)
+    if feature_map is None:
+        return default_cost_model().models[algorithm]
+    weights = st.floats(min_value=-1e3, max_value=1e3)
+    size = len(feature_map)
+    coefficients = draw(st.lists(weights, min_size=size, max_size=size))
+    return OperatorCostModel(
+        algorithm=algorithm,
+        feature_map=feature_map,
+        coefficients=tuple(coefficients),
+        intercept=draw(weights),
+    )
+
+
+class TestScalarPredictLanes:
+    """``OperatorCostModel.predict`` runs the transform on Python floats
+    with no array round trip; it must equal the array lanes bit for
+    bit."""
+
+    @given(
+        model=operator_models(),
+        cluster=clusters,
+        ss=edge_sizes,
+        ls=edge_sizes,
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_predict_equals_rows_and_grid_lanes(
+        self, model, cluster, ss, ls, data
+    ):
+        grid = cluster.config_grid()
+        lane = data.draw(st.integers(0, grid.num_configs - 1))
+        config = grid.config_at(lane)
+        with np.errstate(all="ignore"):
+            scalar = model.predict(ss, ls, config)
+            row = model.predict_rows(
+                np.array([ss]),
+                np.array([ls]),
+                np.array([config.container_gb]),
+                np.array([float(config.num_containers)]),
+            )
+            lanes = model.predict_grid(ss, ls, grid.counts, grid.sizes)
+        assert type(scalar) is float
+        assert scalar.hex() == float(row[0]).hex()
+        assert scalar.hex() == float(lanes[lane]).hex()
 
 
 class TestSimulatorEquivalence:

@@ -9,9 +9,10 @@ from repro.planner.bushy import BushyPlanner, MAX_BUSHY_RELATIONS
 from repro.planner.cost_interface import Cost, PlanningContext
 from repro.planner.randomized import plan_is_valid
 from repro.planner.selinger import PlanningError, SelingerPlanner
+from scalar_reference import PerCandidateCoster
 
 
-class SizeCoster:
+class SizeCoster(PerCandidateCoster):
     def join_cost(self, left_tables, right_tables, algorithm, context):
         stats = context.estimator.join_stats(left_tables, right_tables)
         return Cost(time_s=stats.size_gb, money=0.0), None

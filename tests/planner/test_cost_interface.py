@@ -15,7 +15,7 @@ from repro.planner.cost_interface import (
     get_plan_cost,
 )
 from repro.planner.plan import left_deep_plan
-from scalar_reference import get_plan_cost_per_join
+from scalar_reference import PerCandidateCoster, get_plan_cost_per_join
 
 
 class TestCost:
@@ -58,7 +58,7 @@ class TestPlanningCounters:
         assert a.cache_misses == 4
 
 
-class FixedCoster:
+class FixedCoster(PerCandidateCoster):
     """Returns a constant cost per join, counting invocations."""
 
     def __init__(self, time_s=10.0):

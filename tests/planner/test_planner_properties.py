@@ -24,10 +24,14 @@ from repro.planner.cost_interface import Cost, PlanningContext
 from repro.planner.plan import left_deep_plan
 from repro.planner.randomized import FastRandomizedPlanner
 from repro.planner.selinger import SelingerPlanner
-from scalar_reference import as_reference, get_plan_cost_per_join
+from scalar_reference import (
+    PerCandidateCoster,
+    as_reference,
+    get_plan_cost_per_join,
+)
 
 
-class SizeCoster:
+class SizeCoster(PerCandidateCoster):
     def join_cost(self, left_tables, right_tables, algorithm, context):
         stats = context.estimator.join_stats(left_tables, right_tables)
         return Cost(time_s=stats.size_gb, money=0.0), None

@@ -18,9 +18,10 @@ from repro.planner.randomized import (
     random_join_tree,
 )
 from repro.planner.selinger import SelingerPlanner
+from scalar_reference import PerCandidateCoster
 
 
-class SizeCoster:
+class SizeCoster(PerCandidateCoster):
     def join_cost(self, left_tables, right_tables, algorithm, context):
         stats = context.estimator.join_stats(left_tables, right_tables)
         return Cost(time_s=stats.size_gb, money=stats.size_gb * 0.1), None

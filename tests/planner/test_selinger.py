@@ -20,10 +20,10 @@ from repro.planner.cost_interface import (
 )
 from repro.planner.plan import join_order, left_deep_plan, plan_signature
 from repro.planner.selinger import PlanningError, SelingerPlanner
-from scalar_reference import as_reference
+from scalar_reference import PerCandidateCoster, as_reference
 
 
-class SizeCoster:
+class SizeCoster(PerCandidateCoster):
     """Cost = output size of the join (classic Cout metric)."""
 
     def join_cost(self, left_tables, right_tables, algorithm, context):
@@ -149,7 +149,7 @@ class TestSelinger:
         assert result.wall_time_s >= 0
 
 
-class TieCoster:
+class TieCoster(PerCandidateCoster):
     """Small-integer costs, so that candidates tie exactly.
 
     A BHJ costs the SMJ vector with time and money swapped, so under

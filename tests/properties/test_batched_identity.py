@@ -21,6 +21,7 @@ from repro.catalog.random_schema import (
     random_query,
 )
 from repro.catalog.statistics import StatisticsEstimator
+from repro.cluster.cluster import ClusterConditions
 from repro.core.cost_model import SimulatorCostModel
 from repro.core.plan_cache import LookupMode, ResourcePlanCache
 from repro.core.raqo import (
@@ -35,9 +36,13 @@ from repro.engine.joins import JoinAlgorithm
 from repro.engine.profiles import HIVE_PROFILE
 from repro.obs.export import canonical_span_tree_json
 from repro.obs.tracing import Tracer
-from repro.planner.cost_interface import PlanningContext, cost_batch_scalar
+from repro.planner.cost_interface import PlanningContext
 from repro.planner.plan import CandidateBatch, plan_signature
-from scalar_reference import reference_planner, scalar_resource_search
+from scalar_reference import (
+    cost_batch_per_candidate,
+    reference_planner,
+    scalar_resource_search,
+)
 
 
 def _strip_batch_counters(counters):
@@ -263,20 +268,41 @@ ESTIMATORS = {
 }
 
 
-def _cache_run(catalog, queries, *, batched, estimator, cache):
+#: The cluster a replanned stream switches to half-way through.
+SMALLER_CLUSTER = ClusterConditions(max_containers=40, max_container_gb=6.0)
+
+
+def _cache_run(
+    catalog,
+    queries,
+    *,
+    batched,
+    estimator,
+    cache,
+    method,
+    replan_at=None,
+    **kwargs,
+):
     """Plan ``queries`` on one planner whose cache persists across
-    queries (and so across batches); returns every observable."""
+    queries (and so across batches), from ``replan_at`` on by replanning
+    onto :data:`SMALLER_CLUSTER`; returns every observable."""
     tracer = Tracer(seed=11)
     build = RaqoPlanner if batched else reference_planner
     planner = build(
         catalog,
         tracer=tracer,
         cost_model=ESTIMATORS[estimator](),
-        resource_method=ResourcePlanningMethod.BRUTE_FORCE,
+        resource_method=method,
         clear_cache_between_queries=False,
         **CACHES[cache],
+        **kwargs,
     )
-    results = [planner.optimize(q) for q in queries]
+    results = [
+        planner.optimize(q)
+        if replan_at is None or index < replan_at
+        else planner.replan(q, SMALLER_CLUSTER)
+        for index, q in enumerate(queries)
+    ]
     stats = (
         dataclasses.asdict(planner.cache.stats)
         if planner.cache is not None
@@ -299,30 +325,60 @@ class TestPlanCacheIdentity:
     """Batched vs scalar planning under every plan-cache set-up: plans,
     Cost bits, counters, ``cache.stats`` and span trees."""
 
+    method = ResourcePlanningMethod.BRUTE_FORCE
+
+    def _assert_identical(self, catalog, queries, **kwargs):
+        kwargs.setdefault("estimator", "learned")
+        batched = _cache_run(
+            catalog, queries, batched=True, method=self.method, **kwargs
+        )
+        scalar = _cache_run(
+            catalog, queries, batched=False, method=self.method, **kwargs
+        )
+        assert batched == scalar
+
     @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
     @pytest.mark.parametrize("cache", sorted(CACHES))
     def test_tpch(self, catalog, cache, estimator):
-        queries = list(tpch.EVALUATION_QUERIES) * 2
-        batched = _cache_run(
-            catalog, queries, batched=True, estimator=estimator, cache=cache
+        self._assert_identical(
+            catalog,
+            list(tpch.EVALUATION_QUERIES) * 2,
+            estimator=estimator,
+            cache=cache,
         )
-        scalar = _cache_run(
-            catalog, queries, batched=False, estimator=estimator, cache=cache
-        )
-        assert batched == scalar
 
     @pytest.mark.parametrize("cache", sorted(CACHES))
     def test_random_schema(self, cache):
         rng = np.random.default_rng(5)
         cat = random_catalog(RandomSchemaConfig(num_tables=10), rng)
         queries = [random_query(cat, size, rng) for size in (4, 6, 8, 8)]
-        batched = _cache_run(
-            cat, queries, batched=True, estimator="learned", cache=cache
+        self._assert_identical(cat, queries, cache=cache)
+
+    @pytest.mark.parametrize("cache", ["nearest-0.5", "weighted-2"])
+    def test_tpch_memoize_off(self, catalog, cache):
+        """Without the within-run memo every repeat reaches the
+        partition's plan-cache lookups."""
+        self._assert_identical(
+            catalog,
+            list(tpch.EVALUATION_QUERIES) * 2,
+            cache=cache,
+            memoize_within_run=False,
         )
-        scalar = _cache_run(
-            cat, queries, batched=False, estimator="learned", cache=cache
+
+    @pytest.mark.parametrize("cache", ["nearest-0", "weighted-2"])
+    def test_tpch_replan_to_smaller_cluster(self, catalog, cache):
+        """Cached configurations that no longer fit the cluster are
+        misses; the kept cache and the search memo span both."""
+        queries = list(tpch.EVALUATION_QUERIES) * 2
+        self._assert_identical(
+            catalog, queries, cache=cache, replan_at=len(queries) // 2
         )
-        assert batched == scalar
+
+
+class TestPlanCacheIdentityHillClimb(TestPlanCacheIdentity):
+    """The same set-ups with hill climbing, whose kernel climbs."""
+
+    method = ResourcePlanningMethod.HILL_CLIMB
 
 
 class _FixedSizes:
@@ -363,25 +419,48 @@ class TestTailWalk:
 
     def _batch(self, rows, tag):
         candidates, sizes = [], {}
-        for index, (small_gb, algorithm) in enumerate(rows):
+        for index, (small_gb, algorithm, *large_gb) in enumerate(rows):
             left = frozenset({f"{tag}l{index}"})
             right = frozenset({f"{tag}r{index}"})
             candidates.append((left, right, algorithm))
-            sizes[(left, right)] = (small_gb, 40.0 + index)
+            sizes[(left, right)] = (small_gb, *(large_gb or [40.0 + index]))
         estimator = _FixedSizes(sizes)
         return CandidateBatch.build(candidates, estimator.join_io_gb), estimator
 
-    def _run(self, cost_fn, coster_hook=None):
+    #: BHJ rows past the memory wall between kernel rows, tail rows and
+    #: infeasible hits.
+    WALLS = [
+        (2.0, JoinAlgorithm.SORT_MERGE),  # kernel row
+        (20.0, JoinAlgorithm.BROADCAST_HASH),  # wall
+        (2.5, JoinAlgorithm.SORT_MERGE),  # tail: hit on 2.0
+        (12.5, JoinAlgorithm.BROADCAST_HASH),  # wall
+        (11.0, JoinAlgorithm.BROADCAST_HASH),  # kernel row
+        (12.9, JoinAlgorithm.BROADCAST_HASH),  # wall, not pending
+        (11.9, JoinAlgorithm.BROADCAST_HASH),  # tail: infeasible hit
+        (30.0, JoinAlgorithm.BROADCAST_HASH),  # wall
+        (3.0, JoinAlgorithm.SORT_MERGE),  # tail: hit
+    ]
+    WALLS_SECOND = [
+        (12.0, JoinAlgorithm.BROADCAST_HASH),  # infeasible hit, wall
+        (2.2, JoinAlgorithm.SORT_MERGE),  # hit
+        (40.0, JoinAlgorithm.BROADCAST_HASH),  # wall
+    ]
+
+    method = ResourcePlanningMethod.BRUTE_FORCE
+
+    def _run(self, cost_fn, coster_hook=None, batches=None):
         coster = RaqoCoster(
             model=default_cost_model(),
-            method=ResourcePlanningMethod.BRUTE_FORCE,
+            method=self.method,
             cache=ResourcePlanCache(LookupMode.NEAREST, threshold_gb=1.0),
         )
         if coster_hook is not None:
             coster_hook(coster)
         tracer = Tracer(seed=3)
         outputs = []
-        for rows, tag in ((self.CANDIDATES, "a"), (self.SECOND, "b")):
+        if batches is None:
+            batches = (self.CANDIDATES, self.SECOND)
+        for rows, tag in zip(batches, "abc"):
             batch, estimator = self._batch(rows, tag)
             context = PlanningContext(
                 estimator=estimator, cluster=DEFAULT_CLUSTER, tracer=tracer
@@ -419,7 +498,7 @@ class TestTailWalk:
             lambda coster, batch, context: coster.cost_batch(batch, context),
             spy_on_replays,
         )
-        scalar = self._run(cost_batch_scalar)
+        scalar = self._run(cost_batch_per_candidate)
         assert batched == scalar
         assert replays[11.8] == "infeasible-hit"
         assert replays[3.8] == "miss"
@@ -429,3 +508,48 @@ class TestTailWalk:
         assert second[3].cache_hits == 1
         # Stats count the two infeasible hits as hits; counters do not.
         assert stats["hits"] == 6 and stats["misses"] == 4
+
+    def test_walls_mid_batch(self):
+        batches = (self.WALLS, self.WALLS_SECOND)
+        batched = self._run(
+            lambda coster, batch, context: coster.cost_batch(batch, context),
+            batches=batches,
+        )
+        assert batched == self._run(cost_batch_per_candidate, batches=batches)
+        (first, second), stats, _ = batched
+        assert [config is None for config in first[2]] == [
+            False, True, False, True, False, True, True, True, False
+        ]
+        assert [config is None for config in second[2]] == [
+            True, False, True
+        ]
+
+
+class TestTailWalkHillClimb(TestTailWalk):
+    """The tail walk with hill climbing's kernel."""
+
+    method = ResourcePlanningMethod.HILL_CLIMB
+
+    def test_infeasible_climb_inserts_nothing(self):
+        """A larger input whose every prediction overflows leaves the
+        climb without a finite cost (brute force raises instead): the
+        row is infeasible and inserts nothing, so its neighbour in the
+        tail misses."""
+        rows = [
+            (2.0, JoinAlgorithm.SORT_MERGE, 1e308),  # kernel row
+            (2.5, JoinAlgorithm.SORT_MERGE),  # tail: miss, plans
+            (2.0, JoinAlgorithm.SORT_MERGE, 1e308),  # alias of the first
+        ]
+        batches = (rows, rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batched = self._run(
+                lambda coster, batch, context: coster.cost_batch(
+                    batch, context
+                ),
+                batches=batches,
+            )
+            scalar = self._run(cost_batch_per_candidate, batches=batches)
+        assert batched == scalar
+        (first, second), stats, _ = batched
+        assert [config is None for config in first[2]] == [True, False, True]
+        assert stats["inserts"] == 1

@@ -16,6 +16,10 @@ oracles. Plans, ``Cost`` bits, counters (other than ``batched_calls`` /
   planner is the per-candidate twin of the one it would use.
 - :func:`scalar_resource_search` swaps the resource searches bound in
   :mod:`repro.core.raqo` for their scalar forms (no ``grid_cost_fn``).
+- :func:`cost_batch_per_candidate` is ``cost_batch`` as one
+  ``join_cost`` call per candidate; :class:`PerCandidateCoster` gives
+  test doubles that only define ``join_cost`` a ``cost_batch`` through
+  it.
 """
 
 import contextlib
@@ -23,9 +27,12 @@ import copy
 import itertools
 from typing import Dict, FrozenSet, Optional, Tuple
 
+import numpy as np
+
 from repro.core import raqo
 from repro.planner.bushy import BushyPlanner
 from repro.planner.cost_interface import (
+    BatchCostResult,
     Cost,
     PlanningContext,
     ZERO_COST,
@@ -56,6 +63,40 @@ def get_plan_cost_per_join(plan, coster, context):
 
     annotated = plan.map_joins(cost_one)
     return annotated, total
+
+
+def cost_batch_per_candidate(coster, batch, context):
+    """``cost_batch`` as per-candidate ``join_cost`` calls, in batch
+    order, so spans and counters are those of costing the candidates
+    one at a time (plus the batch's ``batched_calls`` and size)."""
+    context.counters.batched_calls += 1
+    context.batch_sizes.append(len(batch))
+    times = np.empty(len(batch))
+    money = np.empty(len(batch))
+    configs = []
+    for index in range(len(batch)):
+        cost, config = coster.join_cost(
+            batch.left_tables[index],
+            batch.right_tables[index],
+            batch.algorithms[index],
+            context,
+        )
+        times[index] = cost.time_s
+        money[index] = cost.money
+        configs.append(config)
+    return BatchCostResult(
+        time_s=times,
+        money=money,
+        feasible=np.isfinite(times) & np.isfinite(money),
+        configs=tuple(configs),
+    )
+
+
+class PerCandidateCoster:
+    """A base for test costers that define only ``join_cost``."""
+
+    def cost_batch(self, batch, context):
+        return cost_batch_per_candidate(self, batch, context)
 
 
 class ReferenceSelingerPlanner(SelingerPlanner):
@@ -210,8 +251,9 @@ def scalar_resource_search():
     ``grid_cost_fn``: brute force scans the grid and hill climbing
     climbs config by config, one cost-function call per read.
 
-    Only the per-candidate ``join_cost`` path searches through these
-    functions; brute force's ``cost_batch`` kernel does not.
+    The per-candidate ``join_cost`` path and hill climbing's
+    ``cost_batch`` kernel search through these functions; brute force's
+    stacked kernel does not.
     """
     brute_force = raqo.brute_force_resource_plan
     hill_climb = raqo.hill_climb_resource_plan
