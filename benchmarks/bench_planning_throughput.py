@@ -22,8 +22,8 @@ Measures the rates the fast-path work targets (see
   exact scalar tail + Minkowski fold) through whole-query planning;
 - **time relative to a speed probe** -- for the variants the
   ``--assert-overhead`` gate guards, the figures it compares against.
-  The probe is the scalar brute-force scan of the configurations
-  benchmark, which runs none of the gated code.
+  The probe is a pure-Python scan of a fixed configuration grid that
+  calls no ``repro`` code, so no change to the planning path moves it.
 
 Writes ``BENCH_planning.json`` at the repository root. This is a
 standalone script (not a pytest-benchmark case) so CI can smoke it
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import multiprocessing
 import statistics
 import sys
@@ -389,9 +390,36 @@ def bench_workload_sharding(sizes, repeats, processes=2):
     }
 
 
-#: Scalar scans per probe pass: enough that a pass takes about as long
-#: as a gated variant's pass over the full query set.
-PROBE_SCANS = 5
+#: The probe's grid: (containers, GB per container) on the paper's
+#: 100 x 10 GB cluster.
+PROBE_GRID = tuple(
+    (containers, float(gb))
+    for containers in range(1, 101)
+    for gb in range(1, 11)
+)
+#: Probe scans per pass: enough that a pass takes about as long as a
+#: gated variant's pass over the full query set.
+PROBE_SCANS = 40
+
+
+def probe_scan():
+    """One argmin scan of a fixed analytic operator cost over
+    :data:`PROBE_GRID`: the interpreter work of a scalar resource
+    search (float arithmetic, a ``math`` call and a comparison per
+    configuration) in code of its own. The gate's probe must run no
+    ``repro`` code: a change that speeds up a shared piece, such as
+    ``OperatorCostModel.predict``, would otherwise move every ratio."""
+    best, best_cost = None, math.inf
+    for containers, gb in PROBE_GRID:
+        waves = math.ceil(400.0 / containers)
+        spill = max(0.0, SMALL_GB / containers - 0.6 * gb)
+        cost = (
+            waves * (LARGE_GB / (containers * 8.0) + 3.0 * spill)
+            + 0.05 * containers * gb
+        )
+        if cost < best_cost:
+            best, best_cost = (containers, gb), cost
+    return best
 #: Interleaved rounds the overhead gate times, and the full benchmark
 #: records it with. On a shared 2-core VM the probe drifts against the
 #: gated variants over stretches of seconds: 25 rounds (~8 s) left the
@@ -412,8 +440,8 @@ def bench_overhead_gate(queries, rounds):
     recorded.
 
     The gated variants, Pareto planning and the probe (``PROBE_SCANS``
-    scalar brute-force scans of :func:`bench_config_costing`, which run
-    none of the gated code) run in interleaved rounds. A variant's figure is the median over rounds of
+    runs of :func:`probe_scan`, which calls no ``repro`` code) run in
+    interleaved rounds. A variant's figure is the median over rounds of
     its time over the probe's time in the same round. Two passes of one
     round run a few hundred milliseconds apart, so a slow runner or a
     slow stretch of a shared one scales both and cancels in the ratio,
@@ -440,11 +468,9 @@ def bench_overhead_gate(queries, rounds):
         plan_all()  # warm model caches before timing
         plan_fns[name] = plan_all
 
-    cost_fn, _ = operator_cost_fns()
-
     def probe():
         for _ in range(PROBE_SCANS):
-            brute_force_resource_plan(cost_fn, DEFAULT_CLUSTER)
+            probe_scan()
 
     probe()
     timings = _round_times({**plan_fns, "probe": probe}, rounds)
@@ -500,8 +526,8 @@ def assert_overhead(max_drop_pct, baseline_path, rounds):
 
     Shared CI runners drift by 2x between runs and switch speed within
     one, which would swamp any absolute-rate budget, so each variant is
-    measured relative to the scalar brute-force scan, timed in the same
-    rounds as a speed probe (:func:`bench_overhead_gate`). Overhead
+    measured relative to a pure-Python scan, timed in the same rounds
+    as a speed probe (:func:`bench_overhead_gate`). Overhead
     added to a gated path moves only that variant's ratio and is
     caught.
     """
