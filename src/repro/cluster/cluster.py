@@ -230,8 +230,10 @@ class ClusterConditions:
     def dimensions(self) -> Tuple[ResourceDimension, ResourceDimension]:
         """The two resource axes in Algorithm 1 order.
 
-        Built once per instance: every axis lookup (``dimension``,
-        ``contains``, ``clamp``) goes through it.
+        Built once per instance: axis lookups (``dimension``, ``clamp``)
+        go through it. ``contains``, which every plan-cache hit calls,
+        compares the fields the axes are built from instead (0.17 vs
+        0.53 us a call).
         """
         return (
             ResourceDimension(

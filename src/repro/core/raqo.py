@@ -736,38 +736,41 @@ class RaqoCoster:
     # candidates (memo hits and within-batch aliases) need no further
     # work; CACHED/WALL candidates are resolved in the partition
     # (plan-cache hit / BHJ memory wall); KERNEL candidates are searched
-    # or replayed by the kernel; TAIL candidates wait until the kernel
-    # has inserted, since their cache lookup may see an earlier
-    # candidate's insert. The tail walk serves its cache hits like the
-    # partition does (they become CACHED) and replays only misses and
-    # infeasible hits through the scalar path.
-    _DONE, _CACHED, _WALL, _KERNEL, _TAIL = range(5)
+    # or replayed by the brute-force kernel. TAIL candidates wait until
+    # the kernel has inserted, since their cache lookup may see an
+    # earlier candidate's insert: the tail walk serves their cache hits
+    # like the partition does (they become CACHED). SCALAR candidates
+    # are hill-climbing misses, which :meth:`join_cost` costs in the
+    # tail walk, one climb per candidate as Algorithm 1 runs.
+    _DONE, _CACHED, _WALL, _KERNEL, _TAIL, _SCALAR = range(6)
 
     def cost_batch(
         self, batch: CandidateBatch, context: PlanningContext
     ) -> BatchCostResult:
-        """Cost a whole candidate batch: one in-order partition, then one
-        kernel for the candidates that need a resource search.
+        """Cost a whole candidate batch: one in-order partition, then the
+        brute-force kernel, then an in-order tail walk.
 
         The partition visits candidates *in candidate order*. Each one
         is a within-run memo hit or a within-batch alias; or it waits in
         a tail, because its plan-cache lookup could observe an insert
         made by an *earlier* candidate of the batch; or its lookup hits
         (a peek at the cache as it stood before the batch, which is
-        what the lookup returns until the kernel inserts) and it is
+        what the lookup returns until the first insert) and it is
         costed there at once with the scalar ``predict_time``; or it is
-        a BHJ at the memory wall; or it is a kernel row. Most batches
-        are small, and below ~20 rows per algorithm one scalar predict
-        per hit is cheaper than a ``predict_time_rows`` call.
+        a BHJ at the memory wall; or it needs a resource search. Most
+        batches are small, and below ~20 rows per algorithm one scalar
+        predict per hit is cheaper than a ``predict_time_rows`` call.
 
-        The kernel (:meth:`_run_kernel`) replays the rows whose search
-        the cross-query search memo holds and searches the rest: brute
-        force in one stacked ``predict_time_grid_batch`` call per
-        algorithm, hill climbing with one Algorithm 1 climb per row. The
-        tail is then walked in candidate order: a peek that finds a
-        feasible configuration is served like a partition hit, and only
-        a miss or an infeasible hit replays the scalar
-        :meth:`_plan_and_cost` (which plans and inserts). Every
+        Brute-force searches run in the kernel (:meth:`_run_kernel`),
+        which replays the rows whose search the cross-query search memo
+        holds and costs the rest in one stacked
+        ``predict_time_grid_batch`` call per algorithm. Hill climbing
+        reads the grid one neighbour at a time, so each of its searches
+        is left to :meth:`join_cost`. The tail is then walked in
+        candidate order: a tail peek that finds a feasible configuration
+        is served like a partition hit; a hill-climbing search, a tail
+        miss and an infeasible tail hit go through :meth:`join_cost`
+        (which looks the cache up, plans, inserts and memoizes). Every
         observable -- chosen configurations, costs, counters, cache
         statistics, and traced span trees -- is bit-identical to costing
         the candidates one at a time, except ``batch_memo_hits``, which
@@ -786,8 +789,6 @@ class RaqoCoster:
         money = [math.inf] * n
         configs: List[Optional[ResourceConfiguration]] = [None] * n
         kinds = [self._DONE] * n
-        #: The iterations each kernel row charged (its span attribute).
-        charged = [0] * n
         alias_of: Dict[int, int] = {}
         memo = context.resource_plan_memo if self.memoize else None
         memo_keys: List[Optional[Tuple]] = [None] * n
@@ -834,6 +835,7 @@ class RaqoCoster:
         bhj = JoinAlgorithm.BROADCAST_HASH
         bhj_fraction = model.hash_memory_fraction
         bhj_max_gb = cluster.dimension("container_gb").largest
+        hill_climb = self.method is ResourcePlanningMethod.HILL_CLIMB
         money_weight, time_weight = self.money_weight, self.time_weight
         pending = _PendingKeys(
             cache.threshold_gb
@@ -872,6 +874,7 @@ class RaqoCoster:
                 batch_first[memo_key] = i
                 memo_keys[i] = memo_key
             algorithm = algorithms[i]
+            config = None
             if cache is not None:
                 if pending.near(model_key, small_gb):
                     # The scalar loop would have inserted the pending
@@ -904,8 +907,16 @@ class RaqoCoster:
                     kinds[i] = self._WALL
                     commit(i, None, math.inf)
                     continue
-            kinds[i] = self._KERNEL
-            kernel_rows.append(i)
+            if hill_climb:
+                kinds[i] = self._SCALAR
+                has_tail = True
+                if cache is not None:
+                    # join_cost repeats this lookup, and counts it.
+                    looked -= 1
+                    found -= config is not None
+            else:
+                kinds[i] = self._KERNEL
+                kernel_rows.append(i)
             if cache is not None:
                 pending.add(model_key, small_gb)
         counters.memo_hits += memo_hits
@@ -928,7 +939,6 @@ class RaqoCoster:
                 larges,
                 context,
                 commit,
-                charged,
             )
 
         # The tail walk and span emission, in candidate order (span
@@ -940,13 +950,12 @@ class RaqoCoster:
             for i in range(n):
                 kind = kinds[i]
                 if kind == self._TAIL and cache is not None:
-                    algorithm = algorithms[i]
                     config = cache.peek(
                         model_keys[codes[i]], smalls[i], cluster
                     )
                     if config is not None:
                         time_s = model.predict_time(
-                            algorithm, smalls[i], larges[i], config
+                            algorithms[i], smalls[i], larges[i], config
                         )
                         if math.isfinite(time_s):
                             cache.stats.hits += 1
@@ -960,17 +969,24 @@ class RaqoCoster:
                                     self._CACHED,
                                     times,
                                     configs,
-                                    charged,
                                     context,
                                 )
                             continue
-                    cost, config = self._plan_and_cost(
-                        algorithm, smalls[i], larges[i], context
+                    kind = self._SCALAR
+                if kind == self._SCALAR:
+                    # join_cost misses the within-run memo (this is the
+                    # key's first candidate) and memoizes the outcome.
+                    cost, configs[i] = self.join_cost(
+                        batch.left_tables[i],
+                        batch.right_tables[i],
+                        algorithms[i],
+                        context,
                     )
-                    commit(i, config, cost.time_s)
+                    times[i] = cost.time_s
+                    money[i] = cost.money
                 elif traced and kind != self._DONE:
                     self._emit_candidate_span(
-                        batch, i, kind, times, configs, charged, context
+                        batch, i, kind, times, configs, context
                     )
         for i, source in alias_of.items():
             times[i] = times[source]
@@ -1020,21 +1036,18 @@ class RaqoCoster:
         larges: List[float],
         context: PlanningContext,
         commit: Callable[[int, Optional[ResourceConfiguration], float], None],
-        charged: List[int],
     ) -> None:
-        """Search or replay all kernel rows, one group per algorithm.
+        """Brute-force or replay all kernel rows, one group per algorithm.
 
         The rows of an algorithm are looked up in the cross-query search
         memo first (:meth:`_replay_rows`): one dict probe per row in the
         hot tier, then one ``np.searchsorted`` over the cold tier for
         all the rows the hot tier missed. Only the rows neither tier
-        holds are searched -- brute force in one stacked
-        ``predict_time_grid_batch`` call (:meth:`_search_rows`), hill
-        climbing one climb per row (:meth:`_climb_rows`) -- and their
-        outcomes fill the memo. Everything else -- each row's own
-        ``resource_iterations`` charge, the plan-cache inserts (none when
-        the search found no finite cost) and the commits, in row order
-        -- runs the same for hits and misses.
+        holds are costed, in one stacked ``predict_time_grid_batch``
+        call (:meth:`_search_rows`), and their outcomes fill the memo.
+        Everything else -- the ``resource_iterations`` charge, the
+        plan-cache inserts and the commits, in row order -- runs the
+        same for hits and misses.
         """
         cluster = context.cluster
         counters = context.counters
@@ -1056,14 +1069,9 @@ class RaqoCoster:
                     )
                 memo.searched += len(misses)
             if misses:
-                if self.method is ResourcePlanningMethod.BRUTE_FORCE:
-                    searched = self._search_rows(
-                        batch, algorithm, misses, cluster
-                    )
-                else:
-                    searched = self._climb_rows(
-                        algorithm, misses, smalls, larges, cluster
-                    )
+                searched = self._search_rows(
+                    batch, algorithm, misses, cluster
+                )
                 entries = []
                 for i, entry in zip(misses, searched):
                     chosen[i] = entry
@@ -1081,18 +1089,11 @@ class RaqoCoster:
                     memo.store(algorithm, cluster, entries)
             model_key = model_keys[code]
             for i in rows:
+                # A brute-force winner always has a finite cost (the
+                # search raises otherwise).
                 config, _, iterations, time_s = chosen[i]
                 counters.resource_iterations += iterations
-                charged[i] = iterations
-                # A kernel row is never at the BHJ wall, so its outcome
-                # always holds a configuration; its time is infinite
-                # exactly when the search found no finite cost, and then
-                # nothing is inserted.
-                if (
-                    cache is not None
-                    and config is not None
-                    and math.isfinite(time_s)
-                ):
+                if cache is not None:
                     cache.insert(model_key, smalls[i], config)
                 commit(i, config, time_s)
 
@@ -1203,37 +1204,6 @@ class RaqoCoster:
             for (i, config), best_cost in zip(winners.items(), best_costs)
         ]
 
-    def _climb_rows(
-        self,
-        algorithm: JoinAlgorithm,
-        rows: List[int],
-        smalls: List[float],
-        larges: List[float],
-        cluster: ClusterConditions,
-    ) -> List[_SearchEntry]:
-        """Hill-climb the rows of one algorithm, one climb per row.
-
-        Each climb is :meth:`_search`'s, without its span: the kernel's
-        candidates emit theirs afterwards. Returns each row's outcome
-        (:meth:`_entry`), in row order.
-        """
-        searched = []
-        for i in rows:
-            small_gb, large_gb = smalls[i], larges[i]
-            start = None
-            if algorithm is JoinAlgorithm.BROADCAST_HASH:
-                # Never None: the partition keeps wall rows out.
-                start = feasible_bhj_start(
-                    small_gb, self.model.hash_memory_fraction, cluster
-                )
-            outcome = self._searched(
-                algorithm, small_gb, large_gb, cluster, start
-            )
-            searched.append(
-                self._entry(algorithm, small_gb, large_gb, outcome)
-            )
-        return searched
-
     def _emit_candidate_span(
         self,
         batch: CandidateBatch,
@@ -1241,26 +1211,25 @@ class RaqoCoster:
         kind: int,
         times: List[float],
         configs: List[Optional[ResourceConfiguration]],
-        charged: List[int],
         context: PlanningContext,
     ) -> None:
         """Emit the spans the scalar path would have for one candidate.
 
         Batched costing computes results out of band, so the
-        ``resource-planning`` (and, for kernel rows, ``grid-costing`` or
-        ``hill-climb``) spans are materialized afterwards with the same
-        nesting, creation order, and attributes as
-        :meth:`_plan_and_cost` -- canonical span trees stay
-        byte-identical to the scalar run.
+        ``resource-planning`` (and, for kernel rows, ``grid-costing``)
+        spans are materialized afterwards with the same nesting,
+        creation order, and attributes as :meth:`_plan_and_cost` --
+        canonical span trees stay byte-identical to the scalar run.
         """
         with context.tracer.span(
             "resource-planning", kind="planner"
         ) as span:
             if kind == self._KERNEL:
+                grid = context.cluster.config_grid()
                 with context.tracer.span(
-                    self._search_span_name(), kind="planner"
+                    "grid-costing", kind="planner"
                 ) as inner:
-                    inner.set_attribute("iterations", charged[index])
+                    inner.set_attribute("iterations", grid.num_configs)
             time_s = times[index]
             config = configs[index]
             span.set_attributes(
@@ -1406,36 +1375,21 @@ class RaqoCoster:
                         self._charged(lambda: memoized, context)
                     return memoized
             memo.searched += 1
-        searched = self._entry(
-            algorithm,
-            small_gb,
-            large_gb,
-            self._search(algorithm, small_gb, large_gb, context),
-        )
+        outcome = self._search(algorithm, small_gb, large_gb, context)
+        if outcome is None:
+            searched = _WALL_ENTRY
+        else:
+            time_s = math.inf
+            if math.isfinite(outcome.cost):
+                time_s = self.model.predict_time(
+                    algorithm, small_gb, large_gb, outcome.config
+                )
+            searched = _SearchEntry(
+                outcome.config, outcome.cost, outcome.iterations, time_s
+            )
         if key is not None:
             memo.store(algorithm, context.cluster, [(key, searched)])
         return searched
-
-    def _entry(
-        self,
-        algorithm: JoinAlgorithm,
-        small_gb: float,
-        large_gb: float,
-        outcome: Optional[ResourcePlanOutcome],
-    ) -> _SearchEntry:
-        """A search outcome as the memo stores it: the winner's time
-        re-predicted (infinite when the search found no finite cost),
-        or the wall's entry for None."""
-        if outcome is None:
-            return _WALL_ENTRY
-        time_s = math.inf
-        if math.isfinite(outcome.cost):
-            time_s = self.model.predict_time(
-                algorithm, small_gb, large_gb, outcome.config
-            )
-        return _SearchEntry(
-            outcome.config, outcome.cost, outcome.iterations, time_s
-        )
 
     def _search(
         self,
@@ -1444,33 +1398,9 @@ class RaqoCoster:
         large_gb: float,
         context: PlanningContext,
     ) -> Optional[ResourcePlanOutcome]:
-        """Search the resource space for one operator inside its span;
-        None at the BHJ memory wall."""
+        """Search the resource space for one operator; None at the BHJ
+        memory wall."""
         cluster = context.cluster
-        start: Optional[ResourceConfiguration] = None
-        if algorithm is JoinAlgorithm.BROADCAST_HASH:
-            start = feasible_bhj_start(
-                small_gb, self.model.hash_memory_fraction, cluster
-            )
-            if start is None:
-                return None
-        return self._charged(
-            lambda: self._searched(
-                algorithm, small_gb, large_gb, cluster, start
-            ),
-            context,
-        )
-
-    def _searched(
-        self,
-        algorithm: JoinAlgorithm,
-        small_gb: float,
-        large_gb: float,
-        cluster: ClusterConditions,
-        start: Optional[ResourceConfiguration],
-    ) -> ResourcePlanOutcome:
-        """Brute force or Algorithm 1 over the grid-costed objective,
-        with no span and no charge."""
 
         def objective(config: ResourceConfiguration) -> float:
             time_s = self.model.predict_time(
@@ -1518,23 +1448,27 @@ class RaqoCoster:
                 return np.where(np.isnan(weighted), math.inf, weighted)
             return times
 
-        if self.method is ResourcePlanningMethod.BRUTE_FORCE:
-            return brute_force_resource_plan(
-                objective, cluster, grid_cost_fn=grid_objective
+        start: Optional[ResourceConfiguration] = None
+        if algorithm is JoinAlgorithm.BROADCAST_HASH:
+            start = feasible_bhj_start(
+                small_gb, self.model.hash_memory_fraction, cluster
             )
-        return hill_climb_resource_plan(
-            objective,
-            cluster,
-            start=start,
-            grid_cost_fn=grid_objective,
-        )
+            if start is None:
+                return None
 
-    def _search_span_name(self) -> str:
-        return (
-            "grid-costing"
-            if self.method is ResourcePlanningMethod.BRUTE_FORCE
-            else "hill-climb"
-        )
+        def search() -> ResourcePlanOutcome:
+            if self.method is ResourcePlanningMethod.BRUTE_FORCE:
+                return brute_force_resource_plan(
+                    objective, cluster, grid_cost_fn=grid_objective
+                )
+            return hill_climb_resource_plan(
+                objective,
+                cluster,
+                start=start,
+                grid_cost_fn=grid_objective,
+            )
+
+        return self._charged(search, context)
 
     def _charged(
         self,
@@ -1549,9 +1483,12 @@ class RaqoCoster:
             outcome = search()
             context.counters.resource_iterations += outcome.iterations
             return outcome
-        with context.tracer.span(
-            self._search_span_name(), kind="planner"
-        ) as span:
+        span_name = (
+            "grid-costing"
+            if self.method is ResourcePlanningMethod.BRUTE_FORCE
+            else "hill-climb"
+        )
+        with context.tracer.span(span_name, kind="planner") as span:
             outcome = search()
             context.counters.resource_iterations += outcome.iterations
             span.set_attribute("iterations", outcome.iterations)

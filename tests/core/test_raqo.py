@@ -115,8 +115,9 @@ class TestQueryOptimizerCoster:
         ids=["paper", "tiny"],
     )
     def test_cost_batch_matches_join_cost(self, catalog, estimator, cluster):
-        """One predict_time_rows call per algorithm equals join_cost per
-        candidate bit for bit, infeasible broadcasts included."""
+        """The batch, one scalar predict_time per candidate, equals
+        join_cost per candidate bit for bit, infeasible broadcasts
+        included."""
         from repro.catalog.statistics import StatisticsEstimator
 
         model = (

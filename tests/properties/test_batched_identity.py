@@ -376,7 +376,8 @@ class TestPlanCacheIdentity:
 
 
 class TestPlanCacheIdentityHillClimb(TestPlanCacheIdentity):
-    """The same set-ups with hill climbing, whose kernel climbs."""
+    """The same set-ups with hill climbing, whose searches
+    ``cost_batch`` leaves to ``join_cost``."""
 
     method = ResourcePlanningMethod.HILL_CLIMB
 
@@ -401,7 +402,8 @@ class TestTailWalk:
     """
 
     CANDIDATES = [
-        # (small_gb, algorithm): kernel rows first, then tail entries.
+        # (small_gb, algorithm): kernel rows first (with hill climbing,
+        # searches join_cost runs in the tail walk), then tail entries.
         (2.0, JoinAlgorithm.SORT_MERGE),  # kernel row
         (11.2, JoinAlgorithm.BROADCAST_HASH),  # kernel row
         (2.9, JoinAlgorithm.SORT_MERGE),  # tail: hit on 2.0
@@ -526,7 +528,8 @@ class TestTailWalk:
 
 
 class TestTailWalkHillClimb(TestTailWalk):
-    """The tail walk with hill climbing's kernel."""
+    """The tail walk with hill climbing, whose searches ``join_cost``
+    runs in it."""
 
     method = ResourcePlanningMethod.HILL_CLIMB
 
@@ -536,7 +539,7 @@ class TestTailWalkHillClimb(TestTailWalk):
         row is infeasible and inserts nothing, so its neighbour in the
         tail misses."""
         rows = [
-            (2.0, JoinAlgorithm.SORT_MERGE, 1e308),  # kernel row
+            (2.0, JoinAlgorithm.SORT_MERGE, 1e308),  # climbs, fails
             (2.5, JoinAlgorithm.SORT_MERGE),  # tail: miss, plans
             (2.0, JoinAlgorithm.SORT_MERGE, 1e308),  # alias of the first
         ]

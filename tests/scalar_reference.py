@@ -251,9 +251,9 @@ def scalar_resource_search():
     ``grid_cost_fn``: brute force scans the grid and hill climbing
     climbs config by config, one cost-function call per read.
 
-    The per-candidate ``join_cost`` path and hill climbing's
-    ``cost_batch`` kernel search through these functions; brute force's
-    stacked kernel does not.
+    The per-candidate ``join_cost`` path, which also runs every hill
+    climb of ``cost_batch``, searches through these functions; brute
+    force's stacked kernel does not.
     """
     brute_force = raqo.brute_force_resource_plan
     hill_climb = raqo.hill_climb_resource_plan
