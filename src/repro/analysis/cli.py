@@ -7,31 +7,20 @@ from __future__ import annotations
 
 import argparse
 import json
-from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.analysis.framework import (
     AnalysisError,
-    AnalysisSession,
     Finding,
-    ModuleInfo,
     all_rules,
-    iter_python_files,
     resolve_rules,
     run_analysis,
 )
-from repro.analysis.sarif import render_sarif
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser (shared with ``repro lint``)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description=(
-            "AST-based invariant linter for the RAQO reproduction "
-            "(determinism, thread safety, plan well-formedness, typing)"
-        ),
-    )
+def lint_arguments() -> argparse.ArgumentParser:
+    """The linter's flags as a parent parser (shared with ``repro lint``)."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument(
         "paths",
         nargs="*",
@@ -61,18 +50,19 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="ignore '# lint: disable' pragmas (audit mode)",
     )
-    parser.add_argument(
-        "--sarif",
-        metavar="FILE",
-        help="additionally write a SARIF 2.1.0 log to FILE ('-' for "
-        "stdout)",
-    )
-    parser.add_argument(
-        "--graph",
-        action="store_true",
-        help="dump the resolved whole-program call graph and exit",
-    )
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro.analysis`` argument parser."""
+    return argparse.ArgumentParser(
+        prog="python -m repro.analysis",
+        description=(
+            "AST-based invariant linter for the RAQO reproduction "
+            "(determinism, thread safety, plan well-formedness, typing)"
+        ),
+        parents=[lint_arguments()],
+    )
 
 
 def _render(findings: List[Finding], output_format: str) -> str:
@@ -100,10 +90,8 @@ def _render(findings: List[Finding], output_format: str) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run(args: argparse.Namespace) -> int:
+    """Lint with parsed :func:`lint_arguments`; returns the exit code."""
     if args.list_rules:
         for rule in all_rules():
             scope = (
@@ -115,29 +103,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"    {rule.description}")
         return 0
     try:
-        if args.graph:
-            files = iter_python_files(args.paths)
-            session = AnalysisSession.from_modules(
-                ModuleInfo.parse(path) for path in files
-            )
-            print(session.flow().render_graph())
-            return 0
-        rules = resolve_rules(args.rule)
         findings = run_analysis(
             args.paths,
-            rules=rules,
+            rules=resolve_rules(args.rule),
             respect_suppressions=not args.no_suppress,
         )
-        if args.sarif:
-            sarif_text = render_sarif(findings, rules)
-            if args.sarif == "-":
-                print(sarif_text)
-            else:
-                Path(args.sarif).write_text(
-                    sarif_text + "\n", encoding="utf-8"
-                )
     except AnalysisError as exc:
         print(f"error: {exc}")
         return 2
     print(_render(findings, args.format))
     return 1 if findings else 0
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Entry point; returns the process exit code."""
+    return run(build_parser().parse_args(argv))

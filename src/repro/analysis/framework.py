@@ -33,7 +33,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -45,9 +44,6 @@ from typing import (
     Type,
     Union,
 )
-
-if TYPE_CHECKING:  # pragma: no cover -- import cycle guard
-    from repro.analysis.flow.symbols import ProjectModel
 
 #: Trailing or standalone suppression: ``lint: disable=RAQO001,RAQO004``.
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*disable=([A-Za-z0-9_,\-]+)")
@@ -96,6 +92,11 @@ class ModuleInfo:
     line_suppressions: Dict[int, Set[str]] = field(default_factory=dict)
     #: Rule ids/names suppressed for the whole file.
     file_suppressions: Set[str] = field(default_factory=set)
+    #: Every ``disable`` pragma as (pragma line, target line or None
+    #: for file-wide, labels), for the dead-suppression pass.
+    pragmas: List[Tuple[int, Optional[int], Set[str]]] = field(
+        default_factory=list
+    )
     #: line number -> lock name declared via ``# lint: guarded-by=NAME``.
     guards: Dict[int, str] = field(default_factory=dict)
 
@@ -165,26 +166,21 @@ def _collect_pragmas(info: ModuleInfo) -> None:
         match = _SUPPRESS_RE.search(text)
         if match:
             labels = {part for part in match.group(1).split(",") if part}
-            if stripped.startswith("#"):
-                # A standalone pragma comment suppresses the next line.
-                info.line_suppressions.setdefault(number + 1, set()).update(
-                    labels
-                )
-            else:
-                info.line_suppressions.setdefault(number, set()).update(
-                    labels
-                )
+            # A standalone pragma comment suppresses the next line.
+            target = number + 1 if stripped.startswith("#") else number
+            info.line_suppressions.setdefault(target, set()).update(labels)
+            info.pragmas.append((number, target, labels))
         guard = _GUARD_RE.search(text)
         if guard:
             info.guards[number] = guard.group(1)
         if number <= _FILE_PRAGMA_WINDOW:
             file_match = _SUPPRESS_FILE_RE.search(text)
             if file_match:
-                info.file_suppressions.update(
-                    part
-                    for part in file_match.group(1).split(",")
-                    if part
-                )
+                labels = {
+                    part for part in file_match.group(1).split(",") if part
+                }
+                info.file_suppressions.update(labels)
+                info.pragmas.append((number, None, labels))
 
 
 class ImportGraph:
@@ -266,12 +262,6 @@ class AnalysisSession:
 
     modules: List[ModuleInfo]
     graph: ImportGraph
-    #: Lazily-built whole-program model (symbol table + call graph +
-    #: taint/lock/unit/pickle analyses); shared by every flow rule so
-    #: the call graph is constructed exactly once per run.
-    _flow: Optional["ProjectModel"] = field(
-        default=None, repr=False, compare=False
-    )
     #: Lazily-computed unsuppressed findings of every non-meta rule,
     #: keyed by module path (used by the dead-suppression pass).
     _raw_findings: Optional[Dict[str, List[Finding]]] = field(
@@ -282,14 +272,6 @@ class AnalysisSession:
     def from_modules(cls, modules: Iterable[ModuleInfo]) -> "AnalysisSession":
         modules = list(modules)
         return cls(modules=modules, graph=ImportGraph(modules))
-
-    def flow(self) -> "ProjectModel":
-        """The whole-program model, built on first use and cached."""
-        if self._flow is None:
-            from repro.analysis.flow.symbols import ProjectModel
-
-            self._flow = ProjectModel.build(self.modules)
-        return self._flow
 
     def unsuppressed_findings(self) -> Dict[str, List[Finding]]:
         """Findings of every non-meta rule with pragmas ignored.

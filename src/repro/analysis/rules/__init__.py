@@ -7,14 +7,11 @@ registry (see :func:`repro.analysis.framework.register_rule`):
   RAQO003 set-iteration-order;
 - :mod:`comparisons` -- RAQO004 float-cost-compare;
 - :mod:`safety` -- RAQO005 shared-mutable-state, RAQO006
-  mutable-default-arg;
+  mutable-default-arg, RAQO012 unverified-lock-guard;
 - :mod:`plan_shape` -- RAQO007 positional-dimension-index;
 - :mod:`typing_gate` -- RAQO008 untyped-public-api;
 - :mod:`batching` -- RAQO010 per-candidate-costing-loop;
-- :mod:`whole_program` -- RAQO011 transitive-nondeterminism, RAQO012
-  unverified-lock-guard, RAQO013 unit-mismatch, RAQO014
-  unpicklable-process-state, RAQO015 dead-suppression (whole-program
-  passes over the shared call graph, see :mod:`repro.analysis.flow`).
+- :mod:`suppressions` -- RAQO015 dead-suppression.
 """
 
 from repro.analysis.rules import (  # noqa: F401  (registration imports)
@@ -23,8 +20,8 @@ from repro.analysis.rules import (  # noqa: F401  (registration imports)
     determinism,
     plan_shape,
     safety,
+    suppressions,
     typing_gate,
-    whole_program,
 )
 
 __all__ = [
@@ -33,6 +30,6 @@ __all__ = [
     "determinism",
     "plan_shape",
     "safety",
+    "suppressions",
     "typing_gate",
-    "whole_program",
 ]

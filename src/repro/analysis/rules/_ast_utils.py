@@ -18,13 +18,17 @@ MUTABLE_FACTORIES: Set[str] = {
 }
 
 #: The modules the paper's determinism story depends on: everything the
-#: planners and cost models can execute while producing a plan.
+#: planners, cost models and the simulated engine can execute while
+#: producing and running a plan.
 PLANNER_COST_ROOTS: Tuple[str, ...] = (
     "repro.core.raqo",
     "repro.core.resource_planner",
     "repro.core.cost_model",
     "repro.planner.selinger",
     "repro.planner.randomized",
+    "repro.planner.bushy",
+    "repro.engine.executor",
+    "repro.engine.runtime",
 )
 
 

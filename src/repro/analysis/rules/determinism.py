@@ -230,8 +230,9 @@ class WallClockRule(Rule):
     name = "wall-clock"
     description = (
         "time.time()/datetime.now() are banned in code reachable from "
-        "the planners and cost models (time.perf_counter, used only "
-        "for reported wall-time measurements, is allowed)"
+        "the planners, cost models and simulated engine "
+        "(time.perf_counter, used only for reported wall-time "
+        "measurements, is allowed)"
     )
     scope_roots = PLANNER_COST_ROOTS
 

@@ -66,6 +66,7 @@ from typing import List, Optional, TYPE_CHECKING, Tuple
 if TYPE_CHECKING:
     from repro.faults import FaultPlan, RecoveryPolicy
 
+from repro.analysis.cli import lint_arguments, run as run_lint
 from repro.api import RaqoSession
 from repro.catalog import tpch
 from repro.cluster.cluster import ClusterConditions
@@ -291,44 +292,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     lint = sub.add_parser(
-        "lint", help="run the invariant linter (repro.analysis)"
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to analyze (default: src)",
-    )
-    lint.add_argument(
-        "--rule",
-        action="append",
-        metavar="ID_OR_NAME",
-        help="run only this rule (repeatable)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true", help="list rules and exit"
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="findings output format",
-    )
-    lint.add_argument(
-        "--no-suppress",
-        action="store_true",
-        help="ignore '# lint: disable' pragmas",
-    )
-    lint.add_argument(
-        "--sarif",
-        metavar="FILE",
-        help="additionally write a SARIF 2.1.0 log to FILE ('-' for "
-        "stdout)",
-    )
-    lint.add_argument(
-        "--graph",
-        action="store_true",
-        help="dump the resolved whole-program call graph and exit",
+        "lint",
+        help="run the invariant linter (repro.analysis)",
+        parents=[lint_arguments()],
     )
     lint.add_argument(
         "--plans",
@@ -927,23 +893,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.cli import main as lint_main
     from repro.analysis.plan_checks import validate_plan
 
-    argv: List[str] = list(args.paths)
-    for selector in args.rule or ():
-        argv.extend(["--rule", selector])
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.format != "text":
-        argv.extend(["--format", args.format])
-    if args.no_suppress:
-        argv.append("--no-suppress")
-    if args.sarif:
-        argv.extend(["--sarif", args.sarif])
-    if args.graph:
-        argv.append("--graph")
-    status = lint_main(argv)
+    status = run_lint(args)
     if args.plans and not args.list_rules:
         planner = RaqoPlanner.default(tpch.tpch_catalog(100))
         for query in tpch.EVALUATION_QUERIES:

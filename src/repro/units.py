@@ -8,21 +8,16 @@ transposed ``predict(large, small, ...)`` call or a ``seconds + gb``
 sum type-checks and silently corrupts plans.
 
 These ``NewType`` wrappers restore the distinction at zero runtime
-cost.  They are *annotations first*: mypy rejects passing a bare float
-where ``GB`` is expected, and the RAQO013 whole-program unit checker
-(:mod:`repro.analysis.flow.units`) abstractly interprets arithmetic on
-them, flagging cross-unit ``+``/``-``/comparisons even through local
-variables and attribute loads.
+cost.  They are mypy annotations: mypy rejects passing a bare float,
+or another unit, where ``GB`` is expected.  Arithmetic erases them
+(``Seconds + GB`` is a plain ``float``), so constructor calls are the
+sanctioned cast points::
 
-Constructor calls are the sanctioned cast points::
-
-    elapsed = Seconds(raw_measurement)   # ok: explicit entry
-    total = elapsed + table_gb           # flagged: s + gb
+    elapsed = Seconds(raw_measurement)   # explicit entry
 
 Derived quantities (``GB / Seconds`` throughput, ``GB * Seconds``
-memory-time integrals) need no dedicated NewType -- the checker tracks
-dimension exponents -- but the two common ones are named below for
-signature readability.
+memory-time integrals) need no dedicated NewType, but the two common
+ones are named below for signature readability.
 """
 
 from __future__ import annotations

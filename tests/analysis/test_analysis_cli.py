@@ -14,7 +14,6 @@ import pytest
 
 from repro.analysis import run_analysis
 from repro.analysis.cli import main as lint_main
-from repro.analysis.sarif import validate_sarif
 from repro.cli import main as repro_main
 
 BAD_SOURCE = """\
@@ -121,63 +120,15 @@ class TestRuleSelectorErrors:
         assert lint_main(["--rule", "bogus", str(clean_file)]) == 2
         out = capsys.readouterr().out
         assert "Valid selectors:" in out
+        # RAQO009 retired with the positional-axis shims; RAQO011,
+        # RAQO013 and RAQO014 with the whole-program call graph.
+        retired = (9, 11, 13, 14)
         for index in range(1, 16):
-            if index == 9:  # retired with the positional-axis shims
-                assert "RAQO009" not in out
+            if index in retired:
+                assert f"RAQO{index:03d}" not in out
                 continue
             assert f"RAQO{index:03d}" in out
-        assert "RAQO011/transitive-nondeterminism" in out
-
-
-class TestSarifFlag:
-    def test_sarif_file_is_written_and_validates(
-        self, bad_file, tmp_path, capsys
-    ):
-        target = tmp_path / "out.sarif"
-        assert lint_main(["--sarif", str(target), str(bad_file)]) == 1
-        log = json.loads(target.read_text())
-        assert validate_sarif(log) == []
-        assert {
-            r["ruleId"] for r in log["runs"][0]["results"]
-        } == {"RAQO001", "RAQO008"}
-
-    def test_sarif_dash_prints_to_stdout(self, clean_file, capsys):
-        assert lint_main(["--sarif", "-", str(clean_file)]) == 0
-        out = capsys.readouterr().out
-        log = json.loads(out[: out.rindex("}") + 1])
-        assert validate_sarif(log) == []
-        assert log["runs"][0]["results"] == []
-
-    def test_sarif_respects_rule_filter(self, bad_file, tmp_path):
-        target = tmp_path / "out.sarif"
-        assert (
-            lint_main(
-                [
-                    "--rule",
-                    "RAQO001",
-                    "--sarif",
-                    str(target),
-                    str(bad_file),
-                ]
-            )
-            == 1
-        )
-        log = json.loads(target.read_text())
-        catalog = log["runs"][0]["tool"]["driver"]["rules"]
-        assert [r["id"] for r in catalog] == ["RAQO001"]
-
-
-class TestGraphFlag:
-    def test_graph_dumps_resolved_edges(self, tmp_path, capsys):
-        path = tmp_path / "mod.py"
-        path.write_text(
-            "def helper():\n    return 1\n\n\n"
-            "def entry():\n    return helper()\n"
-        )
-        assert lint_main(["--graph", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "# call graph:" in out
-        assert "mod.entry -> mod.helper [direct]" in out
+        assert "RAQO012/unverified-lock-guard" in out
 
 
 class TestEntryPoints:
@@ -200,15 +151,21 @@ class TestEntryPoints:
         assert repro_main(["lint", str(bad_file)]) == 1
         assert "RAQO001" in capsys.readouterr().out
 
-    def test_repro_lint_forwards_the_new_flags(
-        self, bad_file, tmp_path, capsys
+    def test_repro_lint_forwards_the_new_flags(self, bad_file, capsys):
+        argv = ["--format", "json", "--rule", "RAQO001", str(bad_file)]
+        assert repro_main(["lint", *argv]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert {entry["rule_id"] for entry in payload} == {"RAQO001"}
+
+    @pytest.mark.parametrize("flag", ["--sarif=out.sarif", "--graph"])
+    def test_retired_flags_exit_two_on_both_entry_points(
+        self, flag, clean_file, capsys
     ):
-        target = tmp_path / "out.sarif"
-        assert (
-            repro_main(["lint", "--sarif", str(target), str(bad_file)])
-            == 1
-        )
-        assert validate_sarif(json.loads(target.read_text())) == []
+        for entry in (lint_main, lambda argv: repro_main(["lint", *argv])):
+            with pytest.raises(SystemExit) as excinfo:
+                entry([flag, str(clean_file)])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestLiveTree:

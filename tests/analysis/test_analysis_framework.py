@@ -176,6 +176,32 @@ class TestImportGraphAndScoping:
         flagged = {f.path.rsplit("/", 1)[-1] for f in findings}
         assert flagged == {"reachable.py", "leaf.py"}
 
+    def test_engine_runtime_helpers_are_in_planner_scope(self, tmp_path):
+        # A wall-clock read in a helper that only the engine runtime
+        # imports is flagged, though no planner module reaches it.
+        package = _write_package(
+            tmp_path,
+            {
+                "repro/__init__.py": "",
+                "repro/core/__init__.py": "",
+                "repro/core/raqo.py": "PLANNER = 1\n",
+                "repro/engine/__init__.py": "",
+                "repro/engine/runtime.py": (
+                    "from repro.engine import clock\n"
+                ),
+                "repro/engine/clock.py": (
+                    "import time\n\n\ndef now() -> float:\n"
+                    "    return time.time()\n"
+                ),
+            },
+        )
+        findings = run_analysis(
+            [package], rules=resolve_rules(["RAQO002"])
+        )
+        assert [
+            (f.rule_id, f.path.rsplit("/", 1)[-1]) for f in findings
+        ] == [("RAQO002", "clock.py")]
+
     def test_standalone_files_fail_open_for_scoped_rules(self, lint):
         # RAQO005 is scoped to the service, yet a bare fixture file is
         # still checked so snippets can exercise the rule.
@@ -188,7 +214,11 @@ class TestRegistryAndSelectors:
         assert [rule.id for rule in all_rules()] == [
             # RAQO009 retired with the positional-axis shims; ids are
             # never reused.
-            f"RAQO{i:03d}" for i in range(1, 16) if i != 9
+            f"RAQO{i:03d}"
+            for i in range(1, 16)
+            # RAQO011, RAQO013 and RAQO014 retired with the
+            # whole-program call graph.
+            if i not in (9, 11, 13, 14)
         ]
 
     def test_resolve_by_name_slug(self):

@@ -1,99 +1,4 @@
-"""The whole-program rules RAQO011-RAQO015."""
-
-TRANSITIVE_CLOCK = """
-import time
-
-
-def plan(query):
-    return _helper(query)
-
-
-def _helper(query):
-    return _deeper(query)
-
-
-def _deeper(query):
-    return time.time()
-"""
-
-
-class TestTransitiveNondeterminism:
-    def test_two_hop_wall_clock_chain_is_flagged(self, lint):
-        findings = lint(TRANSITIVE_CLOCK, rule="RAQO011")
-        assert [f.rule_id for f in findings] == ["RAQO011"]
-        finding = findings[0]
-        # Anchored at the entry point's def, not at the source.
-        assert finding.line == 5
-        assert "wall-clock" in finding.message
-        assert "time.time()" in finding.message
-        assert "2 hops" in finding.message
-        assert (
-            "fixture.plan -> fixture._helper -> fixture._deeper"
-            in finding.message
-        )
-
-    def test_syntactic_rule_misses_the_entry_point(self, lint):
-        # The whole point of RAQO011: RAQO002 sees only the line with
-        # the banned call, never the entry that transitively runs it.
-        syntactic = lint(TRANSITIVE_CLOCK, rule="RAQO002")
-        assert [f.line for f in syntactic] == [14]
-
-    def test_source_in_the_entry_itself_is_not_duplicated(self, lint):
-        # Zero-hop reaches are the syntactic rules' territory.
-        source = """
-        import time
-
-
-        def plan(query):
-            return time.time()
-        """
-        assert lint(source, rule="RAQO011") == []
-        assert len(lint(source, rule="RAQO002")) == 1
-
-    def test_environ_reached_through_helper(self, lint):
-        source = """
-        import os
-
-
-        def plan(query):
-            return _helper()
-
-
-        def _helper():
-            return os.environ["RAQO_MODE"]
-        """
-        findings = lint(source, rule="RAQO011")
-        assert len(findings) == 1
-        assert "environ" in findings[0].message
-
-    def test_seeded_rng_is_not_a_source(self, lint):
-        source = """
-        import numpy as np
-
-
-        def plan(query):
-            return _helper()
-
-
-        def _helper():
-            rng = np.random.default_rng(42)
-            return rng.random()
-        """
-        assert lint(source, rule="RAQO011") == []
-
-    def test_private_helpers_are_not_entry_points(self, lint):
-        source = """
-        import time
-
-
-        def _plan(query):
-            return _helper(query)
-
-
-        def _helper(query):
-            return time.time()
-        """
-        assert lint(source, rule="RAQO011") == []
+"""RAQO012 unverified-lock-guard and RAQO015 dead-suppression."""
 
 
 class TestUnverifiedLockGuard:
@@ -203,239 +108,6 @@ class TestUnverifiedLockGuard:
         """
         findings = lint(source, rule="RAQO012")
         assert len(findings) == 1
-
-
-class TestUnitMismatch:
-    def test_adding_gb_to_seconds_is_flagged(self, lint):
-        source = """
-        from repro.units import GB, Seconds
-
-
-        def bad_total(size_gb: GB, elapsed: Seconds) -> GB:
-            return size_gb + elapsed
-        """
-        findings = lint(source, rule="RAQO013")
-        assert len(findings) == 1
-        assert "unit mismatch: 'gb' + 's'" in findings[0].message
-
-    def test_comparing_dollars_with_seconds_is_flagged(self, lint):
-        source = """
-        from repro.units import Dollars, Seconds
-
-
-        def worth_it(price: Dollars, elapsed: Seconds) -> bool:
-            return price < elapsed
-        """
-        findings = lint(source, rule="RAQO013")
-        assert len(findings) == 1
-        assert "comparing 'usd' with 's'" in findings[0].message
-
-    def test_wrong_return_dimension_is_flagged(self, lint):
-        source = """
-        from repro.units import GB, Seconds
-
-
-        def elapsed_gb(elapsed: Seconds) -> GB:
-            return elapsed
-        """
-        findings = lint(source, rule="RAQO013")
-        assert len(findings) == 1
-        assert "returns 's' but is annotated 'gb'" in findings[0].message
-
-    def test_annotated_local_contradiction_is_flagged(self, lint):
-        source = """
-        from repro.units import GB, Seconds
-
-
-        def convert(elapsed: Seconds) -> GB:
-            total: GB = elapsed
-            return total
-        """
-        findings = lint(source, rule="RAQO013")
-        assert len(findings) == 1
-        assert (
-            "'total' is declared 'gb' but assigned 's'"
-            in findings[0].message
-        )
-
-    def test_constructor_call_is_a_sanctioned_cast(self, lint):
-        source = """
-        from repro.units import GB, Seconds
-
-
-        def convert(size_gb: GB) -> Seconds:
-            return Seconds(size_gb)
-        """
-        assert lint(source, rule="RAQO013") == []
-
-    def test_derived_units_recover_through_mult_and_div(self, lint):
-        source = """
-        from repro.units import GB, Seconds
-
-
-        def roundtrip(size_gb: GB, elapsed: Seconds) -> GB:
-            throughput = size_gb / elapsed
-            return throughput * elapsed
-        """
-        assert lint(source, rule="RAQO013") == []
-
-    def test_compound_unit_dollars_per_hour(self, lint):
-        source = """
-        from repro.units import Dollars, DollarsPerHour, Seconds
-
-
-        def bill(rate: DollarsPerHour, elapsed: Seconds) -> Dollars:
-            return rate * elapsed
-        """
-        assert lint(source, rule="RAQO013") == []
-
-    def test_min_mixing_dimensions_is_flagged(self, lint):
-        source = """
-        from repro.units import GB, Seconds
-
-
-        def worst(size_gb: GB, elapsed: Seconds):
-            return min(size_gb, elapsed)
-        """
-        findings = lint(source, rule="RAQO013")
-        assert len(findings) == 1
-        assert "'min()' mixes gb and s" in findings[0].message
-
-    def test_unknown_operands_propagate_silently(self, lint):
-        source = """
-        from repro.units import Seconds
-
-
-        def pad(raw, elapsed: Seconds) -> Seconds:
-            return raw + elapsed
-        """
-        assert lint(source, rule="RAQO013") == []
-
-    def test_dimensionless_literals_scale_freely(self, lint):
-        source = """
-        from repro.units import Seconds
-
-
-        def double(elapsed: Seconds) -> Seconds:
-            return 2.0 * elapsed + 0.5
-        """
-        assert lint(source, rule="RAQO013") == []
-
-
-UNPICKLABLE_PREAMBLE = """
-import threading
-from concurrent.futures import ProcessPoolExecutor
-
-
-class Tracer:
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._lock = threading.Lock()
-
-
-def _init(payload):
-    return payload
-"""
-
-
-class TestUnpicklableProcessState:
-    def test_shipping_the_tracer_itself_is_flagged(self, lint):
-        source = UNPICKLABLE_PREAMBLE + """
-
-def launch(tracer: Tracer):
-    with ProcessPoolExecutor(
-        initializer=_init, initargs=(tracer,)
-    ) as pool:
-        return pool
-"""
-        findings = lint(source, rule="RAQO014")
-        assert [f.rule_id for f in findings] == ["RAQO014"]
-        assert "ships a Tracer" in findings[0].message
-        assert "threading.Lock" in findings[0].message
-
-    def test_shipping_the_plain_seed_field_passes(self, lint):
-        source = UNPICKLABLE_PREAMBLE + """
-
-def launch(tracer: Tracer):
-    with ProcessPoolExecutor(
-        initializer=_init, initargs=(tracer.seed,)
-    ) as pool:
-        return pool
-"""
-        assert lint(source, rule="RAQO014") == []
-
-    def test_dict_payload_entries_are_labelled(self, lint):
-        source = UNPICKLABLE_PREAMBLE + """
-
-def launch(tracer: Tracer):
-    payload = {"tracer": tracer, "seed": tracer.seed}
-    with ProcessPoolExecutor(
-        initializer=_init, initargs=(payload,)
-    ) as pool:
-        return pool
-"""
-        findings = lint(source, rule="RAQO014")
-        assert len(findings) == 1
-        assert "payload entry 'tracer'" in findings[0].message
-
-    def test_custom_getstate_exempts_the_class(self, lint):
-        source = """
-import threading
-from concurrent.futures import ProcessPoolExecutor
-
-
-class Tracer:
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._lock = threading.Lock()
-
-    def __getstate__(self):
-        return {"seed": self.seed}
-
-
-def _init(payload):
-    return payload
-
-
-def launch(tracer: Tracer):
-    with ProcessPoolExecutor(
-        initializer=_init, initargs=(tracer,)
-    ) as pool:
-        return pool
-"""
-        assert lint(source, rule="RAQO014") == []
-
-    def test_transitive_holders_are_inferred(self, lint):
-        source = """
-import threading
-from concurrent.futures import ProcessPoolExecutor
-
-
-class Registry:
-    def __init__(self):
-        self._lock = threading.Lock()
-
-
-class Session:
-    def __init__(self):
-        self.registry = Registry()
-
-
-def _init(payload):
-    return payload
-
-
-def launch():
-    session = Session()
-    with ProcessPoolExecutor(
-        initializer=_init, initargs=(session,)
-    ) as pool:
-        return pool
-"""
-        findings = lint(source, rule="RAQO014")
-        assert len(findings) == 1
-        assert "ships a Session" in findings[0].message
-        assert "Registry is" in findings[0].message
 
 
 class TestDeadSuppression:
