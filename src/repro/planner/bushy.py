@@ -13,52 +13,35 @@ small queries (see the planner-agreement tests).
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List
 
 from repro.catalog.queries import Query
-from repro.planner.cost_interface import (
-    Cost,
-    PlanCoster,
-    PlanningContext,
-    PlanningResult,
-    Stopwatch,
-    ZERO_COST,
+from repro.planner.cost_interface import PlanningContext, PlanningResult
+from repro.planner.selinger import (
+    Best,
+    Pair,
+    PlanningError,
+    SelingerPlanner,
 )
-from repro.planner.operators import JOIN_IMPLEMENTATIONS
-from repro.planner.plan import CandidateBatch, JoinNode, PlanNode, ScanNode
-from repro.planner.selinger import PlanningError, _counters_delta
 
 #: Exhaustive bushy enumeration is exponential; refuse silly inputs.
 MAX_BUSHY_RELATIONS = 12
 
 
-class BushyPlanner:
+class BushyPlanner(SelingerPlanner):
     """Exhaustive bushy join-order optimizer (DPsize).
 
-    Each DP level -- every (left, right, implementation) partition of
-    every connected subset of one size -- is costed through a single
-    ``cost_batch`` call, exactly like the left-deep
-    :class:`~repro.planner.selinger.SelingerPlanner`: size-``k`` entries
+    The :class:`~repro.planner.selinger.SelingerPlanner` DP over table
+    masks, with every (left, right) partition of a connected subset as
+    a candidate instead of single-relation extensions. Each level is
+    costed through a single ``cost_batch`` call: size-``k`` entries
     only read strictly smaller ``best`` entries, so a batched level is
     bit-identical to costing its candidates one at a time.
     """
 
     name = "bushy_dp"
-
-    def __init__(
-        self,
-        coster: PlanCoster,
-        time_weight: float = 1.0,
-        money_weight: float = 0.0,
-    ) -> None:
-        self._coster = coster
-        self._time_weight = time_weight
-        self._money_weight = money_weight
-
-    def _scalar(self, cost: Cost) -> float:
-        return cost.scalar(self._time_weight, self._money_weight)
+    shape = "bushy"
 
     def plan(
         self, query: Query, context: PlanningContext
@@ -70,107 +53,41 @@ class BushyPlanner:
                 f"exceed the {MAX_BUSHY_RELATIONS}-relation limit -- use "
                 "the FastRandomized planner"
             )
-        query.validate(context.estimator.catalog)
-        watch = Stopwatch()
-        start = dataclasses.replace(context.counters)
-        batches_before = len(context.batch_sizes)
+        return super().plan(query, context)
 
-        best: Dict[FrozenSet[str], Tuple[PlanNode, Cost]] = {}
-        for table in query.tables:
-            best[frozenset((table,))] = (ScanNode(table), ZERO_COST)
+    def _level_pairs(
+        self, size: int, bits: List[int], best: Dict[int, Best]
+    ) -> List[Pair]:
+        """Every partition of every subset of one DPsize level.
 
-        all_tables = frozenset(query.tables)
-        for size in range(2, len(query.tables) + 1):
-            self._split_level(size, all_tables, best, context)
-
-        if all_tables not in best:
-            raise PlanningError(
-                f"no connected bushy plan found for {query.name!r}"
-            )
-        plan, cost = best[all_tables]
-        delta = _counters_delta(start, context.counters)
-        return PlanningResult(
-            query=query,
-            plan=plan,
-            cost=cost,
-            wall_time_s=watch.elapsed_s(),
-            counters=delta,
-            planner_name=self.name,
-            batch_sizes=tuple(context.batch_sizes[batches_before:]),
-        )
-
-    def _split_level(
-        self,
-        size: int,
-        all_tables: FrozenSet[str],
-        best: Dict[FrozenSet[str], Tuple[PlanNode, Cost]],
-        context: PlanningContext,
-    ) -> None:
-        """Cost one whole DPsize level as a single candidate batch.
-
-        Candidates are collected subset by subset, each subset's
-        partitions by growing left side, costed in one ``cost_batch``
-        call, and the per-subset champion comparisons made in that
-        order: a strict ``<`` keeps the first of equal scalars.
+        Subsets come in sorted-combination order, each subset's
+        partitions by growing left side, which holds the subset's
+        lowest bit (so each unordered partition is met once). A
+        partition qualifies when both sides have plans and an edge
+        joins them; that also makes the subset connected.
         """
-        graph = context.estimator.join_graph
-        #: (subset, left plan, left cost, right plan, right cost,
-        #: algorithm) rows, parallel to the batch.
-        rows: List[Tuple] = []
-        candidates = []
-        for combo in itertools.combinations(sorted(all_tables), size):
-            subset = frozenset(combo)
-            if not graph.is_connected(subset):
-                continue
-            names = sorted(subset)
-            # Enumerate proper subsets containing the smallest element,
-            # so each unordered partition is considered exactly once.
-            anchor = names[0]
-            restnames = names[1:]
-            for mask_size in range(0, len(restnames)):
-                for picked in itertools.combinations(
-                    restnames, mask_size
-                ):
-                    left = frozenset((anchor,) + picked)
-                    right = subset - left
+        pairs: List[Pair] = []
+        for combo in itertools.combinations(bits, size):
+            subset = sum(combo)
+            anchor, others = combo[0], combo[1:]
+            for picked_size in range(len(others)):
+                for picked in itertools.combinations(others, picked_size):
+                    left = anchor + sum(picked)
+                    right = subset ^ left
                     left_entry = best.get(left)
                     right_entry = best.get(right)
                     if left_entry is None or right_entry is None:
                         continue
-                    if not graph.joinable(left, right):
+                    if not left_entry[3] & right:
                         continue
-                    for algorithm in JOIN_IMPLEMENTATIONS:
-                        context.counters.join_costings += 1
-                        rows.append(
-                            (subset, *left_entry, *right_entry, algorithm)
+                    left_cost, right_cost = left_entry[1], right_entry[1]
+                    pairs.append(
+                        (
+                            subset,
+                            left,
+                            right,
+                            left_cost.time_s + right_cost.time_s,
+                            left_cost.money + right_cost.money,
                         )
-                        candidates.append((left, right, algorithm))
-        if not rows:
-            return
-        batch = CandidateBatch.build(candidates, context.join_io_gb)
-        costed = self._coster.cost_batch(batch, context)
-        champions: Dict[FrozenSet[str], Tuple[PlanNode, Cost]] = {}
-        for index, (
-            subset,
-            left_plan,
-            left_cost,
-            right_plan,
-            right_cost,
-            algorithm,
-        ) in enumerate(rows):
-            cost, resources = costed.pair(index)
-            total = left_cost + right_cost + cost
-            if not total.is_finite:
-                continue
-            champion = champions.get(subset)
-            if champion is None or self._scalar(total) < self._scalar(
-                champion[1]
-            ):
-                node = JoinNode(
-                    left=left_plan,
-                    right=right_plan,
-                    algorithm=algorithm,
-                    resources=resources,
-                )
-                champions[subset] = (node, total)
-        best.update(champions)
+                    )
+        return pairs

@@ -30,12 +30,18 @@ import numpy as np
 
 from repro.cluster.containers import ResourceConfiguration
 from repro.engine.joins import JoinAlgorithm
+from repro.planner.operators import JOIN_IMPLEMENTATIONS
 
 #: Stable operator codes for the struct-of-arrays candidate batch
 #: (enum order is part of the planner's deterministic iteration order).
 #: Read-only so worker threads can share it without a lock.
 ALGORITHM_CODES: Mapping[JoinAlgorithm, int] = types.MappingProxyType(
     dict((algorithm, code) for code, algorithm in enumerate(JoinAlgorithm))
+)
+
+#: The operator codes of ``JOIN_IMPLEMENTATIONS``, in that order.
+_JOIN_CODES = tuple(
+    ALGORITHM_CODES[algorithm] for algorithm in JOIN_IMPLEMENTATIONS
 )
 
 
@@ -246,6 +252,31 @@ class CandidateBatch:
             algorithm_codes=np.asarray(codes, dtype=np.int8),
             small_gb=np.asarray(small, dtype=float),
             large_gb=np.asarray(large, dtype=float),
+        )
+
+    @classmethod
+    def of_pairs(
+        cls,
+        lefts: Sequence[FrozenSet[str]],
+        rights: Sequence[FrozenSet[str]],
+        sizes: Sequence[Tuple[float, float]],
+    ) -> "CandidateBatch":
+        """Every ``JOIN_IMPLEMENTATIONS`` candidate of each (left,
+        right) pair, pair by pair, given each pair's (smaller, larger)
+        input sizes: the DP planners meet each pair once per level."""
+        width = len(JOIN_IMPLEMENTATIONS)
+        small_gb, large_gb = np.repeat(
+            np.asarray(sizes, dtype=float), width, axis=0
+        ).T
+        return cls(
+            left_tables=tuple(x for x in lefts for _ in range(width)),
+            right_tables=tuple(x for x in rights for _ in range(width)),
+            algorithms=JOIN_IMPLEMENTATIONS * len(lefts),
+            algorithm_codes=np.array(
+                _JOIN_CODES * len(lefts), dtype=np.int8
+            ),
+            small_gb=small_gb,
+            large_gb=large_gb,
         )
 
     def __len__(self) -> int:

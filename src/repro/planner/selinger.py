@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from typing import Dict, FrozenSet, List, Tuple
-
-import numpy as np
 
 from repro.catalog.queries import Query
 from repro.planner.cost_interface import (
@@ -40,6 +39,14 @@ class PlanningError(Exception):
     """Raised when no feasible plan exists for a query."""
 
 
+#: A DP subset's champion, keyed by its table mask: its plan, cost,
+#: table set, and the mask of every table that joins one of its tables.
+Best = Tuple[PlanNode, Cost, FrozenSet[str], int]
+#: One join pair of a DP level: the subset's, left and right input's
+#: masks, and the inputs' summed time and money.
+Pair = Tuple[int, int, int, float, float]
+
+
 class SelingerPlanner:
     """Left-deep bottom-up dynamic programming join-order optimizer.
 
@@ -51,10 +58,14 @@ class SelingerPlanner:
     reorders any observable work: candidates are collected and
     champions compared in exactly the order a per-candidate loop would
     use, and plans, costs, counters and span trees are bit-identical to
-    costing one candidate at a time.
+    costing one candidate at a time. Subsets are int masks over the
+    query's tables (:func:`_scans`); frozensets are built only for
+    subsets that win a champion.
     """
 
     name = "selinger"
+    #: The plan shape the DP searches (named when no plan exists).
+    shape = "left-deep"
 
     def __init__(
         self,
@@ -80,20 +91,20 @@ class SelingerPlanner:
         start = dataclasses.replace(context.counters)
         batches_before = len(context.batch_sizes)
 
-        best: Dict[FrozenSet[str], Tuple[PlanNode, Cost]] = {}
-        for table in query.tables:
-            best[frozenset((table,))] = (ScanNode(table), ZERO_COST)
+        best = _scans(query, context)
+        bits = list(best)
+        for size in range(2, len(bits) + 1):
+            pairs = self._level_pairs(size, bits, best)
+            if pairs:
+                self._cost_level(pairs, best, context)
 
-        all_tables = frozenset(query.tables)
-        for size in range(2, len(query.tables) + 1):
-            self._extend_level(size, all_tables, best, context)
-
-        if all_tables not in best:
+        full = sum(bits)
+        if full not in best:
             raise PlanningError(
-                f"no connected left-deep plan found for query "
+                f"no connected {self.shape} plan found for query "
                 f"{query.name!r}"
             )
-        plan, cost = best[all_tables]
+        plan, cost, _, _ = best[full]
         delta = _counters_delta(start, context.counters)
         return PlanningResult(
             query=query,
@@ -105,85 +116,110 @@ class SelingerPlanner:
             batch_sizes=tuple(context.batch_sizes[batches_before:]),
         )
 
-    def _extend_level(
+    def _level_pairs(
+        self, size: int, bits: List[int], best: Dict[int, Best]
+    ) -> List[Pair]:
+        """Every (subset, extension relation) pair of one DP level, in
+        sorted-combination order.
+
+        A pair qualifies when its rest has a plan and the new relation
+        joins it; that also makes the subset connected, so no separate
+        connectivity test runs.
+        """
+        pairs: List[Pair] = []
+        for combo in itertools.combinations(bits, size):
+            subset = sum(combo)
+            for bit in combo:  # sorted
+                rest = subset ^ bit
+                entry = best.get(rest)
+                # Left-deep: the new relation is always the right
+                # input, and must actually join (no cross products).
+                if entry is not None and entry[3] & bit:
+                    cost = entry[1]
+                    pairs.append(
+                        (subset, rest, bit, cost.time_s, cost.money)
+                    )
+        return pairs
+
+    def _cost_level(
         self,
-        size: int,
-        all_tables: FrozenSet[str],
-        best: Dict[FrozenSet[str], Tuple[PlanNode, Cost]],
+        pairs: List[Pair],
+        best: Dict[int, Best],
         context: PlanningContext,
     ) -> None:
-        """Cost one whole DP level as a single candidate batch.
+        """Cost one DP level's pairs in one ``cost_batch`` call and
+        record each subset's champion in ``best``.
 
-        Collects every (subset, extension relation) pair of this level
-        in sorted-combination order and costs all of their join
-        implementations in one ``cost_batch`` call. Champions are then
-        picked from float arrays: each candidate's total is its rest
-        cost plus its join cost, lane by lane (the IEEE adds of
+        Each pair's inputs are sized once through ``context.join_io_gb``.
+        Champions are picked over Python floats: each lane's total is
+        the pair's base cost plus its join cost (the IEEE adds of
         ``Cost.__add__``), scalarised with the ``Cost.scalar``
         expression, and scanned in candidate order, skipping infeasible
         totals; a strict ``<`` keeps the first of equal scalars. Only
         each subset's final champion becomes a ``JoinNode`` and a
         ``Cost``.
         """
-        graph = context.estimator.join_graph
-        #: (subset, rest, new table) per joinable pair, in candidate order.
-        pairs: List[Tuple[FrozenSet[str], FrozenSet[str], str]] = []
-        for combo in itertools.combinations(sorted(all_tables), size):
-            subset = frozenset(combo)
-            if not graph.is_connected(subset):
-                continue
-            for table in combo:  # sorted
-                rest = subset - {table}
-                # Left-deep: the new relation is always the right
-                # input, and must actually join (no cross products).
-                if rest in best and graph.joinable(rest, (table,)):
-                    pairs.append((subset, rest, table))
-        if not pairs:
-            return
         width = len(JOIN_IMPLEMENTATIONS)
         context.counters.join_costings += len(pairs) * width
-        batch = CandidateBatch.build(
-            [
-                (rest, frozenset((table,)), algorithm)
-                for _, rest, table in pairs
-                for algorithm in JOIN_IMPLEMENTATIONS
-            ],
-            context.join_io_gb,
-        )
+        lefts = [best[pair[1]][2] for pair in pairs]
+        rights = [best[pair[2]][2] for pair in pairs]
+        sizes = list(map(context.join_io_gb, lefts, rights))
+        batch = CandidateBatch.of_pairs(lefts, rights, sizes)
         costed = self._coster.cost_batch(batch, context)
-        rest_costs = [best[rest][1] for _, rest, _ in pairs]
-        # A 0 * inf or an overflow can only come from an infeasible
-        # total, which the scan below skips; Python floats do not warn.
-        with np.errstate(invalid="ignore", over="ignore"):
-            time_s = np.repeat(
-                [cost.time_s for cost in rest_costs], width
-            ) + costed.time_s
-            money = np.repeat(
-                [cost.money for cost in rest_costs], width
-            ) + costed.money
-            scalars = (
-                self._time_weight * time_s + self._money_weight * money
-            ).tolist()
-        feasible = np.flatnonzero(np.isfinite(time_s) & np.isfinite(money))
-        #: Subset -> (candidate index, scalar) of its champion so far.
-        champions: Dict[FrozenSet[str], Tuple[int, float]] = {}
-        for index in feasible.tolist():
-            subset = pairs[index // width][0]
-            champion = champions.get(subset)
-            if champion is None or scalars[index] < champion[1]:
-                champions[subset] = (index, scalars[index])
-        for subset, (index, _) in champions.items():
-            _, rest, table = pairs[index // width]
+        times = costed.time_s.tolist()
+        moneys = costed.money.tolist()
+        time_weight, money_weight = self._time_weight, self._money_weight
+        #: Subset -> (lane, scalar, time, money) of its champion so far.
+        champions: Dict[int, Tuple[int, float, float, float]] = {}
+        for index, (subset, _, _, base_time, base_money) in enumerate(
+            pairs
+        ):
+            for lane in range(index * width, index * width + width):
+                time_s = base_time + times[lane]
+                money = base_money + moneys[lane]
+                if not (math.isfinite(time_s) and math.isfinite(money)):
+                    continue
+                scalar = time_weight * time_s + money_weight * money
+                champion = champions.get(subset)
+                if champion is None or scalar < champion[1]:
+                    champions[subset] = (lane, scalar, time_s, money)
+        for subset, (lane, _, time_s, money) in champions.items():
+            _, left, right, _, _ = pairs[lane // width]
+            left_plan, _, left_tables, left_reach = best[left]
+            right_plan, _, right_tables, right_reach = best[right]
             node = JoinNode(
-                left=best[rest][0],
-                right=ScanNode(table),
-                algorithm=batch.algorithms[index],
-                resources=costed.configs[index],
+                left=left_plan,
+                right=right_plan,
+                algorithm=batch.algorithms[lane],
+                resources=costed.configs[lane],
             )
             best[subset] = (
                 node,
-                Cost(time_s=float(time_s[index]), money=float(money[index])),
+                Cost(time_s=time_s, money=money),
+                left_tables | right_tables,
+                left_reach | right_reach,
             )
+
+
+def _scans(query: Query, context: PlanningContext) -> Dict[int, Best]:
+    """The DP's size-1 entries, keyed by each table's bit.
+
+    Bit ``i`` is the ``i``-th table name in sorted order, so
+    ``itertools.combinations`` over the bits enumerates subsets in
+    sorted-name order, the candidate order champion ties depend on.
+    """
+    names = sorted(frozenset(query.tables))
+    bits = {name: 1 << index for index, name in enumerate(names)}
+    graph = context.estimator.join_graph
+    return {
+        bits[name]: (
+            ScanNode(name),
+            ZERO_COST,
+            frozenset((name,)),
+            sum(bits.get(other, 0) for other in graph.neighbors(name)),
+        )
+        for name in names
+    }
 
 
 def _counters_delta(

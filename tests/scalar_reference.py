@@ -7,9 +7,14 @@ This module keeps the per-candidate forms those paths replaced, as
 oracles. Plans, ``Cost`` bits, counters (other than ``batched_calls`` /
 ``batch_memo_hits``) and canonical span trees must match them exactly.
 
+- :class:`FrozensetSelingerPlanner` and :class:`FrozensetBushyPlanner`
+  are the DPs over frozenset table sets that the production planners'
+  int-mask DPs replaced, one ``cost_batch`` call per level: every
+  ``cost_batch`` call must receive the same candidates in the same
+  order from both.
 - :class:`ReferenceSelingerPlanner` and :class:`ReferenceBushyPlanner`
-  pick every subset's champion with one ``join_cost`` call per
-  candidate.
+  run those DPs but pick every subset's champion with one ``join_cost``
+  call per candidate.
 - :class:`ReferenceFastRandomizedPlanner` costs each candidate plan join
   by join (:func:`get_plan_cost_per_join`).
 - :func:`reference_planner` builds a :class:`RaqoPlanner` whose query
@@ -24,23 +29,31 @@ oracles. Plans, ``Cost`` bits, counters (other than ``batched_calls`` /
 
 import contextlib
 import copy
+import dataclasses
 import itertools
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
+from repro.catalog.queries import Query
 from repro.core import raqo
-from repro.planner.bushy import BushyPlanner
+from repro.planner.bushy import MAX_BUSHY_RELATIONS, BushyPlanner
 from repro.planner.cost_interface import (
     BatchCostResult,
     Cost,
     PlanningContext,
+    PlanningResult,
+    Stopwatch,
     ZERO_COST,
 )
 from repro.planner.operators import JOIN_IMPLEMENTATIONS
-from repro.planner.plan import JoinNode, PlanNode, ScanNode
+from repro.planner.plan import CandidateBatch, JoinNode, PlanNode, ScanNode
 from repro.planner.randomized import FastRandomizedPlanner
-from repro.planner.selinger import SelingerPlanner
+from repro.planner.selinger import (
+    PlanningError,
+    SelingerPlanner,
+    _counters_delta,
+)
 
 Best = Dict[FrozenSet[str], Tuple[PlanNode, Cost]]
 
@@ -99,7 +112,131 @@ class PerCandidateCoster:
         return cost_batch_per_candidate(self, batch, context)
 
 
-class ReferenceSelingerPlanner(SelingerPlanner):
+class FrozensetSelingerPlanner(SelingerPlanner):
+    """The left-deep DP over frozenset table sets, one ``cost_batch``
+    call per level: the candidate-order oracle of the mask DP."""
+
+    def plan(
+        self, query: Query, context: PlanningContext
+    ) -> PlanningResult:
+        """Optimize ``query``; returns the paper's planning metrics.
+
+        Counters accumulate into ``context.counters`` (so across-query
+        caching experiments can aggregate); the returned result carries
+        only this run's deltas.
+        """
+        query.validate(context.estimator.catalog)
+        watch = Stopwatch()
+        start = dataclasses.replace(context.counters)
+        batches_before = len(context.batch_sizes)
+
+        best: Dict[FrozenSet[str], Tuple[PlanNode, Cost]] = {}
+        for table in query.tables:
+            best[frozenset((table,))] = (ScanNode(table), ZERO_COST)
+
+        all_tables = frozenset(query.tables)
+        for size in range(2, len(query.tables) + 1):
+            self._extend_level(size, all_tables, best, context)
+
+        if all_tables not in best:
+            raise PlanningError(
+                f"no connected left-deep plan found for query "
+                f"{query.name!r}"
+            )
+        plan, cost = best[all_tables]
+        delta = _counters_delta(start, context.counters)
+        return PlanningResult(
+            query=query,
+            plan=plan,
+            cost=cost,
+            wall_time_s=watch.elapsed_s(),
+            counters=delta,
+            planner_name=self.name,
+            batch_sizes=tuple(context.batch_sizes[batches_before:]),
+        )
+
+    def _extend_level(
+        self,
+        size: int,
+        all_tables: FrozenSet[str],
+        best: Dict[FrozenSet[str], Tuple[PlanNode, Cost]],
+        context: PlanningContext,
+    ) -> None:
+        """Cost one whole DP level as a single candidate batch.
+
+        Collects every (subset, extension relation) pair of this level
+        in sorted-combination order and costs all of their join
+        implementations in one ``cost_batch`` call. Champions are then
+        picked from float arrays: each candidate's total is its rest
+        cost plus its join cost, lane by lane (the IEEE adds of
+        ``Cost.__add__``), scalarised with the ``Cost.scalar``
+        expression, and scanned in candidate order, skipping infeasible
+        totals; a strict ``<`` keeps the first of equal scalars. Only
+        each subset's final champion becomes a ``JoinNode`` and a
+        ``Cost``.
+        """
+        graph = context.estimator.join_graph
+        #: (subset, rest, new table) per joinable pair, in candidate order.
+        pairs: List[Tuple[FrozenSet[str], FrozenSet[str], str]] = []
+        for combo in itertools.combinations(sorted(all_tables), size):
+            subset = frozenset(combo)
+            if not graph.is_connected(subset):
+                continue
+            for table in combo:  # sorted
+                rest = subset - {table}
+                # Left-deep: the new relation is always the right
+                # input, and must actually join (no cross products).
+                if rest in best and graph.joinable(rest, (table,)):
+                    pairs.append((subset, rest, table))
+        if not pairs:
+            return
+        width = len(JOIN_IMPLEMENTATIONS)
+        context.counters.join_costings += len(pairs) * width
+        batch = CandidateBatch.build(
+            [
+                (rest, frozenset((table,)), algorithm)
+                for _, rest, table in pairs
+                for algorithm in JOIN_IMPLEMENTATIONS
+            ],
+            context.join_io_gb,
+        )
+        costed = self._coster.cost_batch(batch, context)
+        rest_costs = [best[rest][1] for _, rest, _ in pairs]
+        # A 0 * inf or an overflow can only come from an infeasible
+        # total, which the scan below skips; Python floats do not warn.
+        with np.errstate(invalid="ignore", over="ignore"):
+            time_s = np.repeat(
+                [cost.time_s for cost in rest_costs], width
+            ) + costed.time_s
+            money = np.repeat(
+                [cost.money for cost in rest_costs], width
+            ) + costed.money
+            scalars = (
+                self._time_weight * time_s + self._money_weight * money
+            ).tolist()
+        feasible = np.flatnonzero(np.isfinite(time_s) & np.isfinite(money))
+        #: Subset -> (candidate index, scalar) of its champion so far.
+        champions: Dict[FrozenSet[str], Tuple[int, float]] = {}
+        for index in feasible.tolist():
+            subset = pairs[index // width][0]
+            champion = champions.get(subset)
+            if champion is None or scalars[index] < champion[1]:
+                champions[subset] = (index, scalars[index])
+        for subset, (index, _) in champions.items():
+            _, rest, table = pairs[index // width]
+            node = JoinNode(
+                left=best[rest][0],
+                right=ScanNode(table),
+                algorithm=batch.algorithms[index],
+                resources=costed.configs[index],
+            )
+            best[subset] = (
+                node,
+                Cost(time_s=float(time_s[index]), money=float(money[index])),
+            )
+
+
+class ReferenceSelingerPlanner(FrozensetSelingerPlanner):
     """Left-deep DP choosing each subset's champion candidate by
     candidate."""
 
@@ -156,7 +293,130 @@ class ReferenceSelingerPlanner(SelingerPlanner):
         return champion
 
 
-class ReferenceBushyPlanner(BushyPlanner):
+class FrozensetBushyPlanner(BushyPlanner):
+    """DPsize over frozenset table sets, one ``cost_batch`` call per
+    level: the candidate-order oracle of the mask DP."""
+
+    def _scalar(self, cost: Cost) -> float:
+        return cost.scalar(self._time_weight, self._money_weight)
+
+    def plan(
+        self, query: Query, context: PlanningContext
+    ) -> PlanningResult:
+        """Optimize ``query`` over the full bushy plan space."""
+        if len(query.tables) > MAX_BUSHY_RELATIONS:
+            raise PlanningError(
+                f"bushy DP is exhaustive; {len(query.tables)} relations "
+                f"exceed the {MAX_BUSHY_RELATIONS}-relation limit -- use "
+                "the FastRandomized planner"
+            )
+        query.validate(context.estimator.catalog)
+        watch = Stopwatch()
+        start = dataclasses.replace(context.counters)
+        batches_before = len(context.batch_sizes)
+
+        best: Dict[FrozenSet[str], Tuple[PlanNode, Cost]] = {}
+        for table in query.tables:
+            best[frozenset((table,))] = (ScanNode(table), ZERO_COST)
+
+        all_tables = frozenset(query.tables)
+        for size in range(2, len(query.tables) + 1):
+            self._split_level(size, all_tables, best, context)
+
+        if all_tables not in best:
+            raise PlanningError(
+                f"no connected bushy plan found for {query.name!r}"
+            )
+        plan, cost = best[all_tables]
+        delta = _counters_delta(start, context.counters)
+        return PlanningResult(
+            query=query,
+            plan=plan,
+            cost=cost,
+            wall_time_s=watch.elapsed_s(),
+            counters=delta,
+            planner_name=self.name,
+            batch_sizes=tuple(context.batch_sizes[batches_before:]),
+        )
+
+    def _split_level(
+        self,
+        size: int,
+        all_tables: FrozenSet[str],
+        best: Dict[FrozenSet[str], Tuple[PlanNode, Cost]],
+        context: PlanningContext,
+    ) -> None:
+        """Cost one whole DPsize level as a single candidate batch.
+
+        Candidates are collected subset by subset, each subset's
+        partitions by growing left side, costed in one ``cost_batch``
+        call, and the per-subset champion comparisons made in that
+        order: a strict ``<`` keeps the first of equal scalars.
+        """
+        graph = context.estimator.join_graph
+        #: (subset, left plan, left cost, right plan, right cost,
+        #: algorithm) rows, parallel to the batch.
+        rows: List[Tuple] = []
+        candidates = []
+        for combo in itertools.combinations(sorted(all_tables), size):
+            subset = frozenset(combo)
+            if not graph.is_connected(subset):
+                continue
+            names = sorted(subset)
+            # Enumerate proper subsets containing the smallest element,
+            # so each unordered partition is considered exactly once.
+            anchor = names[0]
+            restnames = names[1:]
+            for mask_size in range(0, len(restnames)):
+                for picked in itertools.combinations(
+                    restnames, mask_size
+                ):
+                    left = frozenset((anchor,) + picked)
+                    right = subset - left
+                    left_entry = best.get(left)
+                    right_entry = best.get(right)
+                    if left_entry is None or right_entry is None:
+                        continue
+                    if not graph.joinable(left, right):
+                        continue
+                    for algorithm in JOIN_IMPLEMENTATIONS:
+                        context.counters.join_costings += 1
+                        rows.append(
+                            (subset, *left_entry, *right_entry, algorithm)
+                        )
+                        candidates.append((left, right, algorithm))
+        if not rows:
+            return
+        batch = CandidateBatch.build(candidates, context.join_io_gb)
+        costed = self._coster.cost_batch(batch, context)
+        champions: Dict[FrozenSet[str], Tuple[PlanNode, Cost]] = {}
+        for index, (
+            subset,
+            left_plan,
+            left_cost,
+            right_plan,
+            right_cost,
+            algorithm,
+        ) in enumerate(rows):
+            cost, resources = costed.pair(index)
+            total = left_cost + right_cost + cost
+            if not total.is_finite:
+                continue
+            champion = champions.get(subset)
+            if champion is None or self._scalar(total) < self._scalar(
+                champion[1]
+            ):
+                node = JoinNode(
+                    left=left_plan,
+                    right=right_plan,
+                    algorithm=algorithm,
+                    resources=resources,
+                )
+                champions[subset] = (node, total)
+        best.update(champions)
+
+
+class ReferenceBushyPlanner(FrozensetBushyPlanner):
     """DPsize choosing each subset's champion candidate by candidate."""
 
     def _split_level(self, size, all_tables, best, context):
