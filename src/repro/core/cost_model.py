@@ -29,7 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -43,6 +51,27 @@ from repro.engine.profiles import EngineProfile
 #: Predictions are clipped below this floor: a linear model extrapolating
 #: far from its training grid can go negative, which would break planners.
 MIN_PREDICTED_TIME_S = 1e-3
+
+#: One input size, or an array of them (the grid methods' data axes).
+Sizes = Union[GB, np.ndarray]
+
+
+def _per_pair(
+    small_gb: Sizes,
+    large_gb: Sizes,
+    num_configs: int,
+    row: Callable[[GB, GB], Iterable[float]],
+) -> np.ndarray:
+    """``row(ss, ls)``, the times of one size pair at N configurations,
+    for one pair or each pair of equal-shape arrays, stacked into their
+    shape plus a trailing axis of N."""
+    small = np.asarray(small_gb, dtype=float)
+    large = np.asarray(large_gb, dtype=float)
+    rows = [
+        row(GB(ss), GB(ls))
+        for ss, ls in zip(small.ravel().tolist(), large.ravel().tolist())
+    ]
+    return np.array(rows, dtype=float).reshape(small.shape + (num_configs,))
 
 
 @dataclass(frozen=True)
@@ -63,64 +92,6 @@ class FeatureMap:
             float(config.num_containers),
         )
         return np.asarray(values, dtype=float)
-
-    def batch(
-        self,
-        small_gb: float,
-        large_gb: float,
-        container_gb: np.ndarray,
-        num_containers: np.ndarray,
-    ) -> np.ndarray:
-        """The ``(N, F)`` feature matrix for N resource configurations.
-
-        The transform runs once on whole arrays (the feature expressions
-        are elementwise arithmetic, so numpy computes the same IEEE
-        values as the scalar path). Transforms that are not
-        numpy-compatible fall back to per-row evaluation.
-        """
-        cs = np.asarray(container_gb, dtype=float)
-        nc = np.asarray(num_containers, dtype=float)
-        try:
-            values = self.transform(small_gb, large_gb, cs, nc)
-            columns = [
-                np.broadcast_to(np.asarray(v, dtype=float), cs.shape)
-                for v in values
-            ]
-            return np.stack(columns, axis=1)
-        except Exception:
-            rows = [
-                self.transform(small_gb, large_gb, float(c), float(n))
-                for c, n in zip(cs, nc)
-            ]
-            return np.asarray(rows, dtype=float)
-
-    def stacked(
-        self,
-        small_gbs: np.ndarray,
-        large_gbs: np.ndarray,
-        container_gb: np.ndarray,
-        num_containers: np.ndarray,
-    ) -> Tuple[np.ndarray, ...]:
-        """Feature columns for M candidates x N configurations.
-
-        Returns one ``(M, N)`` array per feature. The data axes enter as
-        column vectors and the resource axes as row vectors, so the
-        transform's elementwise arithmetic broadcasts to the full
-        candidate-by-configuration plane without copying either axis --
-        every candidate shares the same zero-copy grid arrays. Each lane
-        runs the same IEEE operations as the scalar transform, so values
-        are bit-identical to M separate :meth:`batch` calls.
-        """
-        ss = np.asarray(small_gbs, dtype=float)[:, None]
-        ls = np.asarray(large_gbs, dtype=float)[:, None]
-        cs = np.asarray(container_gb, dtype=float)[None, :]
-        nc = np.asarray(num_containers, dtype=float)[None, :]
-        shape = (ss.shape[0], cs.shape[1])
-        values = self.transform(ss, ls, cs, nc)
-        return tuple(
-            np.broadcast_to(np.asarray(v, dtype=float), shape)
-            for v in values
-        )
 
     def __len__(self) -> int:
         return len(self.feature_names)
@@ -233,129 +204,54 @@ class OperatorCostModel:
 
     def predict_grid(
         self,
-        small_gb: GB,
-        large_gb: GB,
+        small_gb: Sizes,
+        large_gb: Sizes,
         counts: np.ndarray,
         sizes: np.ndarray,
     ) -> np.ndarray:
-        """Batched :meth:`predict` over a whole configuration grid.
+        """:meth:`predict` for size pairs x N configurations.
 
-        A handful of column-accumulated array operations replace N
-        feature builds and dot products; each configuration's lane runs
-        the same multiply-add sequence as :meth:`predict`, so the batch
-        matches the scalar path value for value. NaN predictions surface
-        as ``inf`` and the same positive floor is applied.
-
-        Like :meth:`predict_grid_stacked`, it accumulates the feature
-        values un-broadcast: data-only features stay scalars until the
-        add, and no ``(N, F)`` feature matrix is built.
+        ``small_gb``/``large_gb`` are one size pair or equal-shape arrays
+        of them; the result has their shape plus a trailing axis of the N
+        configurations. Arrays of pairs enter the transform with a unit
+        axis appended and the resource axes as row vectors, so its
+        elementwise arithmetic broadcasts to the whole plane without
+        copying either axis. The feature values are accumulated
+        un-broadcast, coefficient by coefficient in :meth:`predict`'s
+        order: each lane runs the scalar call's IEEE operations and
+        equals it bit for bit, NaN surfacing as ``inf`` and the same
+        positive floor applied. Transforms that reject arrays (a
+        ``TypeError`` or ``ValueError``, as ``math`` functions and
+        ``if`` tests on arrays raise) fall back to looping
+        :meth:`predict`.
         """
         cs = np.asarray(sizes, dtype=float)
         nc = np.asarray(counts, dtype=float)
-        try:
-            values = self.feature_map.transform(small_gb, large_gb, cs, nc)
-        except Exception:
-            values = tuple(
-                self.feature_map.batch(small_gb, large_gb, cs, nc).T
-            )
-        acc = np.zeros(cs.shape[0])
-        for value, coefficient in zip(values, self.coefficients):
-            acc += coefficient * np.asarray(value, dtype=float)
-        raw = self.intercept + acc
-        raw = np.where(np.isnan(raw), math.inf, raw)
-        return np.maximum(raw, MIN_PREDICTED_TIME_S)
-
-    def predict_grid_stacked(
-        self,
-        small_gbs: np.ndarray,
-        large_gbs: np.ndarray,
-        counts: np.ndarray,
-        sizes: np.ndarray,
-    ) -> np.ndarray:
-        """:meth:`predict_grid` for M candidates at once: an ``(M, N)``
-        matrix of predicted times.
-
-        Row ``m`` accumulates the same coefficient-by-coefficient
-        multiply-add sequence as ``predict_grid(small_gbs[m], ...)``, so
-        each row is bit-identical to the per-candidate call. Transforms
-        that reject 2-D inputs fall back to stacking per-candidate grid
-        predictions.
-        """
-        small = np.asarray(small_gbs, dtype=float)
-        large = np.asarray(large_gbs, dtype=float)
-        if small.size == 0:
-            return np.zeros((0, len(counts)))
-        try:
-            values = self.feature_map.transform(
-                small[:, None],
-                large[:, None],
-                np.asarray(sizes, dtype=float)[None, :],
-                np.asarray(counts, dtype=float)[None, :],
-            )
-        except Exception:
-            return np.stack(
-                [
-                    self.predict_grid(
-                        float(ss), float(ls), counts, sizes
-                    )
-                    for ss, ls in zip(small, large)
-                ]
-            )
-        # Accumulate the un-broadcast feature values directly: the
-        # scalar multiply runs on the small (M, 1) or (1, N) operand
-        # and only the in-place add sweeps the full (M, N) plane. Each
-        # lane still sees the exact `acc + coef * column` IEEE sequence
-        # of the per-candidate path, at a fraction of the memory
-        # traffic of materializing every broadcast column.
-        acc = np.zeros((small.shape[0], len(counts)))
-        for value, coefficient in zip(values, self.coefficients):
-            acc += coefficient * np.asarray(value, dtype=float)
-        raw = self.intercept + acc
-        raw = np.where(np.isnan(raw), math.inf, raw)
-        return np.maximum(raw, MIN_PREDICTED_TIME_S)
-
-    def predict_rows(
-        self,
-        small_gbs: np.ndarray,
-        large_gbs: np.ndarray,
-        container_gb: np.ndarray,
-        num_containers: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized :meth:`predict` over N independent rows.
-
-        Unlike :meth:`predict_grid_stacked` there is no cross product:
-        row ``n`` pairs candidate ``n`` with *its own* configuration
-        (the batched planner's per-winner recompute). The feature
-        expressions are elementwise arithmetic and the accumulation
-        runs coefficient by coefficient, so each lane performs exactly
-        the IEEE operation sequence of the scalar call -- bit-identical
-        results. Like :meth:`predict_grid_stacked`, the feature values
-        are accumulated un-broadcast. Transforms that reject array
-        inputs fall back to the per-row scalar path.
-        """
-        ss = np.asarray(small_gbs, dtype=float)
-        ls = np.asarray(large_gbs, dtype=float)
-        cs = np.asarray(container_gb, dtype=float)
-        nc = np.asarray(num_containers, dtype=float)
-        if ss.size == 0:
-            return np.zeros(0)
+        # One pair enters as given, so its data-only features skip
+        # numpy's per-call overhead (the same IEEE values either way).
+        ss, ls, shape = small_gb, large_gb, cs.shape
+        if isinstance(small_gb, np.ndarray):
+            ss = np.asarray(small_gb, dtype=float)[..., None]
+            ls = np.asarray(large_gb, dtype=float)[..., None]
+            shape = small_gb.shape + shape
         try:
             values = self.feature_map.transform(ss, ls, cs, nc)
-        except Exception:
-            return np.asarray(
-                [
-                    self.predict(
-                        GB(float(s)),
-                        GB(float(l)),
-                        ResourceConfiguration(
-                            num_containers=int(round(float(n))),
-                            container_gb=float(c),
-                        ),
-                    )
-                    for s, l, c, n in zip(ss, ls, cs, nc)
-                ]
+        except (TypeError, ValueError):
+            configs = [
+                ResourceConfiguration(
+                    num_containers=int(round(n)), container_gb=c
+                )
+                for n, c in zip(nc.tolist(), cs.tolist())
+            ]
+            return _per_pair(
+                small_gb,
+                large_gb,
+                len(configs),
+                lambda small, large: [
+                    self.predict(small, large, c) for c in configs
+                ],
             )
-        acc = np.zeros(ss.shape)
+        acc = np.zeros(shape)
         for value, coefficient in zip(values, self.coefficients):
             acc += coefficient * np.asarray(value, dtype=float)
         raw = self.intercept + acc
@@ -450,86 +346,29 @@ class JoinCostEstimator:
     def predict_time_grid(
         self,
         algorithm: JoinAlgorithm,
-        small_gb: GB,
-        large_gb: GB,
+        small_gb: Sizes,
+        large_gb: Sizes,
         grid: ConfigurationGrid,
     ) -> np.ndarray:
-        """Predicted times for every configuration in a grid.
+        """Predicted times for one size pair, or equal-shape arrays of
+        them, at every configuration of a grid: their shape plus a
+        trailing axis of ``grid.num_configs``.
 
-        The base implementation loops over :meth:`predict_time`, so any
-        estimator supports the batched interface; subclasses override it
-        with genuinely vectorized evaluations (one matmul for learned
-        models, elementwise array math for the simulator oracle).
+        Lane ``[..., k]`` equals :meth:`predict_time` at
+        ``grid.config_at(k)`` bit for bit. The base implementation loops
+        over :meth:`predict_time`, so any estimator supports the grid
+        interface; subclasses override it with vectorized evaluations
+        (one broadcast model evaluation for learned models, elementwise
+        array math for the simulator oracle).
         """
-        return np.fromiter(
-            (
-                self.predict_time(algorithm, small_gb, large_gb, config)
-                for config in grid.configurations()
-            ),
-            dtype=float,
-            count=grid.num_configs,
-        )
-
-    def predict_time_grid_batch(
-        self,
-        algorithm: JoinAlgorithm,
-        small_gbs: np.ndarray,
-        large_gbs: np.ndarray,
-        grid: ConfigurationGrid,
-    ) -> np.ndarray:
-        """Predicted times for M candidates x every grid configuration.
-
-        The base implementation stacks per-candidate
-        :meth:`predict_time_grid` rows, so every estimator supports the
-        batched planner path; :class:`CostModelSuite` overrides it with
-        one stacked kernel evaluation for the whole ``(M, N)`` plane.
-        Row ``m`` always equals ``predict_time_grid(algorithm,
-        small_gbs[m], large_gbs[m], grid)`` bit for bit.
-        """
-        rows = [
-            self.predict_time_grid(
-                algorithm, float(ss), float(ls), grid
-            )
-            for ss, ls in zip(small_gbs, large_gbs)
-        ]
-        if not rows:
-            return np.zeros((0, grid.num_configs))
-        return np.stack(rows)
-
-    def predict_time_rows(
-        self,
-        algorithm: JoinAlgorithm,
-        small_gbs: np.ndarray,
-        large_gbs: np.ndarray,
-        container_gb: np.ndarray,
-        num_containers: np.ndarray,
-    ) -> np.ndarray:
-        """Predicted times for N (candidate, configuration) pairs.
-
-        Row ``n`` pairs ``small_gbs[n]``/``large_gbs[n]`` with its own
-        configuration -- the batched kernel's per-winner recompute shape.
-        The base implementation loops over :meth:`predict_time`;
-        :class:`CostModelSuite` overrides it with one elementwise array
-        evaluation. Row ``n`` always equals ``predict_time(algorithm,
-        small_gbs[n], large_gbs[n], config_n)`` bit for bit.
-        """
-        return np.fromiter(
-            (
-                self.predict_time(
-                    algorithm,
-                    float(ss),
-                    float(ls),
-                    ResourceConfiguration(
-                        num_containers=int(round(float(nc))),
-                        container_gb=float(cs),
-                    ),
-                )
-                for ss, ls, cs, nc in zip(
-                    small_gbs, large_gbs, container_gb, num_containers
-                )
-            ),
-            dtype=float,
-            count=len(np.asarray(small_gbs)),
+        configs = list(grid.configurations())
+        return _per_pair(
+            small_gb,
+            large_gb,
+            grid.num_configs,
+            lambda ss, ls: [
+                self.predict_time(algorithm, ss, ls, c) for c in configs
+            ],
         )
 
     def bhj_feasible(
@@ -579,71 +418,21 @@ class CostModelSuite(JoinCostEstimator):
     def predict_time_grid(
         self,
         algorithm: JoinAlgorithm,
-        small_gb: GB,
-        large_gb: GB,
+        small_gb: Sizes,
+        large_gb: Sizes,
         grid: ConfigurationGrid,
     ) -> np.ndarray:
-        """One batched model evaluation for the whole grid (plus the
-        BHJ memory wall applied as a vector mask)."""
+        """One model evaluation over the sizes x the grid, then the BHJ
+        memory wall as :meth:`bhj_feasible`'s comparison, per lane."""
         times = self.models[algorithm].predict_grid(
             small_gb, large_gb, grid.counts, grid.sizes
         )
         if algorithm is JoinAlgorithm.BROADCAST_HASH:
-            infeasible = small_gb > (
-                self.hash_memory_fraction * grid.sizes
-            )
-            times = np.where(infeasible, math.inf, times)
-        return times
-
-    def predict_time_grid_batch(
-        self,
-        algorithm: JoinAlgorithm,
-        small_gbs: np.ndarray,
-        large_gbs: np.ndarray,
-        grid: ConfigurationGrid,
-    ) -> np.ndarray:
-        """One stacked model evaluation for all M candidates x the grid.
-
-        The BHJ memory wall broadcasts the same per-lane comparison as
-        :meth:`predict_time_grid`, so rows stay bit-identical to the
-        per-candidate calls.
-        """
-        small = np.asarray(small_gbs, dtype=float)
-        large = np.asarray(large_gbs, dtype=float)
-        times = self.models[algorithm].predict_grid_stacked(
-            small, large, grid.counts, grid.sizes
-        )
-        if algorithm is JoinAlgorithm.BROADCAST_HASH and small.size:
-            infeasible = small[:, None] > (
-                self.hash_memory_fraction * grid.sizes
-            )
-            times = np.where(infeasible, math.inf, times)
-        return times
-
-    def predict_time_rows(
-        self,
-        algorithm: JoinAlgorithm,
-        small_gbs: np.ndarray,
-        large_gbs: np.ndarray,
-        container_gb: np.ndarray,
-        num_containers: np.ndarray,
-    ) -> np.ndarray:
-        """One elementwise model evaluation for all N winner rows.
-
-        Applies the BHJ memory wall as the same per-lane comparison as
-        :meth:`predict_time`, so rows stay bit-identical to per-winner
-        scalar calls.
-        """
-        small = np.asarray(small_gbs, dtype=float)
-        times = self.models[algorithm].predict_rows(
-            small, large_gbs, container_gb, num_containers
-        )
-        if algorithm is JoinAlgorithm.BROADCAST_HASH and small.size:
-            infeasible = small > (
-                self.hash_memory_fraction
-                * np.asarray(container_gb, dtype=float)
-            )
-            times = np.where(infeasible, math.inf, times)
+            small = small_gb
+            if isinstance(small_gb, np.ndarray):
+                small = small_gb[..., None]
+            feasible = small <= self.hash_memory_fraction * grid.sizes
+            times = np.where(feasible, times, math.inf)
         return times
 
     @classmethod
@@ -715,19 +504,25 @@ class SimulatorCostModel(JoinCostEstimator):
     def predict_time_grid(
         self,
         algorithm: JoinAlgorithm,
-        small_gb: GB,
-        large_gb: GB,
+        small_gb: Sizes,
+        large_gb: Sizes,
         grid: ConfigurationGrid,
     ) -> np.ndarray:
-        """Vectorized analytic oracle over the whole grid."""
-        return join_time_grid(
-            algorithm,
+        """Vectorized analytic oracle over the whole grid, one size pair
+        at a time."""
+        return _per_pair(
             small_gb,
             large_gb,
-            grid.counts,
-            grid.sizes,
-            self.profile,
-            num_reducers=self.num_reducers,
+            grid.num_configs,
+            lambda ss, ls: join_time_grid(
+                algorithm,
+                ss,
+                ls,
+                grid.counts,
+                grid.sizes,
+                self.profile,
+                num_reducers=self.num_reducers,
+            ),
         )
 
     def model_key(self, algorithm: JoinAlgorithm) -> str:

@@ -13,7 +13,7 @@ in the style of Lyu et al. (arXiv:2207.02026):
   search returning the full latency/dollar Pareto frontier of a chosen
   plan: every pipeline stage (one per join, executed at shuffle
   boundaries in postorder) gets its own container/memory allocation,
-  costed through the batched ``predict_time_grid_batch`` kernel, and
+  costed through the stacked ``predict_time_grid`` kernel, and
   the non-dominated set over the stacked (stages x configurations)
   space is computed with a vectorized skyline pass plus an exact scalar
   tail that defers to the shared
@@ -22,9 +22,9 @@ in the style of Lyu et al. (arXiv:2207.02026):
 Determinism contract: frontier points are a pure function of the plan,
 the cluster grid, and the cost model -- candidate enumeration follows
 grid order (ties fall to the first occurrence, the same discipline as
-``cost_batch``'s within-batch memo), kept times are re-predicted
-through ``predict_time_rows`` (bit-identical to scalar
-``predict_time``), and per-stage costs fold left in stage postorder
+``cost_batch``'s within-batch memo), kept times are read from the
+grid lanes (bit-identical to scalar ``predict_time``), and per-stage
+costs fold left in stage postorder
 (the same summation order as ``get_plan_cost``).  The frontier is
 therefore byte-identical across worker counts and process boundaries.
 """
@@ -370,11 +370,12 @@ def _stage_frontiers(
 
     Distinct stages (the ``cost_batch`` memo key: model key + input
     sizes) are grouped by algorithm and costed through one stacked
-    ``predict_time_grid_batch`` call per algorithm -- the PR-5 numpy
-    path.  Kept candidates are re-predicted through
-    ``predict_time_rows`` so the frontier's times are bit-identical to
-    scalar ``predict_time`` calls, then resolved exactly by the shared
-    scalar :func:`~repro.planner.cost_interface.frontier` tail.
+    ``predict_time_grid`` call per algorithm.  Kept candidates keep
+    their grid lanes, which equal scalar ``predict_time`` calls bit for
+    bit (and their money the scalar
+    ``cost_of_gb_seconds(config.gb_seconds(t))`` chain), and are
+    resolved exactly by the shared scalar
+    :func:`~repro.planner.cost_interface.frontier` tail.
 
     Returns ``(stage_key -> (times, money, config_indexes), pruned)``.
     """
@@ -399,7 +400,7 @@ def _stage_frontiers(
         # iteration per (stage, configuration) pair, distinct stages
         # only (memo'd repeats are free, as in cost_batch).
         counters.resource_iterations += grid.num_configs * len(rows)
-        times = model.predict_time_grid_batch(algorithm, small, large, grid)
+        times = model.predict_time_grid(algorithm, small, large, grid)
         times = np.where(np.isnan(times), math.inf, times)
         money = grid.total_memory_gb * times / 3600.0 * rate
         for position, stage in enumerate(rows):
@@ -418,36 +419,18 @@ def _stage_frontiers(
                     stage_times[feasible], stage_money[feasible]
                 )
             ]
-            # Re-predict the admitted candidates lane-for-lane (the
-            # kernel's winner-recompute discipline): reported times are
-            # then bit-identical to scalar predict_time, and the money
-            # expression matches the scalar
-            # cost_of_gb_seconds(config.gb_seconds(t)) chain.
-            kept_counts = grid.counts[admitted]
-            kept_sizes = grid.sizes[admitted]
-            kept_times = model.predict_time_rows(
-                algorithm,
-                np.full(admitted.shape[0], stage.small_gb),
-                np.full(admitted.shape[0], stage.large_gb),
-                kept_sizes,
-                kept_counts,
-            )
-            kept_money = (
-                kept_counts * kept_sizes * kept_times / 3600.0 * rate
-            )
             # Exact scalar tail over the admitted survivors, walked in
             # grid order so equal-cost couples resolve to the first
             # configuration the scalar scan would have seen.
-            grid_order = np.argsort(admitted, kind="stable")
             entries = [
                 (
-                    int(admitted[i]),
+                    index,
                     Cost(
-                        time_s=float(kept_times[i]),
-                        money=float(kept_money[i]),
+                        time_s=stage_times.item(index),
+                        money=stage_money.item(index),
                     ),
                 )
-                for i in grid_order
+                for index in sorted(admitted.tolist())
             ]
             kept = exact_frontier(entries)
             pruned += int(feasible.size) - len(kept)

@@ -120,7 +120,7 @@ _HOT_ENTRY_BYTES = 350
 
 class _SearchEntry(NamedTuple):
     """A memoized search: the outcome's fields plus the winner's
-    re-predicted unweighted time (infinite when the search found no
+    unweighted predicted time (infinite when the search found no
     feasible configuration). ``config`` is None at the BHJ memory wall.
 
     A tuple, not a :class:`ResourcePlanOutcome`, because the stacked
@@ -147,7 +147,7 @@ _BY_CODE: Tuple[JoinAlgorithm, ...] = tuple(ALGORITHM_CODES)
 
 #: Column dtypes of a cold tier: the ``small_gb + large_gb * 1j`` key,
 #: the index into the memo's configuration table, the objective cost,
-#: ``iterations``, the re-predicted time and the insertion sequence
+#: ``iterations``, the winner's time and the insertion sequence
 #: number (48 bytes a row).
 _COLD_DTYPES = (
     np.complex128,
@@ -592,10 +592,8 @@ class QueryOptimizerCoster:
         self, batch: CandidateBatch, context: PlanningContext
     ) -> BatchCostResult:
         """:meth:`join_cost` for a whole batch, at the clamped default
-        configuration: one scalar ``predict_time`` per candidate (most
-        batches are small, and below ~20 rows per algorithm that is
-        cheaper than a ``predict_time_rows`` call), priced lane for lane
-        as ``cost_of_gb_seconds(config.gb_seconds(t))``."""
+        configuration: one scalar ``predict_time`` per candidate, priced
+        lane for lane as ``cost_of_gb_seconds(config.gb_seconds(t))``."""
         context.counters.batched_calls += 1
         n = len(batch)
         context.batch_sizes.append(n)
@@ -650,7 +648,7 @@ class RaqoCoster:
       exactly one planning run.
     - the cross-query search memo: below the resource plan cache, each
       search's outcome (or the BHJ memory wall) and the winner's
-      re-predicted time are kept for the coster's lifetime, keyed by
+      time are kept for the coster's lifetime, keyed by
       ``(algorithm, small_gb, large_gb, cluster)``; method, model and
       weights are fixed per coster. The search is a pure function of
       that key, so a repeat replays the stored outcome. The scalar
@@ -757,16 +755,14 @@ class RaqoCoster:
         (a peek at the cache as it stood before the batch, which is
         what the lookup returns until the first insert) and it is
         costed there at once with the scalar ``predict_time``; or it is
-        a BHJ at the memory wall; or it needs a resource search. Most
-        batches are small, and below ~20 rows per algorithm one scalar
-        predict per hit is cheaper than a ``predict_time_rows`` call.
+        a BHJ at the memory wall; or it needs a resource search.
 
         Brute-force searches run in the kernel (:meth:`_run_kernel`),
         which replays the rows whose search the cross-query search memo
-        holds and costs the rest in one stacked
-        ``predict_time_grid_batch`` call per algorithm. Hill climbing
-        reads the grid one neighbour at a time, so each of its searches
-        is left to :meth:`join_cost`. The tail is then walked in
+        holds and costs the rest in one stacked ``predict_time_grid``
+        call per algorithm. Hill climbing reads the grid one neighbour
+        at a time, so each of its searches is left to
+        :meth:`join_cost`. The tail is then walked in
         candidate order: a tail peek that finds a feasible configuration
         is served like a partition hit; a hill-climbing search, a tail
         miss and an infeasible tail hit go through :meth:`join_cost`
@@ -1001,31 +997,6 @@ class RaqoCoster:
             configs=tuple(configs),
         )
 
-    def _times_at(
-        self,
-        batch: CandidateBatch,
-        chosen: Dict[int, ResourceConfiguration],
-    ) -> Dict[int, float]:
-        """Times of candidates at given configurations: one
-        ``predict_time_rows`` call per algorithm, each lane equal to the
-        scalar ``predict_time`` at that configuration."""
-        by_algorithm: Dict[JoinAlgorithm, List[int]] = {}
-        for i in chosen:
-            by_algorithm.setdefault(batch.algorithms[i], []).append(i)
-        times: Dict[int, float] = {}
-        for algorithm, rows in by_algorithm.items():
-            row_times = self.model.predict_time_rows(
-                algorithm,
-                batch.small_gb[rows],
-                batch.large_gb[rows],
-                np.array([chosen[i].container_gb for i in rows], dtype=float),
-                np.array(
-                    [chosen[i].num_containers for i in rows], dtype=float
-                ),
-            )
-            times.update(zip(rows, row_times.tolist()))
-        return times
-
     def _run_kernel(
         self,
         batch: CandidateBatch,
@@ -1043,8 +1014,8 @@ class RaqoCoster:
         memo first (:meth:`_replay_rows`): one dict probe per row in the
         hot tier, then one ``np.searchsorted`` over the cold tier for
         all the rows the hot tier missed. Only the rows neither tier
-        holds are costed, in one stacked ``predict_time_grid_batch``
-        call (:meth:`_search_rows`), and their outcomes fill the memo.
+        holds are costed, in one stacked ``predict_time_grid`` call
+        (:meth:`_search_rows`), and their outcomes fill the memo.
         Everything else -- the ``resource_iterations`` charge, the
         plan-cache inserts and the commits, in row order -- runs the
         same for hits and misses.
@@ -1142,50 +1113,30 @@ class RaqoCoster:
     ) -> List[_SearchEntry]:
         """Brute-force the rows of one algorithm in one stacked call.
 
-        Returns each row's search outcome, the winner's re-predicted
-        time included, in row order; raises before returning anything
-        if a row has no finite winner.
+        Returns each row's search outcome in row order; raises before
+        returning anything if a row has no finite winner. A winner's
+        time is its lane of the stacked grid, which equals the scalar
+        ``predict_time`` the scalar search re-predicts bit for bit.
         """
         grid = cluster.config_grid()
         num_configs = grid.num_configs
         if num_configs == 0:
             raise ResourcePlanningError("cluster offers no configurations")
-        times = self.model.predict_time_grid_batch(
+        times = self.model.predict_time_grid(
             algorithm, batch.small_gb[rows], batch.large_gb[rows], grid
         )
-        times = np.where(np.isnan(times), math.inf, times)
-        if self.money_weight:
-            # Same inlined expression as the scalar grid objective,
-            # broadcast over the candidate axis.
-            money = (
-                grid.total_memory_gb
-                * times
-                / 3600.0
-                * self.price_model.dollars_per_gb_hour
-            )
-            if self.time_weight == 1.0:
-                objective = times + self.money_weight * money
-            else:
-                # 0 * inf is NaN, so the wash below matters when
-                # time_weight vanishes (the cheapest objective).
-                with np.errstate(invalid="ignore"):
-                    objective = (
-                        self.time_weight * times
-                        + self.money_weight * money
-                    )
-            objective = np.where(np.isnan(objective), math.inf, objective)
-        else:
-            # `times` is already NaN-washed; no second pass needed.
-            objective = times
+        objective = self._grid_objective(times, grid)
         # First-occurrence argmin per row = the scalar tie-break.
         best = np.argmin(objective, axis=1)
+        positions = np.arange(len(rows))
+        best_costs = objective[positions, best].tolist()
+        best_times = times[positions, best].tolist()
         #: Winners cluster on few grid points; materialise each once.
         config_cache: Dict[int, ResourceConfiguration] = {}
-        winners: Dict[int, ResourceConfiguration] = {}
-        best_costs: List[float] = []
-        for position, i in enumerate(rows):
-            best_index = int(best[position])
-            best_cost = float(objective[position, best_index])
+        entries = []
+        for best_index, best_cost, time_s in zip(
+            best.tolist(), best_costs, best_times
+        ):
             if not math.isfinite(best_cost):
                 raise ResourcePlanningError(
                     "cluster offers no configurations"
@@ -1194,15 +1145,34 @@ class RaqoCoster:
             if config is None:
                 config = grid.config_at(best_index)
                 config_cache[best_index] = config
-            winners[i] = config
-            best_costs.append(best_cost)
-        # Re-predict the winners' unweighted times in one elementwise
-        # call, as the scalar path re-predicts after its argmin.
-        times_at = self._times_at(batch, winners)
-        return [
-            _SearchEntry(config, best_cost, num_configs, times_at[i])
-            for (i, config), best_cost in zip(winners.items(), best_costs)
-        ]
+            entries.append(
+                _SearchEntry(config, best_cost, num_configs, time_s)
+            )
+        return entries
+
+    def _grid_objective(
+        self, times: np.ndarray, grid: ConfigurationGrid
+    ) -> np.ndarray:
+        """The search objective over predicted times of any shape whose
+        last axis is ``grid``: ``time_weight * t + money_weight * money``
+        with NaN washed to ``inf``, each lane equal to the scalar
+        objective at that configuration bit for bit (``1.0 * t`` is
+        ``t``). Money is ``PriceModel.cost_of_gb_seconds`` inlined, as
+        it rejects arrays."""
+        times = np.where(np.isnan(times), math.inf, times)
+        if not self.money_weight:
+            return times
+        money = (
+            grid.total_memory_gb
+            * times
+            / 3600.0
+            * self.price_model.dollars_per_gb_hour
+        )
+        # 0 * inf is NaN when time_weight vanishes (the cheapest
+        # objective); the wash keeps infeasible lanes infeasible.
+        with np.errstate(invalid="ignore"):
+            weighted = self.time_weight * times + self.money_weight * money
+        return np.where(np.isnan(weighted), math.inf, weighted)
 
     def _emit_candidate_span(
         self,
@@ -1412,8 +1382,6 @@ class RaqoCoster:
                 money = self.price_model.cost_of_gb_seconds(
                     config.gb_seconds(time_s)
                 )
-                if self.time_weight == 1.0:
-                    return time_s + self.money_weight * money
                 # time_s is finite here, so no 0 * inf hazard.
                 return (
                     self.time_weight * time_s
@@ -1421,32 +1389,15 @@ class RaqoCoster:
                 )
             return time_s
 
-        def grid_objective(grid) -> np.ndarray:
-            # One batched model call for the whole grid; each lane equals
+        def grid_objective(grid: ConfigurationGrid) -> np.ndarray:
+            # One model call for the whole grid; each lane equals
             # `objective` at that configuration bit for bit.
-            times = self.model.predict_time_grid(
-                algorithm, small_gb, large_gb, grid
+            return self._grid_objective(
+                self.model.predict_time_grid(
+                    algorithm, small_gb, large_gb, grid
+                ),
+                grid,
             )
-            times = np.where(np.isnan(times), math.inf, times)
-            if self.money_weight:
-                # Inlined PriceModel.cost_of_gb_seconds (it rejects
-                # arrays); same expression, so bit-identical to scalar.
-                money = (
-                    grid.total_memory_gb
-                    * times
-                    / 3600.0
-                    * self.price_model.dollars_per_gb_hour
-                )
-                if self.time_weight == 1.0:
-                    return times + self.money_weight * money
-                # 0 * inf is NaN; wash so infeasible stays infeasible.
-                with np.errstate(invalid="ignore"):
-                    weighted = (
-                        self.time_weight * times
-                        + self.money_weight * money
-                    )
-                return np.where(np.isnan(weighted), math.inf, weighted)
-            return times
 
         start: Optional[ResourceConfiguration] = None
         if algorithm is JoinAlgorithm.BROADCAST_HASH:

@@ -123,7 +123,6 @@ def hill_climb_resource_plan(
     cost_fn: CostFunction,
     cluster: ClusterConditions,
     start: Optional[ResourceConfiguration] = None,
-    memoize: bool = True,
     grid_cost_fn: Optional[GridCostFunction] = None,
 ) -> ResourcePlanOutcome:
     """The paper's Algorithm 1: greedy per-dimension hill climbing.
@@ -135,12 +134,12 @@ def hill_climb_resource_plan(
     operator's memory wall, otherwise the climb can be stuck at an
     infinite-cost plateau.
 
-    With ``memoize`` (the default) an evaluation memo makes revisited
-    resource vectors free: the climb re-evaluates its current position
-    every round and neighbouring rounds overlap, so the memo removes
-    30-50% of the cost-function invocations without changing the path.
-    ``iterations`` then counts distinct evaluations, which is still the
-    paper's "#Resource-Iterations" metric (cost model invocations).
+    An evaluation memo makes revisited resource vectors free: the climb
+    re-evaluates its current position every round and neighbouring
+    rounds overlap, so the memo removes 30-50% of the cost-function
+    invocations without changing the path. ``iterations`` counts
+    distinct evaluations, which is still the paper's
+    "#Resource-Iterations" metric (cost model invocations).
 
     The climb stops after a round that did not move (lines 20-21). It
     needs no visited set: a move needs ``temp < best <= current``, so
@@ -175,9 +174,7 @@ def hill_climb_resource_plan(
             if index is not None
         ]
         if len(position) == len(dims):  # the start lies on the grid
-            return _grid_hill_climb(
-                grid_cost_fn, cluster, position, memoize
-            )
+            return _grid_hill_climb(grid_cost_fn, cluster, position)
     steps = cluster.step_sizes  # Algorithm 1 line 1: GetDiscreteSteps
     iterations = 0
     memo: Dict[Tuple[float, ...], float] = {}
@@ -185,14 +182,12 @@ def hill_climb_resource_plan(
     def evaluate(vector: List[float]) -> float:
         nonlocal iterations
         key = tuple(vector)
-        if memoize:
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
         iterations += 1
         value = cost_fn(ResourceConfiguration.from_vector(key))
-        if memoize:
-            memo[key] = value
+        memo[key] = value
         return value
 
     while True:
@@ -234,7 +229,6 @@ def _grid_hill_climb(
     grid_cost_fn: GridCostFunction,
     cluster: ClusterConditions,
     position: List[int],
-    memoize: bool,
 ) -> ResourcePlanOutcome:
     """Algorithm 1 replayed over grid indices; see
     :func:`hill_climb_resource_plan`.
@@ -268,7 +262,6 @@ def _grid_hill_climb(
     reads: List[int] = []
     read = reads.append
     run_spans: List[slice] = []
-    run_reads = 0
     while True:
         read(at)
         current_cost = cost_at(at)  # line 5
@@ -305,20 +298,15 @@ def _grid_hill_climb(
                 position[dim_index] += rounds * direction
                 at += rounds * direction * strides[dim_index]
                 run_spans.extend(spans)
-                # Three reads on the run's line per round, one per
-                # side line.
-                run_reads += rounds * (len(spans) + 2)
-    if memoize:
-        # Distinct reads are what the scalar climb's memo costs.
-        seen = np.zeros(grid.num_configs, dtype=bool)
-        seen[reads] = True
-        for span in run_spans:
-            seen[span] = True
-        iterations = int(np.count_nonzero(seen))
-    else:
-        iterations = len(reads) + run_reads
+    # Distinct reads are what the scalar climb's memo costs.
+    seen = np.zeros(grid.num_configs, dtype=bool)
+    seen[reads] = True
+    for span in run_spans:
+        seen[span] = True
     return ResourcePlanOutcome(
-        config=grid.config_at(at), cost=current_cost, iterations=iterations
+        config=grid.config_at(at),
+        cost=current_cost,
+        iterations=int(np.count_nonzero(seen)),
     )
 
 

@@ -147,17 +147,25 @@ class JoinNode(PlanNode):
     right: PlanNode
     algorithm: JoinAlgorithm = JoinAlgorithm.SORT_MERGE
     resources: Optional[ResourceConfiguration] = None
+    #: The subtree's tables, computed once from the children's (not
+    #: rebuilt from the whole subtree on every read); outside ``==``,
+    #: ``hash`` and ``repr``, and recomputed by ``dataclasses.replace``.
+    _tables: FrozenSet[str] = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        overlap = self.left.tables & self.right.tables
+        left, right = self.left.tables, self.right.tables
+        overlap = left & right
         if overlap:
             raise PlanError(
                 f"join children overlap on tables {sorted(overlap)}"
             )
+        object.__setattr__(self, "_tables", left | right)
 
     @property
     def tables(self) -> FrozenSet[str]:
-        return self.left.tables | self.right.tables
+        return self._tables
 
     def with_algorithm(self, algorithm: JoinAlgorithm) -> "JoinNode":
         """A copy using a different join implementation."""

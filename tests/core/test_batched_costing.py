@@ -1,11 +1,11 @@
 """The stacked (batch x grid) costing kernel vs per-candidate rows.
 
-``predict_grid_stacked`` / ``predict_time_grid_batch`` power the
+``predict_time_grid`` over arrays of size pairs powers the
 lattice-level batched planner: one broadcasted numpy evaluation over
-(candidates x resource configurations). Because the stacked kernel
-accumulates features in the same order as the per-candidate
-``predict_time_grid`` loop, every row must be *bit-identical* (every
-float equal, including non-finite structure) to its scalar counterpart.
+(candidates x resource configurations). Because the stacked call
+accumulates features in the same order as a one-pair call, every row
+must be *bit-identical* (every float equal, including non-finite
+structure) to its per-candidate counterpart.
 """
 
 import numpy as np
@@ -42,7 +42,7 @@ class TestStackedKernel:
         rng = np.random.default_rng(17)
         small = rng.uniform(0.01, 40.0, size=32)
         large = small + rng.uniform(0.0, 60.0, size=32)
-        batch = model.predict_time_grid_batch(
+        batch = model.predict_time_grid(
             algorithm, small, large, grid
         )
         assert batch.shape == (32, grid.num_configs)
@@ -54,7 +54,7 @@ class TestStackedKernel:
 
     @pytest.mark.parametrize("algorithm", list(JoinAlgorithm))
     def test_empty_batch(self, model, grid, algorithm):
-        batch = model.predict_time_grid_batch(
+        batch = model.predict_time_grid(
             algorithm, np.empty(0), np.empty(0), grid
         )
         assert batch.shape == (0, grid.num_configs)
@@ -64,7 +64,7 @@ class TestStackedKernel:
         exactly the configurations the scalar path marks."""
         small = np.array([0.01, 5.0, 200.0])
         large = np.array([10.0, 50.0, 400.0])
-        batch = model.predict_time_grid_batch(
+        batch = model.predict_time_grid(
             JoinAlgorithm.BROADCAST_HASH, small, large, grid
         )
         for row in range(3):
@@ -80,8 +80,9 @@ class TestStackedKernel:
 
 
 class TestRowsKernel:
-    """``predict_time_rows`` pairs each candidate with its own
-    configuration; every lane must equal the scalar ``predict_time``."""
+    """The stacked kernel's winner read: each candidate's time at its
+    own configuration is its lane ``times[row, pick]``, which must
+    equal the scalar ``predict_time`` there."""
 
     @pytest.mark.parametrize("algorithm", list(JoinAlgorithm))
     @pytest.mark.parametrize("estimator", ["learned", "simulator"])
@@ -94,9 +95,8 @@ class TestRowsKernel:
         small = rng.uniform(0.01, 40.0, size=48)
         large = small + rng.uniform(0.0, 60.0, size=48)
         picks = rng.integers(0, grid.num_configs, size=48)
-        rows = model.predict_time_rows(
-            algorithm, small, large, grid.sizes[picks], grid.counts[picks]
-        )
+        times = model.predict_time_grid(algorithm, small, large, grid)
+        rows = times[np.arange(48), picks]
         scalar = [
             model.predict_time(
                 algorithm, float(ss), float(ls), grid.config_at(int(k))
@@ -108,16 +108,6 @@ class TestRowsKernel:
         ]
         if algorithm is JoinAlgorithm.BROADCAST_HASH:
             assert np.isinf(rows).any() and np.isfinite(rows).any()
-
-    def test_empty(self, model):
-        rows = model.predict_time_rows(
-            JoinAlgorithm.SORT_MERGE,
-            np.empty(0),
-            np.empty(0),
-            np.empty(0),
-            np.empty(0),
-        )
-        assert rows.shape == (0,)
 
 
 class TestCandidateBatch:

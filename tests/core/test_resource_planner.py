@@ -134,17 +134,6 @@ class TestHillClimb:
         # ...and the reported iterations count exactly those.
         assert outcome.iterations == len(evaluations)
 
-    def test_memo_off_matches_path(self, paper_cluster):
-        cost = quadratic_bowl(60, 7.0)
-        memoized = hill_climb_resource_plan(cost, paper_cluster)
-        plain = hill_climb_resource_plan(
-            cost, paper_cluster, memoize=False
-        )
-        # Same climb, same answer; the memo only removes re-evaluations.
-        assert memoized.config == plain.config
-        assert memoized.cost == plain.cost
-        assert memoized.iterations <= plain.iterations
-
     def test_explores_fewer_than_brute_force(self, paper_cluster):
         cost = quadratic_bowl(60, 7.0)
         brute = brute_force_resource_plan(cost, paper_cluster)

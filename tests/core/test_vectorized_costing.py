@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.cluster.cluster import ClusterConditions
 from repro.cluster.containers import ResourceConfiguration
 from repro.core.cost_model import (
+    CostModelSuite,
     EXTENDED_FEATURES,
     FeatureMap,
     JoinCostEstimator,
@@ -180,6 +181,31 @@ NUMPY_SCALAR_FEATURES = FeatureMap(
     transform=_numpy_scalar_transform,
 )
 
+
+def _scalar_only_transform(ss, ls, cs, nc):
+    """A transform that rejects arrays, as one written with ``math``
+    functions for Python floats would: the grid kernels must fall back
+    to looping the scalar predict."""
+    if np.ndim(ss) or np.ndim(cs):
+        raise TypeError("scalar inputs only")
+    return (math.log1p(ss), math.sqrt(cs * nc), ls / nc)
+
+
+SCALAR_ONLY_FEATURES = FeatureMap(
+    name="scalar-only",
+    feature_names=("log1p(ss)", "sqrt(cs*nc)", "ls/nc"),
+    transform=_scalar_only_transform,
+)
+
+#: Every feature map the lane tests draw from: the paper's, the
+#: extended one, numpy-scalar ufuncs and one the kernels fall back on.
+FEATURE_MAPS = (
+    PAPER_FEATURES,
+    EXTENDED_FEATURES,
+    NUMPY_SCALAR_FEATURES,
+    SCALAR_ONLY_FEATURES,
+)
+
 #: Input sizes, with the edge values every lane must agree on.
 edge_sizes = st.one_of(
     st.sampled_from([0.0, 1e-9, 1e6, math.nan, math.inf]),
@@ -191,11 +217,7 @@ edge_sizes = st.one_of(
 def operator_models(draw):
     """A linear model over one of the feature maps, with random
     coefficients, or a fitted default model."""
-    feature_map = draw(
-        st.sampled_from(
-            [PAPER_FEATURES, EXTENDED_FEATURES, NUMPY_SCALAR_FEATURES, None]
-        )
-    )
+    feature_map = draw(st.sampled_from(FEATURE_MAPS + (None,)))
     algorithm = draw(algorithms)
     if feature_map is None:
         return default_cost_model().models[algorithm]
@@ -212,8 +234,8 @@ def operator_models(draw):
 
 class TestScalarPredictLanes:
     """``OperatorCostModel.predict`` runs the transform on Python floats
-    with no array round trip; it must equal the array lanes bit for
-    bit."""
+    with no array round trip; it must equal the grid kernel's lanes bit
+    for bit."""
 
     @given(
         model=operator_models(),
@@ -223,23 +245,14 @@ class TestScalarPredictLanes:
         data=st.data(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_predict_equals_rows_and_grid_lanes(
-        self, model, cluster, ss, ls, data
-    ):
+    def test_predict_equals_grid_lanes(self, model, cluster, ss, ls, data):
         grid = cluster.config_grid()
         lane = data.draw(st.integers(0, grid.num_configs - 1))
         config = grid.config_at(lane)
         with np.errstate(all="ignore"):
             scalar = model.predict(ss, ls, config)
-            row = model.predict_rows(
-                np.array([ss]),
-                np.array([ls]),
-                np.array([config.container_gb]),
-                np.array([float(config.num_containers)]),
-            )
             lanes = model.predict_grid(ss, ls, grid.counts, grid.sizes)
         assert type(scalar) is float
-        assert scalar.hex() == float(row[0]).hex()
         assert scalar.hex() == float(lanes[lane]).hex()
 
 
@@ -280,54 +293,145 @@ class TestGenericFallback:
             hash_memory_fraction = 1.0
 
             def predict_time(self, algorithm, small_gb, large_gb, config):
-                return config.num_containers * 10.0 + config.container_gb
+                return (
+                    config.num_containers * 10.0
+                    + config.container_gb
+                    + small_gb / large_gb
+                )
 
-        model = OddEstimator()
-        batched = model.predict_time_grid(
-            JoinAlgorithm.SORT_MERGE, 1.0, 2.0, small_cluster.config_grid()
+        _assert_lanes_equal_predict_time(
+            OddEstimator(),
+            JoinAlgorithm.SORT_MERGE,
+            [(1.0, 2.0), (3.0, 4.0)],
+            small_cluster,
         )
-        scalar = _scalar_times(
-            model, JoinAlgorithm.SORT_MERGE, 1.0, 2.0, small_cluster
+
+
+#: Small grids: every lane of every drawn pair is costed scalar too.
+lane_clusters = st.builds(
+    ClusterConditions,
+    max_containers=st.integers(min_value=1, max_value=12),
+    max_container_gb=st.floats(min_value=1.0, max_value=8.0),
+    container_step=st.integers(min_value=1, max_value=3),
+    container_gb_step=st.sampled_from((0.5, 1.0, 2.0)),
+)
+#: Sizes near the BHJ memory wall as well as the edge values.
+lane_sizes = edge_sizes | st.floats(min_value=0.0, max_value=20.0)
+
+
+@st.composite
+def learned_suites(draw):
+    """A :class:`CostModelSuite` over one of the feature maps, with
+    random coefficients and memory fraction, or a fitted default."""
+    feature_map = draw(st.sampled_from(FEATURE_MAPS + (None,)))
+    if feature_map is None:
+        profile = draw(profile_names)
+        fitted = draw(st.sampled_from((PAPER_FEATURES, EXTENDED_FEATURES)))
+        return default_cost_model(PROFILES[profile], feature_map=fitted)
+    weights = st.floats(min_value=-1e3, max_value=1e3)
+    size = len(feature_map)
+    models = {
+        algorithm: OperatorCostModel(
+            algorithm=algorithm,
+            feature_map=feature_map,
+            coefficients=tuple(
+                draw(st.lists(weights, min_size=size, max_size=size))
+            ),
+            intercept=draw(weights),
         )
-        np.testing.assert_array_equal(batched, scalar)
+        for algorithm in JoinAlgorithm
+    }
+    fraction = draw(st.floats(min_value=0.1, max_value=1.0))
+    return CostModelSuite(models, hash_memory_fraction=fraction)
 
 
-class TestFeatureMapBatch:
-    @given(
-        cluster=clusters,
-        ss=data_sizes,
-        ls=data_sizes,
+def _assert_lanes_equal_predict_time(model, algorithm, pairs, cluster):
+    """``predict_time_grid`` for each pair alone and for all pairs
+    stacked: every lane's hex equals scalar ``predict_time`` at that
+    configuration."""
+    grid = cluster.config_grid()
+    small = np.array([ss for ss, _ in pairs])
+    large = np.array([ls for _, ls in pairs])
+    with np.errstate(all="ignore"):
+        expected = [
+            [
+                float(model.predict_time(algorithm, ss, ls, config)).hex()
+                for config in grid.configurations()
+            ]
+            for ss, ls in pairs
+        ]
+        singles = [
+            model.predict_time_grid(algorithm, ss, ls, grid)
+            for ss, ls in pairs
+        ]
+        stacked = model.predict_time_grid(algorithm, small, large, grid)
+    assert all(lanes.shape == (grid.num_configs,) for lanes in singles)
+    assert stacked.shape == (len(pairs), grid.num_configs)
+    assert [[t.hex() for t in lanes.tolist()] for lanes in singles] == (
+        expected
     )
-    @settings(max_examples=40, deadline=None)
-    def test_batch_matches_per_row_transform(self, cluster, ss, ls):
-        grid = cluster.config_grid()
-        for feature_map in (PAPER_FEATURES, EXTENDED_FEATURES):
-            batched = feature_map.batch(ss, ls, grid.sizes, grid.counts)
-            rows = np.array(
-                [
-                    feature_map(ss, ls, config)
-                    for config in grid.configurations()
-                ]
-            )
-            assert batched.shape == (grid.num_configs, len(feature_map))
-            np.testing.assert_array_equal(batched, rows)
+    assert [[t.hex() for t in row] for row in stacked.tolist()] == expected
+
+
+class TestGridLanesEqualPredictTime:
+    """Each estimator's one grid method, for one size pair or stacked
+    rows, equals its scalar ``predict_time`` hex for hex: the planners
+    read winners' times straight from these lanes."""
+
+    @given(
+        model=learned_suites(),
+        algorithm=algorithms,
+        cluster=lane_clusters,
+        pairs=st.lists(st.tuples(lane_sizes, lane_sizes), max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_learned_suites(self, model, algorithm, cluster, pairs):
+        _assert_lanes_equal_predict_time(model, algorithm, pairs, cluster)
+
+    @given(
+        profile_name=profile_names,
+        num_reducers=st.sampled_from((None, 4)),
+        algorithm=algorithms,
+        cluster=lane_clusters,
+        pairs=st.lists(
+            st.tuples(data_sizes, data_sizes).map(sorted).map(tuple),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_simulator(
+        self, profile_name, num_reducers, algorithm, cluster, pairs
+    ):
+        model = SimulatorCostModel(PROFILES[profile_name], num_reducers)
+        _assert_lanes_equal_predict_time(model, algorithm, pairs, cluster)
 
     def test_non_vectorizable_transform_falls_back(self, small_cluster):
-        from repro.core.cost_model import FeatureMap
+        calls = []
 
-        def awkward(ss, ls, cs, nc):
-            # float() raises on arrays, forcing the per-row fallback.
-            return (float(cs) + float(nc), ss)
+        def scalar_only(ss, ls, cs, nc):
+            calls.append(np.ndim(cs))
+            return _scalar_only_transform(ss, ls, cs, nc)
 
         feature_map = FeatureMap(
-            name="awkward", feature_names=("a", "b"), transform=awkward
+            name="counted",
+            feature_names=("a", "b", "c"),
+            transform=scalar_only,
         )
-        grid = small_cluster.config_grid()
-        batched = feature_map.batch(3.0, 7.0, grid.sizes, grid.counts)
-        rows = np.array(
-            [feature_map(3.0, 7.0, c) for c in grid.configurations()]
+        models = {
+            algorithm: OperatorCostModel(
+                algorithm, feature_map, (1.0, 2.0, 3.0), 0.5
+            )
+            for algorithm in JoinAlgorithm
+        }
+        suite = CostModelSuite(models, hash_memory_fraction=0.5)
+        _assert_lanes_equal_predict_time(
+            suite,
+            JoinAlgorithm.BROADCAST_HASH,
+            [(0.5, 7.0), (3.0, 9.0)],
+            small_cluster,
         )
-        np.testing.assert_array_equal(batched, rows)
+        # Array attempts were rejected; every lane ran the scalar path.
+        assert 1 in calls and 0 in calls
 
 
 class TestBruteForceEquivalence:
@@ -493,11 +597,10 @@ class TestHillClimbEquivalence:
         ls=data_sizes,
         algorithm=algorithms,
         estimator_name=estimator_names,
-        memoize=st.booleans(),
     )
     @settings(max_examples=120, deadline=None)
     def test_outcome_identical(
-        self, cluster, ss, ls, algorithm, estimator_name, memoize
+        self, cluster, ss, ls, algorithm, estimator_name
     ):
         ss, ls = sorted((ss, ls))
         model = _estimator(estimator_name)
@@ -510,15 +613,9 @@ class TestHillClimbEquivalence:
                 ss, model.hash_memory_fraction, cluster
             )
         cost_fn, grid_cost_fn = _model_costs(model, algorithm, ss, ls)
-        scalar = hill_climb_resource_plan(
-            cost_fn, cluster, start=start, memoize=memoize
-        )
+        scalar = hill_climb_resource_plan(cost_fn, cluster, start=start)
         grid = hill_climb_resource_plan(
-            cost_fn,
-            cluster,
-            start=start,
-            memoize=memoize,
-            grid_cost_fn=grid_cost_fn,
+            cost_fn, cluster, start=start, grid_cost_fn=grid_cost_fn
         )
         assert grid == scalar
 
@@ -571,23 +668,6 @@ class TestHillClimbEquivalence:
         )
         # Stepping down from 10.5 never meets the 1..10 GB grid.
         assert climb.config.container_gb == 1.5
-
-    def test_without_memo_every_read_counts(self, paper_cluster):
-        model = default_cost_model()
-        cost_fn, grid_cost_fn = _model_costs(
-            model, JoinAlgorithm.SORT_MERGE, 5.0, 77.0
-        )
-        memo = hill_climb_resource_plan(
-            cost_fn, paper_cluster, grid_cost_fn=grid_cost_fn
-        )
-        plain = hill_climb_resource_plan(
-            cost_fn, paper_cluster, memoize=False, grid_cost_fn=grid_cost_fn
-        )
-        assert plain.config == memo.config
-        assert plain.iterations > memo.iterations
-        assert plain == hill_climb_resource_plan(
-            cost_fn, paper_cluster, memoize=False
-        )
 
     def test_bad_grid_shape_rejected(self, paper_cluster):
         from repro.core.resource_planner import ResourcePlanningError
@@ -741,9 +821,9 @@ class TestRunBasedClimb:
     comparisons; on arbitrary lane grids it must still end where the
     scalar climb ends, with the same cost bits and ``iterations``."""
 
-    @given(case=lane_grids(), memoize=st.booleans())
+    @given(case=lane_grids())
     @settings(max_examples=400, deadline=None)
-    def test_matches_scalar_climb(self, case, memoize):
+    def test_matches_scalar_climb(self, case):
         cluster, lanes, start_row = case
         grid = cluster.config_grid()
         row_of = {
@@ -754,14 +834,11 @@ class TestRunBasedClimb:
             return float(lanes[row_of[config]])
 
         start = grid.config_at(start_row)
-        scalar = hill_climb_resource_plan(
-            cost_fn, cluster, start=start, memoize=memoize
-        )
+        scalar = hill_climb_resource_plan(cost_fn, cluster, start=start)
         climb = hill_climb_resource_plan(
             cost_fn,
             cluster,
             start=start,
-            memoize=memoize,
             grid_cost_fn=lambda _: lanes.copy(),
         )
         assert (
@@ -780,22 +857,18 @@ class TestRunBasedClimb:
         def cost_fn(config):
             return 1000.0 - config.num_containers + config.container_gb
 
-        for memoize in (True, False):
-            climb = hill_climb_resource_plan(
-                cost_fn,
-                cluster,
-                memoize=memoize,
-                grid_cost_fn=lambda _: lanes,
-            )
-            assert climb == hill_climb_resource_plan(
-                cost_fn, cluster, memoize=memoize
-            )
-            assert climb.config == ResourceConfiguration(
-                num_containers=100, container_gb=1.0
-            )
-        # Without the memo: each of the 100 rounds reads its cell, two
-        # count neighbours (one at either end) and one size neighbour.
-        assert climb.iterations == 100 * 4 - 2
+        climb = hill_climb_resource_plan(
+            cost_fn, cluster, grid_cost_fn=lambda _: lanes
+        )
+        assert climb == hill_climb_resource_plan(cost_fn, cluster)
+        assert climb.config == ResourceConfiguration(
+            num_containers=100, container_gb=1.0
+        )
+        # Each round reads its cell and its count neighbours, moves, and
+        # then probes the size axis beside its new cell: the 100 cells
+        # of the path and the 99 beside it from 2 containers on, each
+        # counted once.
+        assert climb.iterations == 100 + 99
 
     def test_nan_start_ends(self, paper_cluster):
         grid = paper_cluster.config_grid()

@@ -1,5 +1,8 @@
 """Tests for repro.planner.plan."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.cluster.containers import ResourceConfiguration
@@ -34,6 +37,29 @@ class TestJoinNode:
     def test_tables_union(self):
         join = JoinNode(left=ScanNode("a"), right=ScanNode("b"))
         assert join.tables == frozenset(("a", "b"))
+
+    def test_tables_computed_once_outside_equality(self):
+        inner = JoinNode(left=ScanNode("a"), right=ScanNode("b"))
+        join = JoinNode(left=inner, right=ScanNode("c"))
+        twin = JoinNode(
+            left=JoinNode(left=ScanNode("a"), right=ScanNode("b")),
+            right=ScanNode("c"),
+        )
+        assert join.tables is join.tables
+        assert join.tables == frozenset(("a", "b", "c"))
+        # The cached set is no part of equality, hashing or printing,
+        # and replace and pickling keep it consistent with the children.
+        assert join == twin and hash(join) == hash(twin)
+        assert repr(join) == repr(twin) and "_tables" not in repr(join)
+        swapped = dataclasses.replace(join, right=ScanNode("d"))
+        assert swapped.tables == frozenset(("a", "b", "d"))
+        assert pickle.loads(pickle.dumps(join)).tables == join.tables
+        assert [f.name for f in dataclasses.fields(join) if f.compare] == [
+            "left",
+            "right",
+            "algorithm",
+            "resources",
+        ]
 
     def test_overlapping_children_rejected(self):
         inner = JoinNode(left=ScanNode("a"), right=ScanNode("b"))

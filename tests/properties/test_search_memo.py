@@ -106,7 +106,8 @@ def _count_searches(coster):
 
 class _CountingModel:
     """Delegates to a cost model, counting the rows of every stacked
-    brute-force kernel call."""
+    grid call (an array of size pairs, as the brute-force kernel makes;
+    the scalar searches cost one pair)."""
 
     def __init__(self, model):
         self._model = model
@@ -115,9 +116,10 @@ class _CountingModel:
     def __getattr__(self, name):
         return getattr(self._model, name)
 
-    def predict_time_grid_batch(self, algorithm, small_gbs, large_gbs, grid):
-        self.grid_rows += len(small_gbs)
-        return self._model.predict_time_grid_batch(
+    def predict_time_grid(self, algorithm, small_gbs, large_gbs, grid):
+        if np.ndim(small_gbs):
+            self.grid_rows += len(small_gbs)
+        return self._model.predict_time_grid(
             algorithm, small_gbs, large_gbs, grid
         )
 
@@ -507,20 +509,12 @@ class _NanAsOneGb(_CountingModel):
     """Costs a NaN size as 1 GB, so a NaN row still has a finite
     winner and only the memo's own NaN rule keeps it out."""
 
-    def predict_time_grid_batch(self, algorithm, small_gbs, large_gbs, grid):
-        return super().predict_time_grid_batch(
+    def predict_time_grid(self, algorithm, small_gbs, large_gbs, grid):
+        return super().predict_time_grid(
             algorithm,
             np.nan_to_num(small_gbs, nan=1.0),
             np.nan_to_num(large_gbs, nan=1.0),
             grid,
-        )
-
-    def predict_time_rows(self, algorithm, small_gbs, large_gbs, *config):
-        return self._model.predict_time_rows(
-            algorithm,
-            np.nan_to_num(small_gbs, nan=1.0),
-            np.nan_to_num(large_gbs, nan=1.0),
-            *config,
         )
 
 

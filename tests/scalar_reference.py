@@ -521,10 +521,8 @@ def scalar_resource_search():
     def scalar_brute_force(cost_fn, cluster, grid_cost_fn=None):
         return brute_force(cost_fn, cluster)
 
-    def scalar_hill_climb(
-        cost_fn, cluster, start=None, memoize=True, grid_cost_fn=None
-    ):
-        return hill_climb(cost_fn, cluster, start=start, memoize=memoize)
+    def scalar_hill_climb(cost_fn, cluster, start=None, grid_cost_fn=None):
+        return hill_climb(cost_fn, cluster, start=start)
 
     raqo.brute_force_resource_plan = scalar_brute_force
     raqo.hill_climb_resource_plan = scalar_hill_climb
