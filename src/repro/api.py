@@ -11,8 +11,9 @@ metrics -- hangs off one :class:`RaqoSession`::
     print(result.planning.plan.explain())
     print(result.execution.time_s)
 
-The session owns a :class:`~repro.obs.metrics.MetricsRegistry` and
-(optionally) a :class:`~repro.obs.tracing.Tracer`; every call records
+The session owns a :class:`~repro.obs.telemetry.TelemetryPlane` (its one
+metric store) and (optionally) a :class:`~repro.obs.tracing.Tracer`;
+every call records
 the paper's headline counters (resource iterations, cache behaviour,
 fault recovery) plus a per-operator predicted-vs-simulated cost-error
 histogram, and the recorded spans export to Chrome trace / JSONL via
@@ -64,10 +65,10 @@ from repro.obs.export import (
     write_chrome_trace,
     write_trace_dir,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import prometheus_exposition, write_stats_file
 from repro.obs.telemetry import TelemetryPlane
 from repro.obs.tracing import NULL_TRACER, Tracer
+from repro.obs.windows import WindowedCounter
 from repro.planner.cost_interface import PlanningResult
 from repro.workloads.runner import WorkloadReport, WorkloadRunner
 
@@ -168,11 +169,11 @@ class RaqoSession:
         self.tracer: Tracer = (
             tracer if tracer is not None else NULL_TRACER
         )
-        self.metrics = MetricsRegistry()
-        #: The v2 telemetry plane: windowed series, the structured
+        #: The telemetry plane: every metric series, the structured
         #: event log, per-tenant SLO trackers, and the cost-model
         #: drift monitor, all shared by everything the session runs.
-        self.telemetry = TelemetryPlane(metrics=self.metrics)
+        self.telemetry = TelemetryPlane()
+        self._resolve_series()
         #: Cumulative simulated seconds across this session's runs --
         #: the sim-clock timeline drift observations are stamped on.
         self._sim_elapsed_s = 0.0
@@ -339,8 +340,8 @@ class RaqoSession:
         Pass a full :class:`~repro.serving.service.ServiceConfig` or
         individual knobs (``workers=4, max_queue=256, ...``).  The
         service plans on clones of this session's planner, shares its
-        tracer, and registers its cache and latency instruments on this
-        session's metrics registry -- so
+        tracer, and registers its cache and latency series on this
+        session's telemetry plane -- so
         :meth:`metrics_snapshot` reports serving cache hits, misses,
         evictions, and live entries alongside the planning counters.
         Call :meth:`~repro.serving.service.OptimizerService.start` (or
@@ -358,9 +359,51 @@ class RaqoSession:
 
     # -- metrics -----------------------------------------------------------
 
+    def _resolve_series(self) -> None:
+        """Register the session's wall-clock series once, so recording
+        a call costs no plane lookups."""
+        counter = self.telemetry.windowed_counter
+        histogram = self.telemetry.windowed_histogram
+        self._counters: Dict[str, WindowedCounter] = {
+            instrument.name: instrument
+            for instrument in (
+                counter("planning.queries"),
+                counter("planning.resource_iterations"),
+                counter("planning.join_costings"),
+                counter("planning.cache_hits"),
+                counter("planning.cache_misses"),
+                counter("planning.memo_hits"),
+                counter("planner.batched_calls"),
+                counter("planner.batch_memo_hits"),
+                counter("planner.dominated_pruned"),
+                counter("execution.runs"),
+                counter("execution.retries"),
+                counter("execution.faults_injected"),
+                counter("execution.degraded_stages"),
+                counter("execution.speculative_stages"),
+                counter("execution.infeasible"),
+                counter("workload.batches"),
+                counter("workload.queries"),
+                counter("workload.infeasible"),
+            )
+        }
+        self._planning_wall_ms = histogram("planning.wall_ms")
+        self._frontier_size = histogram("planner.frontier_size")
+        self._batch_size = histogram("planner.batch_size")
+        self._execution_time_s = histogram("execution.time_s")
+
+    def _count(self, now: float, amounts: Dict[str, int]) -> None:
+        """Add each amount to its session counter, skipping zeros."""
+        counters = self._counters
+        for name, amount in amounts.items():
+            if amount:
+                counters[name].inc(amount, ts_s=now)
+
     def _record_planning(self, result: PlanningResult) -> None:
         counters = result.counters
-        self.metrics.increment_many(
+        now = self.telemetry.wall_now()
+        self._count(
+            now,
             {
                 "planning.queries": 1,
                 "planning.resource_iterations": (
@@ -372,32 +415,33 @@ class RaqoSession:
                 "planning.memo_hits": counters.memo_hits,
                 "planner.batched_calls": counters.batched_calls,
                 "planner.batch_memo_hits": counters.batch_memo_hits,
-            }
+            },
         )
-        self.metrics.histogram("planning.wall_ms").observe(
-            result.wall_time_s * 1000.0
+        self._planning_wall_ms.observe(
+            result.wall_time_s * 1000.0, ts_s=now
         )
         if (
             isinstance(result, ParetoPlanningResult)
             and result.frontier is not None
         ):
-            self.metrics.histogram("planner.frontier_size").observe(
-                float(len(result.frontier))
+            self._frontier_size.observe(
+                float(len(result.frontier)), ts_s=now
             )
-            self.metrics.increment_many(
+            self._count(
+                now,
                 {
                     "planner.dominated_pruned": (
                         result.frontier.dominated_pruned
                     ),
-                }
+                },
             )
-        if result.batch_sizes:
-            histogram = self.metrics.histogram("planner.batch_size")
-            for size in result.batch_sizes:
-                histogram.observe(float(size))
+        for size in result.batch_sizes:
+            self._batch_size.observe(float(size), ts_s=now)
 
     def _record_execution(self, execution: ExecutionResult) -> None:
-        self.metrics.increment_many(
+        now = self.telemetry.wall_now()
+        self._count(
+            now,
             {
                 "execution.runs": 1,
                 "execution.retries": execution.retries,
@@ -409,24 +453,21 @@ class RaqoSession:
                 "execution.infeasible": (
                     0 if execution.feasible else 1
                 ),
-            }
+            },
         )
         if execution.feasible:
-            self.metrics.histogram("execution.time_s").observe(
-                execution.time_s
-            )
+            self._execution_time_s.observe(execution.time_s, ts_s=now)
             self._sim_elapsed_s += execution.time_s
         self._record_cost_errors(execution)
 
     def _record_cost_errors(self, execution: ExecutionResult) -> None:
         """Per-operator predicted-vs-simulated relative time error.
 
-        Each error also feeds the telemetry plane: the windowed
-        ``execution.cost_error_rel`` series (sim clock) and the
-        cost-model :class:`~repro.obs.drift.DriftMonitor`, which emits
+        Each error lands once on the sim-clock
+        ``execution.cost_error_rel`` series and feeds the cost-model
+        :class:`~repro.obs.drift.DriftMonitor`, which emits
         ``cost_model_drift`` events when calibration decays online.
         """
-        histogram = self.metrics.histogram("execution.cost_error_rel")
         windowed = self.telemetry.windowed_histogram(
             "execution.cost_error_rel", clock="sim"
         )
@@ -444,17 +485,19 @@ class RaqoSession:
             if not math.isfinite(predicted):
                 continue
             error = abs(predicted - report.time_s) / report.time_s
-            histogram.observe(error)
             windowed.observe(error, ts_s=self._sim_elapsed_s)
             self.telemetry.drift.record(
                 error, ts_s=self._sim_elapsed_s
             )
 
     def _record_workload(self, report: WorkloadReport) -> None:
-        self.metrics.increment_many(
+        now = self.telemetry.wall_now()
+        queries = len(report.outcomes)
+        self._count(
+            now,
             {
                 "workload.batches": 1,
-                "workload.queries": len(report.outcomes),
+                "workload.queries": queries,
                 "workload.infeasible": report.infeasible_queries,
                 "execution.retries": report.total_retries,
                 "execution.faults_injected": (
@@ -463,23 +506,27 @@ class RaqoSession:
                 "execution.degraded_stages": (
                     report.total_degraded_stages
                 ),
+                "planning.queries": queries,
                 "planning.resource_iterations": (
                     report.total_resource_iterations
                 ),
                 "planning.cache_hits": report.cache_hit_total,
-            }
+                "planning.cache_misses": report.cache_miss_total,
+            },
         )
         for outcome in report.outcomes:
             if outcome.executed_feasible and math.isfinite(
                 outcome.executed_time_s
             ):
-                self.metrics.histogram("execution.time_s").observe(
-                    outcome.executed_time_s
+                self._execution_time_s.observe(
+                    outcome.executed_time_s, ts_s=now
                 )
 
     def metrics_snapshot(self) -> Dict[str, object]:
-        """The registry's deterministic, JSON-ready snapshot."""
-        return self.metrics.snapshot()
+        """Every series' lifetime reading, in the deterministic
+        ``{"counters", "gauges", "histograms"}`` shape of
+        :meth:`~repro.obs.telemetry.TelemetryPlane.lifetime`."""
+        return self.telemetry.lifetime()
 
     def telemetry_snapshot(
         self, clock: Optional[str] = None
@@ -494,11 +541,11 @@ class RaqoSession:
 
     def exposition(self) -> str:
         """The Prometheus text-format exposition of all metrics."""
-        return prometheus_exposition(self.metrics, self.telemetry)
+        return prometheus_exposition(self.telemetry)
 
     def write_stats_file(self, path: Union[str, Path]) -> Path:
         """Write the Prometheus exposition to ``path``."""
-        write_stats_file(path, self.metrics, self.telemetry)
+        write_stats_file(path, self.telemetry)
         return Path(path)
 
     def write_events(self, path: Union[str, Path]) -> int:
@@ -516,7 +563,9 @@ class RaqoSession:
     def write_trace(self, path: Union[str, Path]) -> Path:
         """Write the recorded spans as Chrome ``trace_event`` JSON."""
         destination = Path(path)
-        write_chrome_trace(self.tracer, destination, metrics=self.metrics)
+        write_chrome_trace(
+            self.tracer, destination, metrics=self.telemetry
+        )
         return destination
 
     def write_spans(self, path: Union[str, Path]) -> int:
@@ -528,13 +577,13 @@ class RaqoSession:
     ) -> Dict[str, Path]:
         """Write trace.json + spans.jsonl + report.txt + metrics.json."""
         return write_trace_dir(
-            self.tracer, directory, metrics=self.metrics, title=title
+            self.tracer, directory, metrics=self.telemetry, title=title
         )
 
     def report(self) -> str:
         """Plain-text span tree plus the metrics summary."""
         lines: List[str] = [render_text_report(self.tracer)]
-        rendered = self.metrics.render_text()
+        rendered = self.telemetry.render_text()
         if rendered:
             lines.extend(["", rendered])
         return "\n".join(lines)

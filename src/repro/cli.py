@@ -576,7 +576,7 @@ def _export_trace(session: RaqoSession, args: argparse.Namespace) -> None:
         print(f"spans written: {args.spans} ({count} spans)")
     if getattr(args, "metrics", False):
         print()
-        print(session.metrics.render_text("session metrics"))
+        print(session.telemetry.render_text("session metrics"))
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -782,7 +782,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     if args.metrics:
         print()
-        print(session.metrics.render_text("session metrics"))
+        print(session.telemetry.render_text("session metrics"))
     _export_telemetry(session, args)
     return 0
 

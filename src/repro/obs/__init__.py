@@ -1,14 +1,14 @@
 """Structured observability: tracing, metrics, telemetry, exporters.
 
 Zero-dependency instrumentation substrate for the planner, engine,
-cluster, fault, serving, and workload layers.  Two generations coexist:
+cluster, fault, serving, and workload layers:
 
-- the session-scoped substrate -- :mod:`repro.obs.tracing` for the
-  deterministic span model, :mod:`repro.obs.metrics` for the lifetime
-  counters/gauges/histograms registry, :mod:`repro.obs.export` for the
-  JSONL / Chrome ``trace_event`` / plain-text exporters;
-- the **telemetry plane** (:mod:`repro.obs.telemetry`) layered on top:
-  deterministic rolling-window instruments (:mod:`repro.obs.windows`),
+- :mod:`repro.obs.tracing` for the deterministic span model, and
+  :mod:`repro.obs.export` for the JSONL / Chrome ``trace_event`` /
+  plain-text exporters;
+- the **telemetry plane** (:mod:`repro.obs.telemetry`), the one metric
+  store: deterministic rolling-window instruments with lifetime totals
+  (:mod:`repro.obs.windows`),
   the unified structured event log (:mod:`repro.obs.events`),
   per-tenant SLO tracking (:mod:`repro.obs.slo`), cost-model drift
   monitoring (:mod:`repro.obs.drift`), Prometheus text exposition
@@ -39,12 +39,6 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
     write_trace_dir,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
 )
 from repro.obs.prometheus import (
     MetricsServer,
@@ -81,14 +75,10 @@ from repro.obs.windows import (
 )
 
 __all__ = [
-    "Counter",
     "DriftConfig",
     "DriftMonitor",
     "DriftStatus",
     "EventLog",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "MetricsServer",
     "NULL_SPAN",
     "NULL_TRACER",

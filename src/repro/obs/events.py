@@ -26,6 +26,7 @@ byte-identical regardless of thread scheduling.
 
 from __future__ import annotations
 
+import collections
 import json
 import threading
 from dataclasses import dataclass, field
@@ -156,9 +157,10 @@ class EventLog:
 
     def counts(self) -> Dict[str, int]:
         """Event totals by name (deterministically ordered)."""
-        totals: Dict[str, int] = {}
-        for event in self.events():
-            totals[event.name] = totals.get(event.name, 0) + 1
+        with self._lock:
+            totals = collections.Counter(
+                event.name for event in self._events
+            )
         return {name: totals[name] for name in sorted(totals)}
 
     def to_jsonl(self) -> str:

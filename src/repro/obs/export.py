@@ -27,7 +27,7 @@ import types
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import TelemetryPlane
 from repro.obs.tracing import Span, Tracer
 
 __all__ = [
@@ -216,7 +216,7 @@ def _occupancy_events(
 
 def chrome_trace(
     source: SpanSource,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: Optional[TelemetryPlane] = None,
 ) -> Dict[str, object]:
     """Build a Chrome ``trace_event`` payload from recorded spans."""
     spans = _spans_of(source)
@@ -296,14 +296,14 @@ def chrome_trace(
         "displayTimeUnit": "ms",
     }
     if metrics is not None:
-        payload["otherData"] = {"metrics": metrics.snapshot()}
+        payload["otherData"] = {"metrics": metrics.lifetime()}
     return payload
 
 
 def write_chrome_trace(
     source: SpanSource,
     path: Union[str, Path],
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: Optional[TelemetryPlane] = None,
 ) -> Dict[str, object]:
     """Write (and return) the Chrome trace payload for ``source``."""
     payload = chrome_trace(source, metrics=metrics)
@@ -404,7 +404,7 @@ def _format_node(
 
 def render_text_report(
     source: SpanSource,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: Optional[TelemetryPlane] = None,
     title: str = "run report",
 ) -> str:
     """A human-readable span tree plus a metrics section."""
@@ -428,14 +428,15 @@ def render_text_report(
 def write_trace_dir(
     source: SpanSource,
     directory: Union[str, Path],
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: Optional[TelemetryPlane] = None,
     title: str = "run report",
 ) -> Dict[str, Path]:
     """Write the full export bundle into ``directory``.
 
     Produces ``trace.json`` (Chrome trace), ``spans.jsonl``,
-    ``report.txt``, and -- when a registry is given -- ``metrics.json``.
-    Returns the mapping of artifact name to written path.
+    ``report.txt``, and -- when a telemetry plane is given --
+    ``metrics.json``, the plane's lifetime view.  Returns the mapping
+    of artifact name to written path.
     """
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -455,7 +456,7 @@ def write_trace_dir(
     if metrics is not None:
         metrics_path = out / "metrics.json"
         metrics_path.write_text(
-            json.dumps(metrics.snapshot(), sort_keys=True, indent=2),
+            json.dumps(metrics.lifetime(), sort_keys=True, indent=2),
             encoding="utf-8",
         )
         written["metrics"] = metrics_path

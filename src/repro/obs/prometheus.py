@@ -1,7 +1,7 @@
 """Prometheus text-format exposition for the telemetry plane.
 
-Renders the session registry's lifetime instruments and the
-:class:`~repro.obs.telemetry.TelemetryPlane`'s windowed series into the
+Renders the lifetime readings of the
+:class:`~repro.obs.telemetry.TelemetryPlane`'s series into the
 `Prometheus text exposition format
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_,
 without depending on any Prometheus client library:
@@ -10,12 +10,14 @@ without depending on any Prometheus client library:
   namespace (``serving.latency_ms`` -> ``raqo_serving_latency_ms``);
 - counters gain the conventional ``_total`` suffix;
 - histograms are exposed as *summaries* -- ``quantile``-labelled sample
-  lines plus ``_sum`` and ``_count`` -- because the registry keeps exact
+  lines plus ``_sum`` and ``_count`` -- because the plane keeps exact
   quantiles rather than fixed buckets;
-- windowed series contribute their cumulative aggregates with their
-  label sets (``raqo_serving_tenant_latency_ms{tenant="acme",...}``)
-  plus a ``raqo_..._rate_per_s`` gauge for windowed counters (rate over
-  the most recent window).
+- each series carries its label set
+  (``raqo_serving_tenant_latency_ms{tenant="acme",...}``), and every
+  counter adds a ``raqo_..._rate_per_s`` gauge (rate over its most
+  recent window).
+
+The plane registers each series once, so each sample line appears once.
 
 The module also ships :func:`parse_exposition`, a strict validating
 parser used by the test suite and the CLI to prove that what we emit is
@@ -31,9 +33,8 @@ import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import TelemetryPlane
 from repro.obs.windows import (
     WindowedCounter,
@@ -161,40 +162,6 @@ class _FamilySet:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _add_registry(families: _FamilySet, metrics: MetricsRegistry) -> None:
-    snap = metrics.snapshot()
-    counters = snap["counters"]
-    gauges = snap["gauges"]
-    histograms = snap["histograms"]
-    assert isinstance(counters, dict)
-    assert isinstance(gauges, dict)
-    assert isinstance(histograms, dict)
-    for name in sorted(counters):
-        family = families.family(
-            prometheus_name(name) + "_total",
-            "counter",
-            f"Lifetime total of {name}.",
-        )
-        family.add(float(counters[name]))
-    for name in sorted(gauges):
-        family = families.family(
-            prometheus_name(name),
-            "gauge",
-            f"Current value of {name}.",
-        )
-        family.add(float(gauges[name]))
-    for name in sorted(histograms):
-        summary = histograms[name]
-        assert isinstance(summary, dict)
-        _add_summary(
-            families,
-            prometheus_name(name),
-            f"Distribution of {name}.",
-            summary,
-            labels=(),
-        )
-
-
 def _add_summary(
     families: _FamilySet,
     base: str,
@@ -226,7 +193,7 @@ def _add_plane(families: _FamilySet, plane: TelemetryPlane) -> None:
                 "counter",
                 f"Windowed counter {instrument.name} {clock_note}.",
             )
-            family.add(float(instrument.total), labels)
+            family.add(float(instrument.reading()), labels)
             snap = instrument.snapshot(last=1)
             windows = snap["windows"]
             assert isinstance(windows, list)
@@ -244,10 +211,9 @@ def _add_plane(families: _FamilySet, plane: TelemetryPlane) -> None:
                 "gauge",
                 f"Windowed gauge {instrument.name} {clock_note}.",
             )
-            latest = instrument.latest()
-            family.add(latest if math.isfinite(latest) else 0.0, labels)
+            family.add(instrument.reading(), labels)
         elif isinstance(instrument, WindowedHistogram):
-            summary = instrument.summary()
+            summary = instrument.reading()
             _add_summary(
                 families,
                 base,
@@ -288,26 +254,16 @@ def _add_plane(families: _FamilySet, plane: TelemetryPlane) -> None:
         drifting.add(1.0 if drift.drifting else 0.0)
 
 
-def prometheus_exposition(
-    metrics: Optional[MetricsRegistry] = None,
-    plane: Optional[TelemetryPlane] = None,
-) -> str:
-    """The full text-format exposition of a registry and/or plane."""
+def prometheus_exposition(plane: TelemetryPlane) -> str:
+    """The full text-format exposition of a plane."""
     families = _FamilySet()
-    if metrics is not None:
-        _add_registry(families, metrics)
-    if plane is not None:
-        _add_plane(families, plane)
+    _add_plane(families, plane)
     return families.render()
 
 
-def write_stats_file(
-    path: Union[str, Path],
-    metrics: Optional[MetricsRegistry] = None,
-    plane: Optional[TelemetryPlane] = None,
-) -> str:
+def write_stats_file(path: Union[str, Path], plane: TelemetryPlane) -> str:
     """Write the exposition to ``path``; returns the rendered text."""
-    text = prometheus_exposition(metrics, plane)
+    text = prometheus_exposition(plane)
     Path(path).write_text(text, encoding="utf-8")
     return text
 
@@ -374,10 +330,12 @@ def parse_exposition(text: str) -> ParsedExposition:
 
     Strict on the properties the encoder guarantees: every sample line
     must parse, every sample must belong to a family declared with a
-    ``# TYPE`` line *before* it, label names must be legal, and a family
-    may not be declared twice.
+    ``# TYPE`` line *before* it, label names must be legal, a family
+    may not be declared twice, and a series (name plus label set) may
+    not be sampled twice.
     """
     parsed = ParsedExposition()
+    seen: Set[Tuple[str, Tuple[Tuple[str, str], ...]]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
         if not line:
@@ -439,6 +397,13 @@ def parse_exposition(text: str) -> ParsedExposition:
                 raise ValueError(
                     f"line {lineno}: malformed labels {labels_blob!r}"
                 )
+        series = (name, tuple(sorted(labels)))
+        if series in seen:
+            raise ValueError(
+                f"line {lineno}: duplicate sample for series {name!r} "
+                f"{dict(labels)}"
+            )
+        seen.add(series)
         try:
             value = float(match.group("value"))
         except ValueError as exc:

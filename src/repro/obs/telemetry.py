@@ -1,14 +1,14 @@
-"""The telemetry plane: windowed metrics, events, SLOs, drift -- one home.
+"""The telemetry plane: metrics, events, SLOs, drift -- one home.
 
-:class:`TelemetryPlane` is the v2 observability substrate layered on
-the session's :class:`~repro.obs.metrics.MetricsRegistry` and
-:class:`~repro.obs.tracing.Tracer`.  Where the registry keeps lifetime
-totals and the tracer keeps structure, the plane keeps **evolution**:
+:class:`TelemetryPlane` is the session's one metric store, beside the
+:class:`~repro.obs.tracing.Tracer`.  Where the tracer keeps structure,
+the plane keeps totals and their **evolution**:
 
 - a get-or-create registry of :mod:`windowed instruments
   <repro.obs.windows>` (counters, gauges, histograms) keyed by name +
   label set, each bound to one clock domain -- ``sim`` for engine and
-  cluster signals, ``wall`` for planner and serving signals;
+  cluster signals, ``wall`` for session, planner and serving signals --
+  and each registered once;
 - the unified :class:`~repro.obs.events.EventLog`;
 - the :class:`~repro.obs.drift.DriftMonitor` fed by the session's
   cost-error observations;
@@ -18,8 +18,9 @@ totals and the tracer keeps structure, the plane keeps **evolution**:
 Everything the plane aggregates serializes deterministically:
 :meth:`snapshot` orders series by name, and ``sim``-domain snapshots of
 a seeded run are byte-identical whether the run was serial or parallel.
-The Prometheus exposition over a plane lives in
-:mod:`repro.obs.prometheus`.
+:meth:`lifetime` is the one view of every series' lifetime reading that
+the Prometheus exposition (:mod:`repro.obs.prometheus`), the text
+reports and ``metrics.json`` read.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from __future__ import annotations
 import threading
 import time
 from types import MappingProxyType
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.drift import DriftConfig, DriftMonitor
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloPolicy, SloTracker
 from repro.obs.windows import (
     WindowedCounter,
@@ -54,18 +54,25 @@ WindowedInstrument = Union[
 #: fractions of a second, simulated stages in tens of seconds.
 DEFAULT_WINDOW_S = MappingProxyType({"wall": 0.5, "sim": 10.0})
 
+#: The snapshot section of each instrument kind.
+_SECTIONS = MappingProxyType(
+    {
+        WindowedCounter: "counters",
+        WindowedGauge: "gauges",
+        WindowedHistogram: "histograms",
+    }
+)
+
 
 class TelemetryPlane:
     """Get-or-create home for windowed series, events, SLOs, drift."""
 
     def __init__(
         self,
-        metrics: Optional[MetricsRegistry] = None,
         wall_window_s: float = DEFAULT_WINDOW_S["wall"],
         sim_window_s: float = DEFAULT_WINDOW_S["sim"],
         drift: Optional[DriftConfig] = None,
     ) -> None:
-        self.metrics = metrics
         self.events = EventLog()
         self.drift = DriftMonitor(drift, events=self.events)
         self.slo_trackers: List[SloTracker] = []
@@ -196,22 +203,11 @@ class TelemetryPlane:
         machine speed.  ``last`` caps the number of trailing windows
         reported per series.
         """
-        sections: Dict[str, Dict[str, object]] = {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
-        section_of = {
-            WindowedCounter: "counters",
-            WindowedGauge: "gauges",
-            WindowedHistogram: "histograms",
-        }
-        for instrument in self.instruments(clock):
-            section = section_of[type(instrument)]
-            sections[section][instrument.series] = instrument.snapshot(
-                last=last
+        payload: Dict[str, object] = dict(
+            self._sections(
+                clock, lambda instrument: instrument.snapshot(last=last)
             )
-        payload: Dict[str, object] = dict(sections)
+        )
         if clock is None:
             payload["events"] = self.events.counts()
             payload["slo"] = [
@@ -221,6 +217,61 @@ class TelemetryPlane:
             ]
             payload["drift"] = self.drift.snapshot()
         return payload
+
+    def lifetime(self) -> Dict[str, Dict[str, object]]:
+        """Every series' lifetime reading, keyed by series: counters'
+        totals, gauges' latest levels and histograms' summaries
+        (count/sum/min/max/mean over all time, quantiles over the
+        retained windows)."""
+        return self._sections(
+            None, lambda instrument: instrument.reading()
+        )
+
+    def _sections(
+        self,
+        clock: Optional[str],
+        read: Callable[[WindowedInstrument], object],
+    ) -> Dict[str, Dict[str, object]]:
+        """``read`` of each instrument on ``clock``, keyed by section
+        and series."""
+        sections: Dict[str, Dict[str, object]] = {
+            "counters": {},
+            "gauges": {},
+            "histograms": {},
+        }
+        for instrument in self.instruments(clock):
+            sections[_SECTIONS[type(instrument)]][
+                instrument.series
+            ] = read(instrument)
+        return sections
+
+    def render_text(self, title: Optional[str] = None) -> str:
+        """A plain-text report of :meth:`lifetime`."""
+        view = self.lifetime()
+        lines: List[str] = []
+        if title:
+            lines.append(title)
+            lines.append("=" * len(title))
+        counters, gauges = view["counters"], view["gauges"]
+        if counters:
+            lines.append("counters:")
+            for name, value in counters.items():
+                lines.append(f"  {name} = {value}")
+        if gauges:
+            lines.append("gauges:")
+            for name, value in gauges.items():
+                lines.append(f"  {name} = {value:g}")
+        if view["histograms"]:
+            lines.append("histograms:")
+            for name, summary in view["histograms"].items():
+                assert isinstance(summary, dict)
+                parts = " ".join(
+                    f"{key}={summary[key]:g}" for key in sorted(summary)
+                )
+                lines.append(f"  {name}: {parts}")
+        if len(lines) == (2 if title else 0):
+            lines.append("(no metrics recorded)")
+        return "\n".join(lines)
 
     def __repr__(self) -> str:
         with self._lock:

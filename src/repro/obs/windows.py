@@ -1,16 +1,18 @@
-"""Deterministic rolling-window aggregations for the telemetry plane.
+"""Deterministic rolling-window instruments: the session's one metric store.
 
-The session-scoped :class:`~repro.obs.metrics.MetricsRegistry` answers
-"how much, in total?"; these instruments answer "how much, *when*?" --
-request rates, windowed latency quantiles, and occupancy levels as they
-evolve over a run.  Each observation carries an explicit timestamp in
-one of the simulator's two clock domains:
+Every counter, gauge and histogram the library records lives here,
+registered once on the :class:`~repro.obs.telemetry.TelemetryPlane`.
+Each answers both "how much, in total?" (its lifetime figures) and
+"how much, *when*?" -- request rates, windowed latency quantiles, and
+occupancy levels as they evolve over a run.  Each observation carries
+an explicit timestamp in one of the simulator's two clock domains:
 
 - ``clock="sim"`` -- the simulated cluster clock (engine and cluster
   metrics), where window contents are a pure function of the seeded
   run;
-- ``clock="wall"`` -- real wall time (planner and serving metrics),
-  where window *shapes* are stable but values depend on machine speed.
+- ``clock="wall"`` -- real wall time (planner, session and serving
+  metrics), where window *shapes* are stable but values depend on
+  machine speed.
 
 Observations land in fixed-width buckets (``floor(ts / window_s)``).
 Every per-bucket aggregate is **order-independent**: counts and min/max
@@ -21,11 +23,15 @@ workload recorded from many threads therefore produce byte-identical
 snapshots -- the contract the property suite pins, and the windowed
 analog of the tracer's canonical-span-tree guarantee.
 
-Each series keeps at most ``_MAX_WINDOWS`` windows, the ones with the
-highest indices: a new window beyond that evicts the oldest, and an
-observation older than every window of a full series lands in no
-window. Which windows survive is therefore a function of the set of
-observations too. Lifetime figures are not windowed:
+Retention is one rule for every instrument: a series keeps at most
+``_MAX_WINDOWS`` windows holding at most ``_RETAINED_OBSERVATIONS``
+values (a counter window holds one), evicting whole oldest windows but
+always keeping the newest, and it turns away values for windows at or
+below the highest evicted index.  The retained windows are then the
+longest run of newest windows within both caps, a function of the set
+of observations too.  Since the newest window stays, a series holds at
+most ``_RETAINED_OBSERVATIONS`` values plus what one window holds past
+that (its rate times ``window_s``). Lifetime figures are not windowed:
 :attr:`WindowedCounter.total` and a histogram summary's
 ``count``/``sum``/``min``/``max`` cover every observation ever made
 (the sum is kept exactly, so it stays order-independent), while the
@@ -38,7 +44,17 @@ import bisect
 import collections
 import math
 import threading
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 __all__ = [
     "CLOCKS",
@@ -61,6 +77,11 @@ LabelSet = Tuple[Tuple[str, str], ...]
 #: executed query, so every stage opens a fresh window there; unbounded,
 #: the windows of a long session grew by ~1.7 KB per ``session.run``.
 _MAX_WINDOWS = 512
+
+#: Values one series retains across its windows. A session records ~8
+#: per ``session.run``; keeping all of them grew a long session's
+#: memory by ~330 bytes per run.
+_RETAINED_OBSERVATIONS = 4096
 
 #: Values an :class:`ExactSum` buffers before folding them.
 _FOLD_AT = 64
@@ -149,16 +170,26 @@ def _exact_parts(values: List[float]) -> List[float]:
 
 
 class _WindowedInstrument:
-    """Shared bucketing machinery: name, labels, clock, width, lock."""
+    """Shared bucketing and retention: name, labels, clock, width, lock."""
 
-    __slots__ = ("name", "labels", "clock", "window_s", "_lock", "_order")
+    __slots__ = (
+        "name",
+        "labels",
+        "clock",
+        "window_s",
+        "_lock",
+        "_buckets",
+        "_order",
+        "_evicted",
+        "_retained",
+    )
 
     def __init__(
         self,
         name: str,
-        labels: LabelSet,
-        clock: str,
-        window_s: float,
+        labels: LabelSet = (),
+        clock: str = "wall",
+        window_s: float = 1.0,
     ) -> None:
         if clock not in CLOCKS:
             raise ValueError(
@@ -171,8 +202,13 @@ class _WindowedInstrument:
         self.clock = clock
         self.window_s = window_s
         self._lock = threading.Lock()
+        self._buckets: Dict[int, Any] = {}
         #: Retained window indices, ascending.
         self._order: Deque[int] = collections.deque()
+        #: The highest evicted window index.
+        self._evicted = -math.inf
+        #: Values the retained windows hold.
+        self._retained = 0
 
     @property
     def series(self) -> str:
@@ -183,27 +219,53 @@ class _WindowedInstrument:
         """The window index ``ts_s`` falls into."""
         return math.floor(ts_s / self.window_s)
 
-    def _admit(self, buckets: Dict[int, Any], bucket: int) -> bool:
-        """Whether window ``bucket`` of ``buckets`` is retained, making
-        room for it when new; the caller holds the lock and opens the
-        window.
+    def _open(self, bucket: int, window: Any) -> bool:
+        """Open window ``bucket`` holding ``window``, unless it is at or
+        below the highest evicted index; the caller holds the lock and
+        knows the window is not open.
 
-        A full ring evicts its oldest window for a newer one and turns
-        away an older one. Time mostly moves forward, so a new window
-        is usually appended and eviction pops the deque's head: O(1).
+        Time mostly moves forward, so a new window is usually appended:
+        O(1).
         """
-        if bucket in buckets:
-            return True
+        if bucket <= self._evicted:
+            return False
         order = self._order
         if not order or bucket > order[-1]:
             order.append(bucket)
-        elif len(order) >= _MAX_WINDOWS and bucket < order[0]:
-            return False
         else:
             bisect.insort(order, bucket)
-        if len(order) > _MAX_WINDOWS:
-            del buckets[order.popleft()]
+        self._buckets[bucket] = window
         return True
+
+    def _retain(self) -> None:
+        """Count one more retained value, then evict whole oldest
+        windows while either cap is exceeded, always keeping the
+        newest; the caller holds the lock."""
+        self._retained += 1
+        order = self._order
+        while len(order) > 1 and (
+            len(order) > _MAX_WINDOWS
+            or self._retained > _RETAINED_OBSERVATIONS
+        ):
+            index = order.popleft()
+            self._retained -= self._held(self._buckets.pop(index))
+            self._evicted = index
+
+    @staticmethod
+    def _held(window: Any) -> int:
+        """Values one window holds."""
+        return len(window)
+
+    def _append(self, bucket: int, value: float) -> None:
+        """Add ``value`` to window ``bucket``'s list; the caller holds
+        the lock."""
+        window = self._buckets.get(bucket)
+        if window is None:
+            window = []
+            if not self._open(bucket, window):
+                return
+        window.append(value)
+        self._retain()
 
     def _meta(self) -> Dict[str, object]:
         return {
@@ -217,7 +279,7 @@ class _WindowedInstrument:
 class WindowedCounter(_WindowedInstrument):
     """A monotonically increasing count, bucketed by timestamp."""
 
-    __slots__ = ("_buckets", "_total")
+    __slots__ = ("_total",)
 
     def __init__(
         self,
@@ -227,7 +289,6 @@ class WindowedCounter(_WindowedInstrument):
         window_s: float = 1.0,
     ) -> None:
         super().__init__(name, labels, clock, window_s)
-        self._buckets: Dict[int, int] = {}
         self._total = 0
 
     def inc(self, amount: int = 1, *, ts_s: float) -> None:
@@ -240,16 +301,25 @@ class WindowedCounter(_WindowedInstrument):
         bucket = self.bucket_of(ts_s)
         with self._lock:
             self._total += amount
-            if self._admit(self._buckets, bucket):
-                self._buckets[bucket] = (
-                    self._buckets.get(bucket, 0) + amount
-                )
+            buckets = self._buckets
+            if bucket in buckets:
+                buckets[bucket] += amount
+            elif self._open(bucket, amount):
+                self._retain()
+
+    @staticmethod
+    def _held(window: Any) -> int:
+        return 1
 
     @property
     def total(self) -> int:
         """The all-time count, evicted windows included."""
         with self._lock:
             return self._total
+
+    def reading(self) -> int:
+        """The lifetime reading: :attr:`total`."""
+        return self.total
 
     def snapshot(self, last: Optional[int] = None) -> Dict[str, object]:
         """JSON-ready bucket-by-bucket dump (most recent ``last``)."""
@@ -281,9 +351,11 @@ class WindowedGauge(_WindowedInstrument):
     Each bucket keeps every sample so min/max/mean are exact and
     order-independent; "last write wins" is deliberately *not* offered
     -- under concurrent recording it would depend on thread scheduling.
+    A level its owner already keeps exactly (a cache's live entries) is
+    exported through :meth:`set_function` instead of being sampled.
     """
 
-    __slots__ = ("_buckets",)
+    __slots__ = ("_function",)
 
     def __init__(
         self,
@@ -293,14 +365,19 @@ class WindowedGauge(_WindowedInstrument):
         window_s: float = 1.0,
     ) -> None:
         super().__init__(name, labels, clock, window_s)
-        self._buckets: Dict[int, List[float]] = {}
+        self._function: Optional[Callable[[], float]] = None
+
+    def set_function(self, function: Callable[[], float]) -> None:
+        """Make :meth:`reading` return ``function()``, the current
+        level, rather than a mean of samples."""
+        self._function = function
 
     def record(self, value: float, *, ts_s: float) -> None:
         """Sample the level at timestamp ``ts_s``."""
+        value = float(value)
         bucket = self.bucket_of(ts_s)
         with self._lock:
-            if self._admit(self._buckets, bucket):
-                self._buckets.setdefault(bucket, []).append(float(value))
+            self._append(bucket, value)
 
     def snapshot(self, last: Optional[int] = None) -> Dict[str, object]:
         """JSON-ready per-bucket min/max/mean levels."""
@@ -327,11 +404,15 @@ class WindowedGauge(_WindowedInstrument):
             )
         return {**self._meta(), "kind": "gauge", "windows": windows}
 
-    def latest(self) -> float:
-        """Mean level of the most recent bucket (NaN when empty)."""
+    def reading(self) -> float:
+        """The level :meth:`set_function` gave, else the mean level of
+        the most recent bucket (0.0 before the first sample)."""
+        function = self._function
+        if function is not None:
+            return float(function())
         with self._lock:
             if not self._order:
-                return math.nan
+                return 0.0
             values = self._buckets[self._order[-1]]
             return math.fsum(values) / len(values)
 
@@ -344,7 +425,7 @@ class WindowedHistogram(_WindowedInstrument):
     down; its quantiles cover the retained windows only.
     """
 
-    __slots__ = ("_buckets", "_count", "_sum", "_min", "_max")
+    __slots__ = ("_count", "_sum", "_min", "_max")
 
     #: Quantiles reported per window and for the cumulative summary.
     QUANTILES: Tuple[Tuple[str, float], ...] = (
@@ -361,7 +442,6 @@ class WindowedHistogram(_WindowedInstrument):
         window_s: float = 1.0,
     ) -> None:
         super().__init__(name, labels, clock, window_s)
-        self._buckets: Dict[int, List[float]] = {}
         self._count = 0
         self._sum = ExactSum()
         self._min = math.inf
@@ -378,8 +458,7 @@ class WindowedHistogram(_WindowedInstrument):
                 self._min = value
             if value > self._max:
                 self._max = value
-            if self._admit(self._buckets, bucket):
-                self._buckets.setdefault(bucket, []).append(value)
+            self._append(bucket, value)
 
     def _copy(
         self,
@@ -430,6 +509,13 @@ class WindowedHistogram(_WindowedInstrument):
         """Lifetime count/sum/min/max, plus quantiles over the retained
         windows combined."""
         return self._cumulative(*self._copy())
+
+    def reading(self) -> Dict[str, float]:
+        """The lifetime reading: :meth:`summary` plus the mean."""
+        summary = self.summary()
+        if summary["count"]:
+            summary["mean"] = summary["sum"] / summary["count"]
+        return summary
 
     def snapshot(self, last: Optional[int] = None) -> Dict[str, object]:
         """JSON-ready per-window distributions plus the cumulative one."""

@@ -12,7 +12,7 @@ This package is that serving layer over the reproduction's
   batching with single-flight coalescing, deterministic tracing.
 - :mod:`repro.serving.cache` -- the :class:`ShardedPlanCache`:
   lock-striped, cross-tenant, LRU-evicting, with exactly reconciling
-  hit/miss/insert/eviction counters on the session metrics registry.
+  hit/miss/insert/eviction counters on the session's telemetry plane.
 - :mod:`repro.serving.replay` -- deterministic Poisson/bursty traffic
   traces and the :func:`replay` harness reporting QPS and p50/p95/p99
   planning latency (the ``BENCH_serving.json`` numbers).

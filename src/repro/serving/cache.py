@@ -12,28 +12,26 @@ key only ever contends with requests whose keys hash to the same shard.
 Shard selection is a stable SHA-256 prefix of the key (``hash()`` on
 strings is salted per process and would break cross-run determinism),
 each shard runs LRU eviction against a per-shard capacity knob, and all
-traffic counters (hits, misses, inserts, evictions, live entries) land
-on a :class:`~repro.obs.metrics.MetricsRegistry` -- the serving session
-shares its own registry so cache behaviour shows up directly in
-:meth:`RaqoSession.metrics_snapshot`.
+traffic series (hits, misses, inserts, evictions, live entries) land on
+a :class:`~repro.obs.telemetry.TelemetryPlane`'s wall clock -- the
+serving session shares its own plane so cache behaviour shows up
+directly in :meth:`RaqoSession.metrics_snapshot`.
 
 The counters reconcile exactly, even under concurrent hammering:
 
 - every :meth:`lookup` increments exactly one of hits or misses;
-- ``entries`` (a gauge, maintained with +1/-1 deltas under the shard
-  lock) always equals ``inserts - evictions`` and ``len(cache)``.
+- ``entries`` (a gauge read from ``len(cache)`` when exported) always
+  equals ``inserts - evictions`` at a quiescent point.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, TypeVar
+from typing import Dict, List, Optional, TypeVar
 
-from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import TelemetryPlane
 from repro.obs.tracing import AttrValue
 
 __all__ = [
@@ -58,9 +56,11 @@ class ShardedPlanCache:
 
     ``shard_capacity`` bounds each shard independently (total capacity
     is ``shards * shard_capacity``); when a shard overflows, its least
-    recently used entry is evicted.  ``metrics`` receives the traffic
-    counters under ``<prefix>.hits`` / ``.misses`` / ``.inserts`` /
-    ``.evictions`` and the live-entry gauge ``<prefix>.entries``.
+    recently used entry is evicted.  ``telemetry`` (a fresh plane when
+    omitted) receives the wall-clock traffic counters under
+    ``<prefix>.hits`` / ``.misses`` / ``.inserts`` / ``.evictions``,
+    the live-entry gauge ``<prefix>.entries`` (``len(cache)`` at read
+    time), and a ``cache_evict`` event per eviction.
     """
 
     def __init__(
@@ -68,10 +68,8 @@ class ShardedPlanCache:
         *,
         shards: int = 8,
         shard_capacity: int = 64,
-        metrics: Optional[MetricsRegistry] = None,
+        telemetry: Optional[TelemetryPlane] = None,
         prefix: str = "serving.cache",
-        events: Optional[EventLog] = None,
-        now: Optional[Callable[[], float]] = None,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -80,18 +78,19 @@ class ShardedPlanCache:
                 f"shard_capacity must be >= 1, got {shard_capacity}"
             )
         self.shard_capacity = shard_capacity
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Evictions additionally land as ``cache_evict`` events here
-        #: (timestamped by ``now``, the plane's wall clock when the
-        #: service wires it).
-        self.events = events
-        self._now = now if now is not None else time.perf_counter
+        self.telemetry = (
+            telemetry if telemetry is not None else TelemetryPlane()
+        )
+        self._now = self.telemetry.wall_now
         self._shards: List[_Shard] = [_Shard() for _ in range(shards)]
-        self._hits = self.metrics.counter(f"{prefix}.hits")
-        self._misses = self.metrics.counter(f"{prefix}.misses")
-        self._inserts = self.metrics.counter(f"{prefix}.inserts")
-        self._evictions = self.metrics.counter(f"{prefix}.evictions")
-        self._entries = self.metrics.gauge(f"{prefix}.entries")
+        counter = self.telemetry.windowed_counter
+        self._hits = counter(f"{prefix}.hits")
+        self._misses = counter(f"{prefix}.misses")
+        self._inserts = counter(f"{prefix}.inserts")
+        self._evictions = counter(f"{prefix}.evictions")
+        self.telemetry.windowed_gauge(f"{prefix}.entries").set_function(
+            self.__len__
+        )
 
     # -- shard routing -----------------------------------------------------
 
@@ -124,9 +123,9 @@ class ShardedPlanCache:
             if value is not None:
                 shard.entries.move_to_end(key)
         if value is None:
-            self._misses.inc()
+            self._misses.inc(ts_s=self._now())
             return None
-        self._hits.inc()
+        self._hits.inc(ts_s=self._now())
         return value
 
     def peek(self, key: str) -> Optional[object]:
@@ -163,11 +162,11 @@ class ShardedPlanCache:
                 shard.entries[key] = value
                 fresh = True
         if fresh:
-            self._inserts.inc()
-            self._entries.add(1.0 - evicted)
+            now = self._now()
+            self._inserts.inc(ts_s=now)
             if evicted:
-                self._evictions.inc(evicted)
-                self._emit_evict(evicted, "capacity", key)
+                self._evictions.inc(evicted, ts_s=now)
+                self._emit_evict(evicted, "capacity", key, now)
         return fresh
 
     def clear(self) -> None:
@@ -178,13 +177,13 @@ class ShardedPlanCache:
                 dropped += len(shard.entries)
                 shard.entries.clear()
         if dropped:
-            self._evictions.inc(dropped)
-            self._entries.add(-float(dropped))
-            self._emit_evict(dropped, "clear", "")
+            now = self._now()
+            self._evictions.inc(dropped, ts_s=now)
+            self._emit_evict(dropped, "clear", "", now)
 
-    def _emit_evict(self, count: int, reason: str, key: str) -> None:
-        if self.events is None:
-            return
+    def _emit_evict(
+        self, count: int, reason: str, key: str, now: float
+    ) -> None:
         attributes: Dict[str, AttrValue] = {
             "count": count,
             "reason": reason,
@@ -193,7 +192,9 @@ class ShardedPlanCache:
             # The key whose insert forced the eviction, not the victim:
             # enough to find the hot shard without dumping plan keys.
             attributes["inserted_key"] = key
-        self.events.emit("cache_evict", self._now(), attributes=attributes)
+        self.telemetry.events.emit(
+            "cache_evict", now, attributes=attributes
+        )
 
     # -- introspection -----------------------------------------------------
 
@@ -208,20 +209,21 @@ class ShardedPlanCache:
     @property
     def hit_rate(self) -> float:
         """hits / (hits + misses), or 0.0 before any traffic."""
-        lookups = self._hits.value + self._misses.value
+        hits = self._hits.total
+        lookups = hits + self._misses.total
         if lookups == 0:
             return 0.0
-        return self._hits.value / lookups
+        return hits / lookups
 
     def snapshot(self) -> Dict[str, object]:
         """A JSON-ready dump of configuration plus traffic counters."""
         return {
             "shards": self.shards,
             "shard_capacity": self.shard_capacity,
-            "hits": self._hits.value,
-            "misses": self._misses.value,
-            "inserts": self._inserts.value,
-            "evictions": self._evictions.value,
+            "hits": self._hits.total,
+            "misses": self._misses.total,
+            "inserts": self._inserts.total,
+            "evictions": self._evictions.total,
             "entries": len(self),
             "hit_rate": self.hit_rate,
         }

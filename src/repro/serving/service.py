@@ -191,8 +191,8 @@ _SENTINEL: object = object()
 class OptimizerService:
     """A long-lived, concurrent planning frontend over one session.
 
-    Construction wires the cache's counters onto the session's
-    :class:`~repro.obs.metrics.MetricsRegistry`; requests may be
+    Construction registers the service's and the cache's series on the
+    session's :class:`~repro.obs.telemetry.TelemetryPlane`; requests may be
     submitted before :meth:`start` (they queue up -- and overflow the
     admission bound -- exactly as they would against a stalled worker
     pool), but nothing is planned until the workers run.  Use as a
@@ -210,11 +210,21 @@ class OptimizerService:
     ) -> None:
         self.session = session
         self.config = config if config is not None else ServiceConfig()
-        self.metrics = session.metrics
-        #: The session's telemetry plane: the service lands per-tenant
-        #: windowed series, admission/rejection/coalesce events, and
-        #: SLO burn alerts on it.
+        #: The session's telemetry plane: the service lands its
+        #: counters and latency histograms, per-tenant series,
+        #: admission/rejection/coalesce events, and SLO burn alerts on
+        #: it.
         self.telemetry = session.telemetry
+        counter = self.telemetry.windowed_counter
+        histogram = self.telemetry.windowed_histogram
+        self._admitted = counter("serving.admitted")
+        self._rejected = counter("serving.rejected")
+        self._completed = counter("serving.completed")
+        self._errors = counter("serving.errors")
+        self._coalesced = counter("serving.coalesced")
+        self._latency_ms = histogram("serving.latency_ms")
+        self._queue_ms = histogram("serving.queue_ms")
+        self._batch_size = histogram("serving.batch_size")
         self.slo: Optional[SloTracker] = (
             self.telemetry.slo_tracker(self.config.slo)
             if self.config.slo is not None
@@ -224,9 +234,7 @@ class OptimizerService:
             ShardedPlanCache(
                 shards=self.config.cache_shards,
                 shard_capacity=self.config.cache_shard_capacity,
-                metrics=session.metrics,
-                events=self.telemetry.events,
-                now=self.telemetry.wall_now,
+                telemetry=self.telemetry,
             )
             if self.config.cache_enabled
             else None
@@ -332,12 +340,8 @@ class OptimizerService:
             # they also stay out of the canonical tree.
             self._root_span.set_attributes(
                 {
-                    "wall_completed": self.metrics.counter(
-                        "serving.completed"
-                    ).value,
-                    "wall_rejected": self.metrics.counter(
-                        "serving.rejected"
-                    ).value,
+                    "wall_completed": self._completed.total,
+                    "wall_rejected": self._rejected.total,
                 }
             )
             self._root_span.__exit__(None, None, None)
@@ -378,8 +382,8 @@ class OptimizerService:
             try:
                 self._queue.put_nowait(ticket)
             except Full:
-                self.metrics.counter("serving.rejected").inc()
                 now = self.telemetry.wall_now()
+                self._rejected.inc(ts_s=now)
                 self.telemetry.windowed_counter(
                     "serving.tenant.rejected",
                     [("tenant", request.tenant)],
@@ -398,13 +402,14 @@ class OptimizerService:
                     queue_depth=self._queue.qsize(),
                     max_queue=self.config.max_queue,
                 ) from None
-        self.metrics.counter("serving.admitted").inc()
+        now = self.telemetry.wall_now()
+        self._admitted.inc(ts_s=now)
         self.telemetry.windowed_counter(
             "serving.tenant.admitted", [("tenant", request.tenant)]
-        ).inc(ts_s=self.telemetry.wall_now())
+        ).inc(ts_s=now)
         self.telemetry.events.emit(
             "admission",
-            self.telemetry.wall_now(),
+            now,
             tenant=request.tenant,
             attributes={"request_id": request.request_id},
         )
@@ -436,9 +441,9 @@ class OptimizerService:
     def exposition(self) -> str:
         """The session's current Prometheus text exposition.
 
-        What a scrape of ``repro serve --metrics-addr`` returns:
-        lifetime registry instruments plus the telemetry plane's
-        windowed series, per-tenant SLO burn rates, and drift state.
+        What a scrape of ``repro serve --metrics-addr`` returns: every
+        series on the session's telemetry plane, per-tenant SLO burn
+        rates, and drift state.
         """
         return self.session.exposition()
 
@@ -520,8 +525,8 @@ class OptimizerService:
         for ticket in batch:
             ticket.dequeued_at = now
             ticket.batch_size = len(batch)
-        self.metrics.histogram("serving.batch_size").observe(
-            float(len(batch))
+        self._batch_size.observe(
+            float(len(batch)), ts_s=self.telemetry.wall_now()
         )
         groups: "OrderedDict[str, List[_Ticket]]" = OrderedDict()
         for ticket in batch:
@@ -532,8 +537,8 @@ class OptimizerService:
             for extra in extras:
                 extra.coalesced = True
             if extras:
-                self.metrics.counter("serving.coalesced").inc(
-                    len(extras)
+                self._coalesced.inc(
+                    len(extras), ts_s=self.telemetry.wall_now()
                 )
                 self._emit_coalesce(key, extras, kind="batch")
             self._serve_group(planner, key, tickets)
@@ -577,8 +582,8 @@ class OptimizerService:
                     ticket.coalesced = True
                 entry.waiters.extend(tickets)
                 if newly:
-                    self.metrics.counter("serving.coalesced").inc(
-                        len(newly)
+                    self._coalesced.inc(
+                        len(newly), ts_s=self.telemetry.wall_now()
                     )
                     self._emit_coalesce(key, newly, kind="inflight")
                 return
@@ -616,8 +621,8 @@ class OptimizerService:
                     entry = self._inflight.pop(key)
                 for waiter in entry.waiters:
                     waiter.future.set_exception(exc)
-                self.metrics.counter("serving.errors").inc(
-                    len(entry.waiters)
+                self._errors.inc(
+                    len(entry.waiters), ts_s=self.telemetry.wall_now()
                 )
                 return
             with self._lock:
@@ -677,11 +682,9 @@ class OptimizerService:
                 self._emit_request_span(
                     ticket, cache_hit, latency_ms, queue_ms
                 )
-            self.metrics.histogram("serving.latency_ms").observe(
-                latency_ms
-            )
-            self.metrics.histogram("serving.queue_ms").observe(queue_ms)
-            self.metrics.counter("serving.completed").inc()
+            self._latency_ms.observe(latency_ms, ts_s=now)
+            self._queue_ms.observe(queue_ms, ts_s=now)
+            self._completed.inc(ts_s=now)
             tenant = ticket.request.tenant
             tenant_labels = [("tenant", tenant)]
             self.telemetry.windowed_histogram(

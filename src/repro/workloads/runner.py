@@ -52,6 +52,7 @@ class QueryOutcome:
     planning_ms: float
     resource_iterations: int
     cache_hits: int
+    cache_misses: int
     predicted_time_s: float
     executed_time_s: float
     executed_gb_seconds: float
@@ -94,6 +95,11 @@ class WorkloadReport:
     def cache_hit_total(self) -> int:
         """Total resource-plan-cache hits."""
         return sum(o.cache_hits for o in self.outcomes)
+
+    @property
+    def cache_miss_total(self) -> int:
+        """Total resource-plan-cache misses."""
+        return sum(o.cache_misses for o in self.outcomes)
 
     @property
     def total_retries(self) -> int:
@@ -261,6 +267,7 @@ class WorkloadRunner:
                 planning_ms=result.wall_time_s * 1000.0,
                 resource_iterations=result.resource_iterations,
                 cache_hits=result.counters.cache_hits,
+                cache_misses=result.counters.cache_misses,
                 predicted_time_s=result.cost.time_s,
                 executed_time_s=execution.time_s,
                 executed_gb_seconds=execution.gb_seconds,

@@ -134,6 +134,32 @@ class TestMetrics:
         assert counters["workload.batches"] == 1
         assert counters["workload.queries"] == 2
 
+    def test_workload_records_cache_misses_and_queries(self):
+        """A hit ratio taken from the exported counters must see the
+        workload's misses, not read 1.0."""
+        session = RaqoSession(scale_factor=100)
+        report = session.workload(["Q3", "Q12", "Q2", "All", "Q3"])
+        counters = session.metrics_snapshot()["counters"]
+        misses = sum(outcome.cache_misses for outcome in report.outcomes)
+        assert misses > 0
+        assert counters["planning.queries"] == 5
+        assert counters["planning.cache_misses"] == misses
+        assert counters["planning.cache_hits"] == report.cache_hit_total
+        session.plan("Q3")
+        counters = session.metrics_snapshot()["counters"]
+        assert counters["planning.queries"] == 6
+
+    def test_histogram_readings_carry_every_summary_field(self):
+        session = RaqoSession(scale_factor=100)
+        session.run("Q3")
+        summary = session.metrics_snapshot()["histograms"][
+            "execution.time_s"
+        ]
+        assert set(summary) == {
+            "count", "sum", "min", "max", "mean", "p50", "p95", "p99",
+        }
+        assert summary["mean"] == summary["sum"] / summary["count"]
+
     def test_batch_metrics_are_recorded(self):
         session = RaqoSession(scale_factor=100)
         session.plan("Q3")

@@ -8,8 +8,8 @@ from repro.obs.dashboard import (
     render_dashboard_from_files,
 )
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import prometheus_exposition
+from repro.obs.telemetry import TelemetryPlane
 
 
 def _sample_events(tmp_path):
@@ -47,10 +47,10 @@ class TestLoadEvents:
 class TestRender:
     def test_all_panes_render(self, tmp_path):
         events = load_events_jsonl(_sample_events(tmp_path))
-        metrics = MetricsRegistry()
-        metrics.counter("planning.queries").inc(7)
+        plane = TelemetryPlane()
+        plane.windowed_counter("planning.queries").inc(7, ts_s=0.0)
         text = render_dashboard(
-            events, prometheus_exposition(metrics)
+            events, prometheus_exposition(plane)
         )
         assert "repro top" in text
         assert "slo_burn" in text
@@ -65,19 +65,19 @@ class TestRender:
         assert "(no stats file)" in text
 
     def test_metric_limit_reports_hidden_series(self):
-        metrics = MetricsRegistry()
+        plane = TelemetryPlane()
         for index in range(25):
-            metrics.counter(f"c{index:02d}").inc()
+            plane.windowed_gauge(f"g{index:02d}").record(1.0, ts_s=0.0)
         text = render_dashboard(
-            [], prometheus_exposition(metrics), metric_limit=20
+            [], prometheus_exposition(plane), metric_limit=20
         )
         assert "(5 more series)" in text
 
     def test_rendering_is_deterministic(self, tmp_path):
         events = load_events_jsonl(_sample_events(tmp_path))
-        metrics = MetricsRegistry()
-        metrics.counter("a").inc()
-        stats = prometheus_exposition(metrics)
+        plane = TelemetryPlane()
+        plane.windowed_counter("a").inc(ts_s=0.0)
+        stats = prometheus_exposition(plane)
         assert render_dashboard(events, stats) == render_dashboard(
             events, stats
         )
@@ -87,9 +87,9 @@ class TestRenderFromFiles:
     def test_reads_both_files(self, tmp_path):
         events_path = _sample_events(tmp_path)
         stats_path = tmp_path / "stats.prom"
-        metrics = MetricsRegistry()
-        metrics.gauge("cluster.free_gb").set(3.0)
-        stats_path.write_text(prometheus_exposition(metrics))
+        plane = TelemetryPlane()
+        plane.windowed_gauge("cluster.free_gb").record(3.0, ts_s=0.0)
+        stats_path.write_text(prometheus_exposition(plane))
         text = render_dashboard_from_files(events_path, stats_path)
         assert "rejection" in text
         assert "raqo_cluster_free_gb = 3" in text

@@ -14,7 +14,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_trace_dir,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import TelemetryPlane
 from repro.obs.tracing import Tracer
 
 
@@ -106,8 +106,8 @@ class TestChromeTrace:
         validate_chrome_trace(loaded)
 
     def test_metrics_attach_as_other_data(self):
-        metrics = MetricsRegistry()
-        metrics.counter("planning.queries").inc()
+        metrics = TelemetryPlane()
+        metrics.windowed_counter("planning.queries").inc(ts_s=0.0)
         payload = chrome_trace(_sample_tracer(), metrics=metrics)
         assert payload["otherData"]["metrics"]["counters"] == {
             "planning.queries": 1
@@ -187,8 +187,8 @@ class TestJsonlAndText:
         assert "(no spans recorded)" in render_text_report(Tracer(seed=0))
 
     def test_trace_dir_bundle(self, tmp_path):
-        metrics = MetricsRegistry()
-        metrics.counter("c").inc()
+        metrics = TelemetryPlane()
+        metrics.windowed_counter("c").inc(ts_s=0.0)
         written = write_trace_dir(
             _sample_tracer(), tmp_path / "bundle", metrics=metrics
         )

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.api import RaqoSession
 from repro.obs.prometheus import (
     MetricsServer,
     parse_exposition,
@@ -22,15 +22,13 @@ GOLDEN = Path(__file__).parent / "golden" / "exposition.prom"
 
 
 def _fixture_plane():
-    """A small, fully deterministic registry + plane."""
-    metrics = MetricsRegistry()
-    metrics.counter("planning.queries").inc(3)
-    metrics.gauge("cluster.free_gb").set(12.5)
-    histogram = metrics.histogram("planning.wall_ms")
+    """A small, fully deterministic plane."""
+    plane = TelemetryPlane()
+    plane.windowed_counter("planning.queries").inc(3, ts_s=0.25)
+    plane.windowed_gauge("cluster.free_gb").record(12.5, ts_s=0.25)
+    histogram = plane.windowed_histogram("planning.wall_ms")
     for value in (1.0, 2.0, 3.0, 4.0):
-        histogram.observe(value)
-
-    plane = TelemetryPlane(metrics=metrics)
+        histogram.observe(value, ts_s=0.25)
     plane.windowed_counter(
         "serving.tenant.admitted", [("tenant", "acme")]
     ).inc(5, ts_s=0.25)
@@ -49,7 +47,7 @@ def _fixture_plane():
     tracker.record("acme", 20.0, ts_s=0.2)
     for error in (0.1, 0.1):
         plane.drift.record(error, ts_s=0.0)
-    return metrics, plane
+    return plane
 
 
 class TestName:
@@ -71,13 +69,11 @@ class TestGoldenExposition:
 
             PYTHONPATH=src python tests/obs/test_prometheus.py
         """
-        metrics, plane = _fixture_plane()
-        text = prometheus_exposition(metrics, plane)
+        text = prometheus_exposition(_fixture_plane())
         assert text == GOLDEN.read_text(encoding="utf-8")
 
     def test_exposition_parses_cleanly(self):
-        metrics, plane = _fixture_plane()
-        parsed = parse_exposition(prometheus_exposition(metrics, plane))
+        parsed = parse_exposition(prometheus_exposition(_fixture_plane()))
         assert parsed.value("raqo_planning_queries_total") == 3.0
         assert parsed.value("raqo_cluster_free_gb") == 12.5
         assert (
@@ -100,8 +96,7 @@ class TestGoldenExposition:
         assert parsed.types["raqo_planning_wall_ms"] == "summary"
 
     def test_windowed_counter_exposes_last_window_rate(self):
-        _, plane = _fixture_plane()
-        parsed = parse_exposition(prometheus_exposition(plane=plane))
+        parsed = parse_exposition(prometheus_exposition(_fixture_plane()))
         # 5 events in one 0.5 s window => 10/s.
         assert (
             parsed.value(
@@ -114,9 +109,8 @@ class TestGoldenExposition:
 
 class TestWriteStatsFile:
     def test_writes_and_returns_text(self, tmp_path):
-        metrics, plane = _fixture_plane()
         path = tmp_path / "stats.prom"
-        text = write_stats_file(path, metrics, plane)
+        text = write_stats_file(path, _fixture_plane())
         assert path.read_text(encoding="utf-8") == text
         assert parse_exposition(text).samples
 
@@ -144,6 +138,24 @@ class TestParser:
         with pytest.raises(ValueError, match="bad sample value"):
             parse_exposition(text)
 
+    def test_duplicate_series_rejected(self):
+        text = (
+            "# TYPE raqo_h summary\n"
+            'raqo_h{quantile="0.5",tenant="a"} 2\n'
+            'raqo_h{tenant="a",quantile="0.5"} 2\n'
+        )
+        with pytest.raises(ValueError, match="duplicate sample"):
+            parse_exposition(text)
+
+    def test_same_name_with_other_labels_is_a_new_series(self):
+        text = (
+            "# TYPE raqo_g gauge\n"
+            'raqo_g{tenant="a"} 1\n'
+            'raqo_g{tenant="b"} 2\n'
+            "raqo_g 3\n"
+        )
+        assert len(parse_exposition(text).samples) == 3
+
     def test_summary_children_resolve_to_family(self):
         text = (
             "# TYPE raqo_h summary\n"
@@ -153,6 +165,24 @@ class TestParser:
         )
         parsed = parse_exposition(text)
         assert [s.kind for s in parsed.samples] == ["summary"] * 3
+
+
+class TestSessionExposition:
+    def test_run_workload_and_serve_export_each_series_once(self):
+        """Every store the session records into renders through one
+        plane, so the cost-error series is no longer sampled twice."""
+        session = RaqoSession()
+        session.run("Q3")
+        session.workload(["Q3", "Q2", "Q12"])
+        with session.serve(workers=2) as service:
+            for index in range(4):
+                service.plan("Q3", tenant=f"tenant-{index % 2}")
+        parsed = parse_exposition(session.exposition())
+        assert len(
+            parsed.series("raqo_execution_cost_error_rel_count")
+        ) == 1
+        assert parsed.value("raqo_serving_completed_total") == 4.0
+        assert parsed.value("raqo_planning_queries_total") == 5.0
 
 
 class TestMetricsAddr:
@@ -171,10 +201,10 @@ class TestMetricsAddr:
 
 class TestMetricsServer:
     def test_scrape_round_trip(self):
-        metrics, plane = _fixture_plane()
+        plane = _fixture_plane()
 
         def render():
-            return prometheus_exposition(metrics, plane)
+            return prometheus_exposition(plane)
 
         with MetricsServer("127.0.0.1", 0, render) as server:
             host, port = server.address
@@ -194,9 +224,8 @@ class TestMetricsServer:
 
 
 if __name__ == "__main__":
-    metrics, plane = _fixture_plane()
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN.write_text(
-        prometheus_exposition(metrics, plane), encoding="utf-8"
+        prometheus_exposition(_fixture_plane()), encoding="utf-8"
     )
     print(f"regenerated {GOLDEN}")

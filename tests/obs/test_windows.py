@@ -106,11 +106,11 @@ class TestWindowedGauge:
 
     def test_latest_is_mean_of_most_recent_bucket(self):
         gauge = WindowedGauge("g", window_s=1.0)
-        assert math.isnan(gauge.latest())
+        assert gauge.reading() == 0.0
         gauge.record(10.0, ts_s=0.0)
         gauge.record(2.0, ts_s=5.0)
         gauge.record(4.0, ts_s=5.2)
-        assert gauge.latest() == 3.0
+        assert gauge.reading() == 3.0
 
 
 class TestWindowedHistogram:
@@ -214,6 +214,8 @@ class TestWindowRing:
     """Each series keeps a bounded ring of its newest windows."""
 
     CAP = 8
+    #: A value cap that binds before the window cap in the tests below.
+    VALUE_CAP = 45
 
     @pytest.fixture(autouse=True)
     def small_ring(self, monkeypatch):
@@ -252,7 +254,7 @@ class TestWindowRing:
         assert [w["window"] for w in gauge.snapshot()["windows"]] == [
             0, 2, 5, 7,
         ]
-        assert gauge.latest() == 7.0
+        assert gauge.reading() == 7.0
 
     def test_gauge_evicts_oldest(self):
         gauge = WindowedGauge("g", window_s=1.0)
@@ -339,6 +341,73 @@ class TestWindowRing:
             threaded.snapshot(), sort_keys=True
         )
 
+    def test_value_cap_survivors_do_not_depend_on_order(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(
+            windows, "_RETAINED_OBSERVATIONS", self.VALUE_CAP
+        )
+        rng = random.Random(9)
+        observations = [
+            (rng.uniform(0.0, 40.0), rng.uniform(-1e6, 1e6))
+            for _ in range(500)
+        ]
+        snapshots = set()
+        for seed in range(6):
+            shuffled = list(observations)
+            random.Random(seed).shuffle(shuffled)
+            histogram = WindowedHistogram("h", window_s=1.0)
+            for ts, value in shuffled:
+                histogram.observe(value, ts_s=ts)
+            snapshots.add(json.dumps(histogram.snapshot(), sort_keys=True))
+        assert len(snapshots) == 1
+        snap = json.loads(snapshots.pop())
+        kept = sum(w["count"] for w in snap["windows"])
+        assert 0 < kept <= self.VALUE_CAP
+        assert len(snap["windows"]) < self.CAP
+        assert snap["summary"]["count"] == 500.0
+
+    def test_value_cap_threaded_recording_keeps_the_same_ring(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(
+            windows, "_RETAINED_OBSERVATIONS", self.VALUE_CAP
+        )
+        observations = [
+            (float(index % 200), float(index)) for index in range(2000)
+        ]
+        serial = WindowedHistogram("h", window_s=1.0)
+        for ts, value in observations:
+            serial.observe(value, ts_s=ts)
+        threaded = WindowedHistogram("h", window_s=1.0)
+
+        def worker(part):
+            for ts, value in part:
+                threaded.observe(value, ts_s=ts)
+
+        threads = [
+            threading.Thread(target=worker, args=(observations[i::8],))
+            for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        snap = serial.snapshot()
+        # 10 values a window: the value cap keeps the newest four.
+        assert [w["window"] for w in snap["windows"]] == [
+            196, 197, 198, 199,
+        ]
+        assert json.dumps(snap, sort_keys=True) == json.dumps(
+            threaded.snapshot(), sort_keys=True
+        )
+
     def test_non_finite_values_sum_like_fsum(self):
         for values in ([1.0, math.inf], [math.nan, 2.0]):
             histogram = WindowedHistogram("h")
@@ -349,3 +418,54 @@ class TestWindowRing:
             assert got == expected or (
                 math.isnan(got) and math.isnan(expected)
             )
+
+
+class TestRetentionCap:
+    """The value cap at its real size, with the real window cap."""
+
+    def test_twenty_thousand_values_keep_the_newest_within_the_cap(self):
+        rng = random.Random(3)
+        observations = [
+            (rng.uniform(0.0, 40.0), rng.uniform(0.0, 1e3))
+            for _ in range(20_000)
+        ]
+        histogram = WindowedHistogram("h", window_s=1.0)
+        for ts, value in observations:
+            histogram.observe(value, ts_s=ts)
+        snap = histogram.snapshot()
+        counts = {w["window"]: w["count"] for w in snap["windows"]}
+        kept = sum(counts.values())
+        newest = max(counts)
+        cap = windows._RETAINED_OBSERVATIONS
+        assert kept <= cap + counts[newest]
+        assert kept <= cap
+        # The survivors are the newest windows, as many as fit.
+        assert sorted(counts) == list(range(newest - len(counts) + 1, 40))
+        per_window = [0] * 40
+        for ts, _ in observations:
+            per_window[int(ts)] += 1
+        oldest = min(counts)
+        assert kept + per_window[oldest - 1] > cap
+        # Lifetime figures still cover every value.
+        assert snap["summary"]["count"] == 20_000.0
+        assert snap["summary"]["sum"] == math.fsum(
+            value for _, value in observations
+        )
+        # A value for an evicted window counts, but is not retained.
+        histogram.observe(1.0, ts_s=float(oldest - 1))
+        again = histogram.snapshot()
+        assert again["windows"] == snap["windows"]
+        assert again["summary"]["count"] == 20_001.0
+
+    def test_the_newest_window_is_kept_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(windows, "_RETAINED_OBSERVATIONS", 4)
+        histogram = WindowedHistogram("h", window_s=1.0)
+        for value in range(3):
+            histogram.observe(float(value), ts_s=0.5)
+        for value in range(6):
+            histogram.observe(float(value), ts_s=1.5)
+        (window,) = histogram.snapshot()["windows"]
+        assert window["window"] == 1
+        assert window["count"] == 6.0
+        histogram.observe(9.0, ts_s=0.5)
+        assert len(histogram.snapshot()["windows"]) == 1

@@ -170,7 +170,8 @@ class TestAdmissionInvariants:
                 admitted.append((request, future))
         assert len(admitted) == 4
         assert rejected == 16
-        assert session.metrics.counter("planning.queries").value == 0
+        queries = session.telemetry.windowed_counter("planning.queries")
+        assert queries.total == 0
         with service:
             pass
         # Draining planned exactly the admitted requests' distinct
@@ -180,7 +181,7 @@ class TestAdmissionInvariants:
             for request, _ in admitted
         }
         assert (
-            session.metrics.counter("planning.queries").value
+            session.telemetry.windowed_counter("planning.queries").total
             == len(distinct_admitted)
         )
         for _, future in admitted:

@@ -74,27 +74,27 @@ class TestAdmissionControl:
         admitted = service.submit(PlanRequest(request_id=0, query="Q3"))
         with pytest.raises(Overloaded):
             service.submit(PlanRequest(request_id=1, query="Q2"))
-        planned_before = session.metrics.counter(
+        planned_before = session.telemetry.windowed_counter(
             "planning.queries"
-        ).value
+        ).total
         with service:
             admitted.result(timeout=30)
         # Exactly the admitted request got planned; Q2 never entered
         # the pipeline (no future exists for it at all).
         assert (
-            session.metrics.counter("planning.queries").value
+            session.telemetry.windowed_counter("planning.queries").total
             == planned_before + 1
         )
 
     def test_rejections_are_counted(self, session):
         service = make_service(session, max_queue=1)
-        before = session.metrics.counter("serving.rejected").value
+        before = session.telemetry.windowed_counter("serving.rejected").total
         service.submit(PlanRequest(request_id=0, query="Q3"))
         for _ in range(3):
             with pytest.raises(Overloaded):
                 service.submit(PlanRequest(request_id=1, query="Q3"))
         assert (
-            session.metrics.counter("serving.rejected").value
+            session.telemetry.windowed_counter("serving.rejected").total
             == before + 3
         )
         with service:
@@ -172,9 +172,9 @@ class TestServingPaths:
 
     def test_batched_duplicates_coalesce_to_one_plan(self, session):
         service = make_service(session, workers=1, max_batch=8)
-        planned_before = session.metrics.counter(
+        planned_before = session.telemetry.windowed_counter(
             "planning.queries"
-        ).value
+        ).total
         futures = [
             service.submit(
                 PlanRequest(request_id=index, query="All")
@@ -184,7 +184,7 @@ class TestServingPaths:
         with service:
             responses = [f.result(timeout=30) for f in futures]
         assert (
-            session.metrics.counter("planning.queries").value
+            session.telemetry.windowed_counter("planning.queries").total
             == planned_before + 1
         )
         assert sum(1 for r in responses if r.coalesced) == 4
@@ -194,9 +194,9 @@ class TestServingPaths:
         assert len(signatures) == 1
 
     def test_cache_disabled_plans_every_time(self, session):
-        planned_before = session.metrics.counter(
+        planned_before = session.telemetry.windowed_counter(
             "planning.queries"
-        ).value
+        ).total
         with make_service(
             session, workers=1, cache_enabled=False
         ) as service:
@@ -205,7 +205,7 @@ class TestServingPaths:
             second = service.plan("Q3")
         assert not first.cache_hit and not second.cache_hit
         assert (
-            session.metrics.counter("planning.queries").value
+            session.telemetry.windowed_counter("planning.queries").total
             == planned_before + 2
         )
 
@@ -219,7 +219,7 @@ class TestServingPaths:
         # serving.coalesced must count batch-dedup riders too, not just
         # single-flight attachers, so it reconciles with the responses.
         service = make_service(session, workers=1, max_batch=8)
-        before = session.metrics.counter("serving.coalesced").value
+        before = session.telemetry.windowed_counter("serving.coalesced").total
         futures = [
             service.submit(PlanRequest(request_id=index, query="Q12"))
             for index in range(5)
@@ -229,7 +229,7 @@ class TestServingPaths:
         coalesced = sum(1 for r in responses if r.coalesced)
         assert coalesced == 4
         assert (
-            session.metrics.counter("serving.coalesced").value
+            session.telemetry.windowed_counter("serving.coalesced").total
             == before + coalesced
         )
 
@@ -275,7 +275,8 @@ class TestErrorPropagation:
         # be counted, without wedging the worker pool.
         bad = Query(name="bogus", tables=("no_such_a", "no_such_b"))
         service = make_service(session, workers=1, max_batch=8)
-        errors_before = session.metrics.counter("serving.errors").value
+        errors = session.telemetry.windowed_counter("serving.errors")
+        errors_before = errors.total
         futures = [
             service.submit(PlanRequest(request_id=index, query=bad))
             for index in range(3)
@@ -286,10 +287,7 @@ class TestErrorPropagation:
                     future.result(timeout=30)
             # The pool survived the failure and still serves plans.
             assert service.plan("Q3").result is not None
-        assert (
-            session.metrics.counter("serving.errors").value
-            == errors_before + 3
-        )
+        assert errors.total == errors_before + 3
 
     def test_failed_key_is_not_cached(self, session):
         from repro.catalog.queries import Query, QueryError

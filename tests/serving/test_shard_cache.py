@@ -19,14 +19,28 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import TelemetryPlane
 from repro.serving.cache import ShardedPlanCache
 
 
+class _Series:
+    """Reads a plane's cache series by name."""
+
+    def __init__(self, plane):
+        self.plane = plane
+
+    def count(self, name):
+        return self.plane.windowed_counter(f"serving.cache.{name}").total
+
+    def entries(self):
+        """The exported live-entry gauge, as the exposition reads it."""
+        return self.plane.lifetime()["gauges"]["serving.cache.entries"]
+
+
 def make_cache(**kwargs):
-    metrics = MetricsRegistry()
-    cache = ShardedPlanCache(metrics=metrics, **kwargs)
-    return cache, metrics
+    plane = TelemetryPlane()
+    cache = ShardedPlanCache(telemetry=plane, **kwargs)
+    return cache, _Series(plane)
 
 
 def same_shard_keys(cache, count, shard=0):
@@ -47,16 +61,28 @@ class TestBasics:
         assert cache.lookup("a") is None
         cache.insert("a", "plan-a")
         assert cache.lookup("a") == "plan-a"
-        assert metrics.counter("serving.cache.hits").value == 1
-        assert metrics.counter("serving.cache.misses").value == 1
+        assert metrics.count("hits") == 1
+        assert metrics.count("misses") == 1
 
     def test_insert_refresh_is_not_a_new_entry(self):
         cache, metrics = make_cache()
         assert cache.insert("a", "v1") is True
         assert cache.insert("a", "v2") is False
         assert cache.lookup("a") == "v2"
-        assert metrics.counter("serving.cache.inserts").value == 1
+        assert metrics.count("inserts") == 1
         assert len(cache) == 1
+
+    def test_entries_gauge_exports_the_live_count(self):
+        """Inserts and a clear within one wall-clock window: the
+        exported gauge is the count now, not a mean of samples."""
+        cache, metrics = make_cache()
+        assert metrics.entries() == 0.0
+        cache.insert("a", 1)
+        cache.insert("b", 2)
+        cache.insert("a", 3)
+        assert metrics.entries() == 2.0
+        cache.clear()
+        assert metrics.entries() == 0.0
 
     def test_none_values_are_rejected(self):
         cache, _ = make_cache()
@@ -75,8 +101,8 @@ class TestBasics:
         cache.insert("a", 1)
         assert cache.peek("a") == 1
         assert cache.peek("missing") is None
-        assert metrics.counter("serving.cache.hits").value == 0
-        assert metrics.counter("serving.cache.misses").value == 0
+        assert metrics.count("hits") == 0
+        assert metrics.count("misses") == 0
 
     def test_hit_rate(self):
         cache, _ = make_cache()
@@ -116,7 +142,7 @@ class TestLruEviction:
         for key in keys:
             cache.insert(key, key)
         assert len(cache) == 2
-        assert metrics.counter("serving.cache.evictions").value == 1
+        assert metrics.count("evictions") == 1
         # The victim was the least recently used (the first inserted).
         assert keys[0] not in cache
         assert keys[1] in cache and keys[2] in cache
@@ -142,8 +168,8 @@ class TestLruEviction:
             cache.insert(f"q{index}", index)
         cache.clear()
         assert len(cache) == 0
-        assert metrics.counter("serving.cache.evictions").value == 5
-        assert metrics.gauge("serving.cache.entries").value == 0.0
+        assert metrics.count("evictions") == 5
+        assert metrics.entries() == 0.0
 
 
 class TestSnapshotReconciliation:
@@ -156,9 +182,7 @@ class TestSnapshotReconciliation:
         assert snap["hits"] + snap["misses"] == 20
         assert snap["entries"] == snap["inserts"] - snap["evictions"]
         assert snap["entries"] == len(cache)
-        assert metrics.gauge("serving.cache.entries").value == float(
-            len(cache)
-        )
+        assert metrics.entries() == float(len(cache))
 
 
 @pytest.mark.stress
@@ -188,11 +212,11 @@ class TestSingleShardHammer:
         with ThreadPoolExecutor(max_workers=self.THREADS) as pool:
             lookups = sum(pool.map(hammer, range(self.THREADS)))
 
-        hits = metrics.counter("serving.cache.hits").value
-        misses = metrics.counter("serving.cache.misses").value
-        inserts = metrics.counter("serving.cache.inserts").value
-        evictions = metrics.counter("serving.cache.evictions").value
-        entries = metrics.gauge("serving.cache.entries").value
+        hits = metrics.count("hits")
+        misses = metrics.count("misses")
+        inserts = metrics.count("inserts")
+        evictions = metrics.count("evictions")
+        entries = metrics.entries()
 
         # Every lookup recorded exactly one of hit/miss -- no drops, no
         # double counts -- and the entry ledger balances to the count.
@@ -222,7 +246,7 @@ class TestSingleShardHammer:
             fresh_total = sum(pool.map(storm, range(self.THREADS)))
 
         assert fresh_total == 1
-        assert metrics.counter("serving.cache.inserts").value == 1
-        assert metrics.counter("serving.cache.evictions").value == 0
-        assert metrics.gauge("serving.cache.entries").value == 1.0
+        assert metrics.count("inserts") == 1
+        assert metrics.count("evictions") == 0
+        assert metrics.entries() == 1.0
         assert len(cache) == 1

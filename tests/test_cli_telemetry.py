@@ -107,17 +107,17 @@ class TestTopCommand:
     @staticmethod
     def _artifacts(tmp_path):
         from repro.obs.events import EventLog
-        from repro.obs.metrics import MetricsRegistry
         from repro.obs.prometheus import write_stats_file
+        from repro.obs.telemetry import TelemetryPlane
 
         log = EventLog()
         log.emit("slo_burn", 1.0, tenant="acme")
         events = tmp_path / "events.jsonl"
         log.write_jsonl(events)
-        metrics = MetricsRegistry()
-        metrics.counter("planning.queries").inc(3)
+        plane = TelemetryPlane()
+        plane.windowed_counter("planning.queries").inc(3, ts_s=0.0)
         stats = tmp_path / "stats.prom"
-        write_stats_file(stats, metrics)
+        write_stats_file(stats, plane)
         return events, stats
 
     def test_top_renders_once(self, tmp_path, capsys):

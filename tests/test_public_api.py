@@ -18,7 +18,6 @@ from pathlib import Path
 import repro
 import repro.api
 import repro.obs.export
-import repro.obs.metrics
 import repro.obs.tracing
 import repro.serving
 
@@ -42,7 +41,6 @@ def current_surface() -> dict:
         "repro.api.RaqoSession": _public_members(repro.api.RaqoSession),
         "repro.api.RunResult": _public_members(repro.api.RunResult),
         "repro.obs.tracing": sorted(repro.obs.tracing.__all__),
-        "repro.obs.metrics": sorted(repro.obs.metrics.__all__),
         "repro.obs.export": sorted(repro.obs.export.__all__),
         "repro.serving": sorted(repro.serving.__all__),
         "repro.serving.OptimizerService": _public_members(
