@@ -12,7 +12,9 @@ steady Poisson load and duty-cycled bursts -- and records, per trace:
 Writes ``BENCH_serving.json`` at the repository root, plus a Prometheus
 stats file (``BENCH_serving_stats.prom``) snapshotting the telemetry
 plane of the final trace's session so CI can archive the raw series
-alongside the headline numbers.  Standalone (not a pytest-benchmark
+alongside the headline numbers.  The stats file is read back with the
+strict :func:`~repro.obs.prometheus.parse_exposition`; a duplicate or
+malformed series makes the run exit non-zero.  Standalone (not a pytest-benchmark
 case) so CI can smoke it directly::
 
     PYTHONPATH=src python benchmarks/bench_serving.py --quick
@@ -37,6 +39,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import RaqoSession  # noqa: E402
+from repro.obs.prometheus import parse_exposition  # noqa: E402
 from repro.serving import (  # noqa: E402
     ReplayConfig,
     build_requests,
@@ -114,6 +117,15 @@ def validate_report(
 
     walk(golden, actual, "$")
     return problems
+
+
+def check_stats_file(path: Path) -> Optional[str]:
+    """Why ``path`` is not a valid exposition, or ``None`` if it is."""
+    try:
+        parse_exposition(path.read_text())
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def run_benchmark(
@@ -235,6 +247,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\nreport written: {args.output}")
+    problem = check_stats_file(args.stats_file)
+    if problem is not None:
+        print(
+            f"invalid stats file {args.stats_file}: {problem}",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"{args.stats_file}: exposition ok")
     return 0
 
 

@@ -48,7 +48,7 @@ from repro.catalog.schema import Catalog
 from repro.cluster.cluster import ClusterConditions
 from repro.cluster.containers import ResourceConfiguration
 from repro.core.explain import explain as _explain
-from repro.core.pareto import ParetoPlanningResult, PlanObjective
+from repro.core.pareto import PlanObjective, frontier_counts
 from repro.core.raqo import (
     DEFAULT_QO_RESOURCES,
     PlannerKind,
@@ -69,8 +69,12 @@ from repro.obs.prometheus import prometheus_exposition, write_stats_file
 from repro.obs.telemetry import TelemetryPlane
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.obs.windows import WindowedCounter
-from repro.planner.cost_interface import PlanningResult
-from repro.workloads.runner import WorkloadReport, WorkloadRunner
+from repro.planner.cost_interface import PlanningCounters, PlanningResult
+from repro.workloads.runner import (
+    QueryOutcome,
+    WorkloadReport,
+    WorkloadRunner,
+)
 
 __all__ = [
     "PlanObjective",
@@ -400,42 +404,48 @@ class RaqoSession:
                 counters[name].inc(amount, ts_s=now)
 
     def _record_planning(self, result: PlanningResult) -> None:
-        counters = result.counters
-        now = self.telemetry.wall_now()
+        frontier_size, frontier_pruned = frontier_counts(result)
+        self._record_plan(
+            self.telemetry.wall_now(),
+            result.counters,
+            wall_ms=result.wall_time_s * 1000.0,
+            batch_sizes=result.batch_sizes,
+            frontier_size=frontier_size,
+            frontier_pruned=frontier_pruned,
+        )
+
+    def _record_plan(
+        self,
+        now: float,
+        counts: Union[PlanningCounters, QueryOutcome],
+        *,
+        wall_ms: float,
+        batch_sizes: Sequence[int],
+        frontier_size: Optional[int],
+        frontier_pruned: int,
+    ) -> None:
+        """Record one optimizer run; ``counts`` carries its counters
+        under their :class:`PlanningCounters` names."""
         self._count(
             now,
             {
                 "planning.queries": 1,
                 "planning.resource_iterations": (
-                    counters.resource_iterations
+                    counts.resource_iterations
                 ),
-                "planning.join_costings": counters.join_costings,
-                "planning.cache_hits": counters.cache_hits,
-                "planning.cache_misses": counters.cache_misses,
-                "planning.memo_hits": counters.memo_hits,
-                "planner.batched_calls": counters.batched_calls,
-                "planner.batch_memo_hits": counters.batch_memo_hits,
+                "planning.join_costings": counts.join_costings,
+                "planning.cache_hits": counts.cache_hits,
+                "planning.cache_misses": counts.cache_misses,
+                "planning.memo_hits": counts.memo_hits,
+                "planner.batched_calls": counts.batched_calls,
+                "planner.batch_memo_hits": counts.batch_memo_hits,
+                "planner.dominated_pruned": frontier_pruned,
             },
         )
-        self._planning_wall_ms.observe(
-            result.wall_time_s * 1000.0, ts_s=now
-        )
-        if (
-            isinstance(result, ParetoPlanningResult)
-            and result.frontier is not None
-        ):
-            self._frontier_size.observe(
-                float(len(result.frontier)), ts_s=now
-            )
-            self._count(
-                now,
-                {
-                    "planner.dominated_pruned": (
-                        result.frontier.dominated_pruned
-                    ),
-                },
-            )
-        for size in result.batch_sizes:
+        self._planning_wall_ms.observe(wall_ms, ts_s=now)
+        if frontier_size is not None:
+            self._frontier_size.observe(float(frontier_size), ts_s=now)
+        for size in batch_sizes:
             self._batch_size.observe(float(size), ts_s=now)
 
     def _record_execution(self, execution: ExecutionResult) -> None:
@@ -506,15 +516,17 @@ class RaqoSession:
                 "execution.degraded_stages": (
                     report.total_degraded_stages
                 ),
-                "planning.queries": queries,
-                "planning.resource_iterations": (
-                    report.total_resource_iterations
-                ),
-                "planning.cache_hits": report.cache_hit_total,
-                "planning.cache_misses": report.cache_miss_total,
             },
         )
         for outcome in report.outcomes:
+            self._record_plan(
+                now,
+                outcome,
+                wall_ms=outcome.planning_ms,
+                batch_sizes=outcome.batch_sizes,
+                frontier_size=outcome.frontier_size,
+                frontier_pruned=outcome.frontier_pruned,
+            )
             if outcome.executed_feasible and math.isfinite(
                 outcome.executed_time_s
             ):

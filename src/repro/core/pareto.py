@@ -56,6 +56,7 @@ __all__ = [
     "ResourceFrontier",
     "StageRequirement",
     "compute_frontier",
+    "frontier_counts",
 ]
 
 #: ``PlanObjective.parse`` grammar, shared with the CLI ``--objective``
@@ -322,6 +323,19 @@ class ParetoPlanningResult(PlanningResult):
     objective: Optional[PlanObjective] = None
     selected: Optional[ParetoPoint] = None
     search_cost: Optional[Cost] = None
+
+
+def frontier_counts(result: PlanningResult) -> Tuple[Optional[int], int]:
+    """Points on ``result``'s Pareto frontier and the candidates it
+    pruned as dominated; ``(None, 0)`` for a result without one."""
+    frontier = (
+        result.frontier
+        if isinstance(result, ParetoPlanningResult)
+        else None
+    )
+    if frontier is None:
+        return None, 0
+    return len(frontier), frontier.dominated_pruned
 
 
 def _weak_skyline_candidates(

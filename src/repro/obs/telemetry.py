@@ -90,6 +90,10 @@ class TelemetryPlane:
         """Seconds of wall time since the plane was created."""
         return time.perf_counter() - self._wall_epoch
 
+    def wall_at(self, perf_counter_s: float) -> float:
+        """:meth:`wall_now` at an earlier ``time.perf_counter()`` read."""
+        return perf_counter_s - self._wall_epoch
+
     # -- instruments -------------------------------------------------------
 
     def _get(

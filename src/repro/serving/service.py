@@ -50,7 +50,9 @@ from repro.catalog.queries import Query
 from repro.core.pareto import PlanObjective
 from repro.core.raqo import RaqoPlanner
 from repro.obs.slo import SloPolicy, SloTracker
+from repro.obs.telemetry import TelemetryPlane
 from repro.obs.tracing import SpanHandle, Tracer
+from repro.obs.windows import WindowedCounter, WindowedHistogram
 from repro.planner.cost_interface import PlanningResult
 from repro.serving.cache import ShardedPlanCache
 
@@ -184,6 +186,43 @@ class _Inflight:
     waiters: List[_Ticket] = field(default_factory=list)
 
 
+class _TenantSeries:
+    """One tenant's ``serving.tenant.*`` instruments, held by a service.
+
+    Each series is registered on the plane on its first use for the
+    tenant -- a tenant that never hits the cache exports no
+    ``cache_hits`` series -- and read from here after that, so serving
+    a request makes no plane lookups.  Threads resolving one series at
+    once all get the same instrument: the plane's get-or-create locks.
+    """
+
+    __slots__ = ("_telemetry", "_labels", "_counters", "_latency_ms")
+
+    def __init__(self, telemetry: TelemetryPlane, tenant: str) -> None:
+        self._telemetry = telemetry
+        self._labels = [("tenant", tenant)]
+        self._counters: Dict[str, WindowedCounter] = {}
+        self._latency_ms: Optional[WindowedHistogram] = None
+
+    def counter(self, name: str) -> WindowedCounter:
+        """The tenant's ``serving.tenant.<name>`` counter."""
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._telemetry.windowed_counter(
+                f"serving.tenant.{name}", self._labels
+            )
+            self._counters[name] = counter
+        return counter
+
+    def latency_ms(self) -> WindowedHistogram:
+        """The tenant's ``serving.tenant.latency_ms`` histogram."""
+        if self._latency_ms is None:
+            self._latency_ms = self._telemetry.windowed_histogram(
+                "serving.tenant.latency_ms", self._labels
+            )
+        return self._latency_ms
+
+
 #: Worker shutdown sentinel (one per worker, enqueued by ``stop``).
 _SENTINEL: object = object()
 
@@ -243,6 +282,14 @@ class OptimizerService:
             maxsize=self.config.max_queue
         )
         self._lock = threading.Lock()
+        self._tenants: Dict[str, _TenantSeries] = {}
+        #: ``cache_key`` memo, bounded by the plan cache's capacity: a
+        #: query that fell out of the cache may also cost one more
+        #: fingerprint.  Read without the lock, filled under it.
+        self._keys: Dict[Query, str] = {}
+        self._keys_bound = (
+            self.config.cache_shards * self.config.cache_shard_capacity
+        )
         self._inflight: Dict[str, _Inflight] = {}
         self._plan_epochs: Dict[str, int] = {}
         self._planning_now = 0
@@ -384,10 +431,9 @@ class OptimizerService:
             except Full:
                 now = self.telemetry.wall_now()
                 self._rejected.inc(ts_s=now)
-                self.telemetry.windowed_counter(
-                    "serving.tenant.rejected",
-                    [("tenant", request.tenant)],
-                ).inc(ts_s=now)
+                self._tenant(request.tenant).counter("rejected").inc(
+                    ts_s=now
+                )
                 self.telemetry.events.emit(
                     "rejection",
                     now,
@@ -402,11 +448,9 @@ class OptimizerService:
                     queue_depth=self._queue.qsize(),
                     max_queue=self.config.max_queue,
                 ) from None
-        now = self.telemetry.wall_now()
+        now = self.telemetry.wall_at(ticket.enqueued_at)
         self._admitted.inc(ts_s=now)
-        self.telemetry.windowed_counter(
-            "serving.tenant.admitted", [("tenant", request.tenant)]
-        ).inc(ts_s=now)
+        self._tenant(request.tenant).counter("admitted").inc(ts_s=now)
         self.telemetry.events.emit(
             "admission",
             now,
@@ -459,12 +503,26 @@ class OptimizerService:
         Deliberately excludes the tenant -- a plan depends on what is
         asked and how the session plans, never on who asks; that is what
         makes the cache *cross*-tenant.
+
+        Memoized per query: equal queries share one entry, and the memo
+        holds at most as many keys as the plan cache holds plans,
+        dropping its oldest first.
         """
-        return (
-            f"{query.name}"
-            f"|{self._query_fingerprint(query)}"
-            f"|{self._config_fingerprint}"
-        )
+        key = self._keys.get(query)
+        if key is not None:
+            return key
+        with self._lock:
+            key = self._keys.get(query)
+            if key is None:
+                key = (
+                    f"{query.name}"
+                    f"|{self._query_fingerprint(query)}"
+                    f"|{self._config_fingerprint}"
+                )
+                if len(self._keys) >= self._keys_bound:
+                    del self._keys[next(iter(self._keys))]
+                self._keys[query] = key
+        return key
 
     @staticmethod
     def _query_fingerprint(query: Query) -> str:
@@ -492,6 +550,14 @@ class OptimizerService:
     @property
     def _tracer(self) -> Tracer:
         return self.session.tracer
+
+    def _tenant(self, tenant: str) -> _TenantSeries:
+        series = self._tenants.get(tenant)
+        if series is None:
+            series = self._tenants.setdefault(
+                tenant, _TenantSeries(self.telemetry, tenant)
+            )
+        return series
 
     # -- the worker pool ---------------------------------------------------
 
@@ -526,7 +592,7 @@ class OptimizerService:
             ticket.dequeued_at = now
             ticket.batch_size = len(batch)
         self._batch_size.observe(
-            float(len(batch)), ts_s=self.telemetry.wall_now()
+            float(len(batch)), ts_s=self.telemetry.wall_at(now)
         )
         groups: "OrderedDict[str, List[_Ticket]]" = OrderedDict()
         for ticket in batch:
@@ -669,7 +735,7 @@ class OptimizerService:
         cache_hit: bool,
     ) -> None:
         done = time.perf_counter()
-        now = self.telemetry.wall_now()
+        now = self.telemetry.wall_at(done)
         tracer = self._tracer
         for ticket in tickets:
             latency_ms = (done - ticket.enqueued_at) * 1000.0
@@ -686,17 +752,11 @@ class OptimizerService:
             self._queue_ms.observe(queue_ms, ts_s=now)
             self._completed.inc(ts_s=now)
             tenant = ticket.request.tenant
-            tenant_labels = [("tenant", tenant)]
-            self.telemetry.windowed_histogram(
-                "serving.tenant.latency_ms", tenant_labels
-            ).observe(latency_ms, ts_s=now)
-            self.telemetry.windowed_counter(
-                "serving.tenant.completed", tenant_labels
-            ).inc(ts_s=now)
+            series = self._tenant(tenant)
+            series.latency_ms().observe(latency_ms, ts_s=now)
+            series.counter("completed").inc(ts_s=now)
             if cache_hit:
-                self.telemetry.windowed_counter(
-                    "serving.tenant.cache_hits", tenant_labels
-                ).inc(ts_s=now)
+                series.counter("cache_hits").inc(ts_s=now)
             if self.slo is not None:
                 self.slo.record(tenant, latency_ms, ts_s=now)
             ticket.future.set_result(

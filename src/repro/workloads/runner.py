@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.queries import Query
 from repro.cluster.containers import ResourceConfiguration
+from repro.core.pareto import frontier_counts
 from repro.core.raqo import DEFAULT_QO_RESOURCES, RaqoPlanner
 from repro.engine.executor import (
     ExecutionResult,
@@ -62,6 +63,19 @@ class QueryOutcome:
     retries: int = 0
     faults_injected: int = 0
     degraded_stages: int = 0
+    #: The rest of the planning run's counters, named as on
+    #: :class:`~repro.planner.cost_interface.PlanningCounters`, so the
+    #: session records a workload query's planning as it records a
+    #: single plan.
+    join_costings: int = 0
+    memo_hits: int = 0
+    batched_calls: int = 0
+    batch_memo_hits: int = 0
+    batch_sizes: Tuple[int, ...] = ()
+    #: Points on the selected Pareto frontier and the candidates it
+    #: pruned as dominated; ``None`` and 0 without a frontier.
+    frontier_size: Optional[int] = None
+    frontier_pruned: int = 0
 
 
 @dataclass(frozen=True)
@@ -252,6 +266,7 @@ class WorkloadRunner:
                 if self.faults is not None
                 else None
             )
+            frontier_size, frontier_pruned = frontier_counts(result)
             execution = execute_plan(
                 result.plan,
                 planner.estimator,
@@ -276,6 +291,13 @@ class WorkloadRunner:
                 retries=execution.retries,
                 faults_injected=execution.faults_injected,
                 degraded_stages=execution.degraded_stages,
+                join_costings=result.counters.join_costings,
+                memo_hits=result.counters.memo_hits,
+                batched_calls=result.counters.batched_calls,
+                batch_memo_hits=result.counters.batch_memo_hits,
+                batch_sizes=result.batch_sizes,
+                frontier_size=frontier_size,
+                frontier_pruned=frontier_pruned,
             )
             if span.active:
                 span.set_attributes(

@@ -8,6 +8,7 @@ import pytest
 from repro.api import RaqoSession, RunResult
 from repro.catalog import tpch
 from repro.cluster.cluster import ClusterConditions
+from repro.core.pareto import PlanObjective
 from repro.faults.model import FaultPlan, FaultSpec
 from repro.obs.tracing import Tracer
 from repro.planner.cost_interface import PlanningResult
@@ -148,6 +149,57 @@ class TestMetrics:
         session.plan("Q3")
         counters = session.metrics_snapshot()["counters"]
         assert counters["planning.queries"] == 6
+
+    def test_workload_and_served_plans_record_every_planning_counter(
+        self,
+    ):
+        """A workload query's planning is recorded like a single
+        plan's, also when its outcome comes back from a worker
+        process."""
+        session = RaqoSession(scale_factor=100)
+        results = [session.run("Q3").planning]
+        report = session.workload(
+            ["Q3", "Q12", "Q2", "All", "Q3"], processes=2
+        )
+        with session.serve(workers=1) as service:
+            results.append(service.plan("Q12").result)
+        snap = session.metrics_snapshot()
+        counters, histograms = snap["counters"], snap["histograms"]
+        assert counters["planning.queries"] == 7
+        assert histograms["planning.wall_ms"]["count"] == 7.0
+        for name, attribute in (
+            ("planning.join_costings", "join_costings"),
+            ("planning.memo_hits", "memo_hits"),
+            ("planner.batched_calls", "batched_calls"),
+            ("planner.batch_memo_hits", "batch_memo_hits"),
+        ):
+            expected = sum(
+                getattr(result.counters, attribute) for result in results
+            ) + sum(
+                getattr(outcome, attribute) for outcome in report.outcomes
+            )
+            assert counters[name] == expected, name
+        assert counters["planning.join_costings"] > 0
+        assert histograms["planner.batch_size"]["count"] == float(
+            sum(len(result.batch_sizes) for result in results)
+            + sum(len(outcome.batch_sizes) for outcome in report.outcomes)
+        )
+
+    def test_workload_records_its_pareto_frontiers(self):
+        session = RaqoSession(scale_factor=100)
+        planned = session.plan("Q3", objective=PlanObjective.pareto())
+        report = session.workload(
+            ["Q3", "Q12"], objective=PlanObjective.pareto()
+        )
+        outcome = report.outcomes[0]
+        assert outcome.frontier_size == len(planned.frontier)
+        assert outcome.frontier_pruned == planned.frontier.dominated_pruned
+        snap = session.metrics_snapshot()
+        assert snap["counters"]["planner.dominated_pruned"] == (
+            planned.frontier.dominated_pruned
+            + sum(o.frontier_pruned for o in report.outcomes)
+        )
+        assert snap["histograms"]["planner.frontier_size"]["count"] == 3.0
 
     def test_histogram_readings_carry_every_summary_field(self):
         session = RaqoSession(scale_factor=100)

@@ -28,8 +28,11 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 if str(REPO_ROOT / "benchmarks") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
+import bench_serving  # noqa: E402
 from bench_serving import (  # noqa: E402
     GOLDEN_SCHEMA_PATH,
+    check_stats_file,
+    main,
     run_benchmark,
     schema_skeleton,
     validate_report,
@@ -109,3 +112,29 @@ class TestBenchmarkPayload:
                 cache["inserts"] - cache["evictions"]
             )
             assert cache["hits"] + cache["misses"] >= cache["inserts"]
+
+
+class TestStatsFile:
+    def test_written_stats_file_parses(self, tmp_path):
+        path = tmp_path / "stats.prom"
+        run_benchmark(quick=True, workers=2, stats_path=path)
+        assert check_stats_file(path) is None
+
+    def test_repeated_series_is_reported(self, tmp_path):
+        path = tmp_path / "stats.prom"
+        path.write_text(
+            "# TYPE raqo_x counter\nraqo_x 1\nraqo_x 2\n"
+        )
+        assert check_stats_file(path) is not None
+
+    def test_invalid_stats_file_fails_the_run(self, tmp_path, monkeypatch):
+        def fake_run(stats_path, **_):
+            stats_path.write_text("raqo_undeclared 1\n")
+            return {}
+
+        monkeypatch.setattr(bench_serving, "run_benchmark", fake_run)
+        argv = [
+            "--output", str(tmp_path / "report.json"),
+            "--stats-file", str(tmp_path / "stats.prom"),
+        ]
+        assert main(argv) == 1
