@@ -66,6 +66,7 @@ from repro.core.resource_planner import (  # noqa: E402
     brute_force_resource_plan,
 )
 from repro.engine.joins import JoinAlgorithm  # noqa: E402
+from repro.obs.tracing import Tracer  # noqa: E402
 from repro.workloads.runner import WorkloadRunner  # noqa: E402
 
 if str(REPO_ROOT / "benchmarks") not in sys.path:
@@ -432,9 +433,16 @@ GATE_ROUNDS = 75
 #: budget, so a single recording can land far enough off-centre to
 #: hide a real slowdown or flag a clean run.
 GATE_SAMPLES = 5
+#: The gated variant ``--assert-overhead`` also times with a real
+#: ``Tracer``, and the most tracing may slow it: the median over the
+#: gate's rounds of its traced over its untraced time in the same
+#: round. Both sides run in one process and one set of rounds, so the
+#: bound needs no recorded baseline.
+TRACED_VARIANT = "batched_memoized"
+TRACED_OVERHEAD_MAX = 1.25
 
 
-def bench_overhead_gate(queries, rounds):
+def bench_overhead_gate(queries, rounds, traced=False):
     """Each gated variant's and Pareto planning's time relative to the
     speed probe: what ``--assert-overhead`` compares, fresh against
     recorded.
@@ -448,6 +456,11 @@ def bench_overhead_gate(queries, rounds):
     and the median drops the rounds a speed change split. The full
     benchmark records these ratios with the gate's own code, so the
     two sides measure the same thing.
+
+    With ``traced``, the rounds also plan through a ``TRACED_VARIANT``
+    planner with a real ``Tracer`` (cleared at the start of each of its
+    passes), and ``traced_vs_untraced`` is the median over rounds of its
+    time over the untraced variant's.
     """
     catalog = tpch.tpch_catalog(100)
     planners = {
@@ -459,10 +472,16 @@ def bench_overhead_gate(queries, rounds):
         resource_method=ResourcePlanningMethod.BRUTE_FORCE,
         objective=PlanObjective.pareto(),
     )
+    if traced:
+        planners["traced"] = RaqoPlanner(
+            catalog, tracer=Tracer(), **PLANNER_VARIANTS[TRACED_VARIANT]
+        )
     plan_fns = {}
     for name, planner in planners.items():
 
         def plan_all(planner=planner):
+            if planner.tracer.active:
+                planner.tracer.clear()
             return [planner.optimize(query) for query in queries]
 
         plan_all()  # warm model caches before timing
@@ -475,6 +494,14 @@ def bench_overhead_gate(queries, rounds):
     probe()
     timings = _round_times({**plan_fns, "probe": probe}, rounds)
     probe_times = timings.pop("probe")
+    gate = {}
+    if traced:
+        gate["traced_vs_untraced"] = statistics.median(
+            traced_s / untraced_s
+            for traced_s, untraced_s in zip(
+                timings.pop("traced"), timings[TRACED_VARIANT]
+            )
+        )
     return {
         "rounds": rounds,
         "time_vs_probe": {
@@ -484,6 +511,7 @@ def bench_overhead_gate(queries, rounds):
             )
             for name, times in timings.items()
         },
+        **gate,
     }
 
 
@@ -530,12 +558,17 @@ def assert_overhead(max_drop_pct, baseline_path, rounds):
     as a speed probe (:func:`bench_overhead_gate`). Overhead
     added to a gated path moves only that variant's ratio and is
     caught.
+
+    The same rounds time ``TRACED_VARIANT`` with a real ``Tracer``; the
+    gate also fails when tracing slows it by more than
+    ``TRACED_OVERHEAD_MAX``.
     """
     baseline = json.loads(Path(baseline_path).read_text())
     by_name = {q.name: q for q in tpch.EVALUATION_QUERIES}
     queries = [by_name[name] for name in baseline["queries"]]
     recorded = baseline["overhead_gate"]["time_vs_probe"]
-    fresh = bench_overhead_gate(queries, rounds)["time_vs_probe"]
+    gate = bench_overhead_gate(queries, rounds, traced=True)
+    fresh = gate["time_vs_probe"]
     failures = 0
     for name, recorded_ratio in recorded.items():
         drop_pct = (1.0 - recorded_ratio / fresh[name]) * 100.0
@@ -548,6 +581,17 @@ def assert_overhead(max_drop_pct, baseline_path, rounds):
         if drop_pct > max_drop_pct:
             print(f"FAIL: {name} fell more than {max_drop_pct:.1f}%")
             failures += 1
+    traced_ratio = gate["traced_vs_untraced"]
+    print(
+        f"overhead gate [{TRACED_VARIANT}, traced]: {traced_ratio:.3f}x "
+        f"the untraced time (bound {TRACED_OVERHEAD_MAX:.2f}x)"
+    )
+    if traced_ratio > TRACED_OVERHEAD_MAX:
+        print(
+            f"FAIL: tracing slows {TRACED_VARIANT} by more than "
+            f"{TRACED_OVERHEAD_MAX:.2f}x"
+        )
+        failures += 1
     if failures:
         return 1
     print("OK: within the overhead budget")

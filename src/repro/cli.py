@@ -70,6 +70,7 @@ from repro.analysis.cli import lint_arguments, run as run_lint
 from repro.api import RaqoSession
 from repro.catalog import tpch
 from repro.cluster.cluster import ClusterConditions
+from repro.cluster.containers import ResourceError
 from repro.core.pareto import (
     OBJECTIVE_SPECS,
     ParetoPlanningResult,
@@ -544,10 +545,6 @@ def _make_session(
     A tracer is attached only when an export flag asks for one, so
     untraced invocations keep the null-tracer fast path.
     """
-    cluster = ClusterConditions(
-        max_containers=args.containers,
-        max_container_gb=args.container_gb,
-    )
     wants_trace = bool(
         getattr(args, "trace", None)
         or getattr(args, "spans", None)
@@ -555,7 +552,7 @@ def _make_session(
         or getattr(args, "trace_dir", None)
     )
     return RaqoSession(
-        cluster=cluster,
+        cluster=args.cluster,
         seed=seed,
         scale_factor=args.scale_factor,
         planner=PlannerKind(args.planner),
@@ -951,6 +948,20 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.parsed_objective = PlanObjective.parse(args.objective)
         except ValueError as error:
             print(error, file=sys.stderr)
+            return 2
+    # The cluster flags likewise: a bound the cluster rejects (below
+    # its minimum, NaN or infinite) is a usage error.
+    if hasattr(args, "containers"):
+        try:
+            args.cluster = ClusterConditions(
+                max_containers=args.containers,
+                max_container_gb=args.container_gb,
+            )
+        except ResourceError as error:
+            print(
+                f"invalid --containers/--container-gb: {error}",
+                file=sys.stderr,
+            )
             return 2
     handlers = {
         "plan": _cmd_plan,

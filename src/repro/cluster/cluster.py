@@ -12,12 +12,23 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.containers import ResourceConfiguration, ResourceError
+
+
+def _require_finite(fields: Tuple[Tuple[str, float], ...]) -> None:
+    """Reject a NaN or infinite bound or step. NaN passes every ``<``
+    and ``<=`` check, and either would make the grid's size fail to
+    convert to an integer. ``abs`` keeps a huge int from overflowing a
+    float conversion."""
+    for name, value in fields:
+        if value != value or abs(value) == math.inf:
+            raise ResourceError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -30,6 +41,13 @@ class ResourceDimension:
     step: float
 
     def __post_init__(self) -> None:
+        _require_finite(
+            (
+                (f"dimension {self.name!r} minimum", self.minimum),
+                (f"dimension {self.name!r} maximum", self.maximum),
+                (f"dimension {self.name!r} step", self.step),
+            )
+        )
         if self.step <= 0:
             raise ResourceError(
                 f"dimension {self.name!r} step must be > 0, got {self.step}"
@@ -197,6 +215,16 @@ class ClusterConditions:
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        _require_finite(
+            (
+                ("max_containers", self.max_containers),
+                ("max_container_gb", self.max_container_gb),
+                ("min_containers", self.min_containers),
+                ("min_container_gb", self.min_container_gb),
+                ("container_step", self.container_step),
+                ("container_gb_step", self.container_gb_step),
+            )
+        )
         if self.min_containers < 1:
             raise ResourceError(
                 f"min_containers must be >= 1, got {self.min_containers}"

@@ -39,7 +39,6 @@ from typing import (
     Optional,
     Set,
     Tuple,
-    TypeVar,
     Union,
 )
 
@@ -136,9 +135,6 @@ class _SearchEntry(NamedTuple):
 
 #: What the search memo holds for an operator at the BHJ memory wall.
 _WALL_ENTRY = _SearchEntry(None, math.inf, 0, math.inf)
-
-#: A search outcome or its replay: both carry ``iterations``.
-_Charged = TypeVar("_Charged", ResourcePlanOutcome, _SearchEntry)
 
 _GroupKey = Tuple[JoinAlgorithm, ClusterConditions]
 
@@ -655,8 +651,7 @@ class RaqoCoster:
       searches and the ``cost_batch`` kernel share the one memo: a
       kernel row that hits skips its search, and a scalar search can
       replay what the kernel stored, and the reverse. A
-      replay charges the same ``resource_iterations`` and opens the
-      same ``hill-climb`` / ``grid-costing`` span, and plan-cache
+      replay charges the same ``resource_iterations``, and plan-cache
       lookups and inserts run as before. Plans, costs, counters, cache
       statistics and canonical span trees are those of a fresh search;
       only the wall-clock changes. ``memoize=False`` turns it off too.
@@ -730,17 +725,16 @@ class RaqoCoster:
             )
         return cost, config
 
-    # Candidate classifications used by :meth:`cost_batch`. Finished
-    # candidates (memo hits and within-batch aliases) need no further
-    # work; CACHED/WALL candidates are resolved in the partition
-    # (plan-cache hit / BHJ memory wall); KERNEL candidates are searched
-    # or replayed by the brute-force kernel. TAIL candidates wait until
-    # the kernel has inserted, since their cache lookup may see an
+    # What :meth:`cost_batch`'s tail walk does with a candidate. DONE
+    # candidates were finished before it: memo hits, within-batch
+    # aliases, plan-cache hits and BHJs at the memory wall in the
+    # partition, and the brute-force kernel's rows. TAIL candidates wait
+    # until the kernel has inserted, since their cache lookup may see an
     # earlier candidate's insert: the tail walk serves their cache hits
-    # like the partition does (they become CACHED). SCALAR candidates
-    # are hill-climbing misses, which :meth:`join_cost` costs in the
-    # tail walk, one climb per candidate as Algorithm 1 runs.
-    _DONE, _CACHED, _WALL, _KERNEL, _TAIL, _SCALAR = range(6)
+    # like the partition does. SCALAR candidates are hill-climbing
+    # misses, which :meth:`join_cost` costs in the tail walk, one climb
+    # per candidate as Algorithm 1 runs.
+    _DONE, _TAIL, _SCALAR = range(3)
 
     def cost_batch(
         self, batch: CandidateBatch, context: PlanningContext
@@ -767,233 +761,239 @@ class RaqoCoster:
         is served like a partition hit; a hill-climbing search, a tail
         miss and an infeasible tail hit go through :meth:`join_cost`
         (which looks the cache up, plans, inserts and memoizes). Every
-        observable -- chosen configurations, costs, counters, cache
-        statistics, and traced span trees -- is bit-identical to costing
-        the candidates one at a time, except ``batch_memo_hits``, which
-        only batches count.
+        observable -- chosen configurations, costs, counters and cache
+        statistics -- is bit-identical to costing the candidates one at
+        a time, except ``batch_memo_hits``, which only batches count.
+
+        With a real tracer, the call is one ``cost-batch`` span. Its
+        attributes are the call's ``candidates`` and ``feasible`` lanes
+        and its deltas of ``memo_hits``, ``cache_hits``,
+        ``cache_misses`` and ``resource_iterations``; the searches and
+        cache lookups inside it open no spans of their own.
         """
         counters = context.counters
-        counters.batched_calls += 1
-        n = len(batch)
-        context.batch_sizes.append(n)
-        cache = self.cache
-        cluster = context.cluster
-        model = self.model
-        rate = self.price_model.dollars_per_gb_hour
-        # Result columns as Python lists, converted to arrays once.
-        times = [math.inf] * n
-        money = [math.inf] * n
-        configs: List[Optional[ResourceConfiguration]] = [None] * n
-        kinds = [self._DONE] * n
-        alias_of: Dict[int, int] = {}
-        memo = context.resource_plan_memo if self.memoize else None
-        memo_keys: List[Optional[Tuple]] = [None] * n
-        #: First in-batch candidate computing each memo key.
-        batch_first: Dict[Tuple, int] = {}
-
-        def commit(
-            index: int,
-            config: Optional[ResourceConfiguration],
-            time_s: float,
-        ) -> None:
-            """Record one candidate's outcome, priced as the scalar path
-            prices it: ``cost_of_gb_seconds(config.gb_seconds(time_s))``,
-            inlined. No configuration, or a time that is not finite, is
-            infeasible."""
-            if config is None or not math.isfinite(time_s):
-                config, time_s, money_usd = None, math.inf, math.inf
-            else:
-                money_usd = (
-                    config.num_containers
-                    * config.container_gb
-                    * time_s
-                    / 3600.0
-                    * rate
-                )
-            times[index] = time_s
-            money[index] = money_usd
-            configs[index] = config
-            memo_key = memo_keys[index]
-            if memo is not None and memo_key is not None:
-                memo[memo_key] = (time_s, money_usd, config)
-
-        # Model keys are pure per-algorithm strings, looked up by the
-        # batch's operator codes; the BHJ wall is
-        # `feasible_bhj_start(...) is None`, which only compares
-        # small_gb / hash_memory_fraction against the largest container
-        # size on the grid. Per-candidate columns as Python lists
-        # (tolist() keeps every float's bits).
-        algorithms = batch.algorithms
-        codes = batch.algorithm_codes.tolist()
-        model_keys = [model.model_key(algorithm) for algorithm in _BY_CODE]
-        smalls = batch.small_gb.tolist()
-        larges = batch.large_gb.tolist()
-        bhj = JoinAlgorithm.BROADCAST_HASH
-        bhj_fraction = model.hash_memory_fraction
-        bhj_max_gb = cluster.dimension("container_gb").largest
-        hill_climb = self.method is ResourcePlanningMethod.HILL_CLIMB
-        money_weight, time_weight = self.money_weight, self.time_weight
-        pending = _PendingKeys(
-            cache.threshold_gb
-            if cache is not None and cache.mode is not LookupMode.EXACT
-            else 0.0
-        )
-        # Memo hits, cache lookups, configurations found and hits
-        # served, counted locally and added once the partition is done.
-        memo_hits = looked = found = served = 0
-        kernel_rows: List[int] = []
-        has_tail = False
-        for i, code in enumerate(codes):
-            model_key = model_keys[code]
-            small_gb = smalls[i]
-            if memo is not None:
-                memo_key = (
-                    model_key,
-                    small_gb,
-                    larges[i],
-                    money_weight,
-                    time_weight,
-                )
-                memoized = memo.get(memo_key)
-                if memoized is not None:
-                    memo_hits += 1
-                    times[i], money[i], configs[i] = memoized
-                    continue
-                first = batch_first.get(memo_key)
-                if first is not None:
-                    # A duplicate of a still-pending candidate: by the
-                    # time the scalar loop reached it, the first
-                    # occurrence's result would be memoized.
-                    memo_hits += 1
-                    alias_of[i] = first
-                    continue
-                batch_first[memo_key] = i
-                memo_keys[i] = memo_key
-            algorithm = algorithms[i]
-            config = None
-            if cache is not None:
-                if pending.near(model_key, small_gb):
-                    # The scalar loop would have inserted the pending
-                    # candidate's configuration before this lookup ran.
-                    kinds[i] = self._TAIL
-                    pending.add(model_key, small_gb)
-                    has_tail = True
-                    continue
-                looked += 1
-                config = cache.peek(model_key, small_gb, cluster)
-                if config is not None:
-                    found += 1
-                    time_s = model.predict_time(
-                        algorithm, small_gb, larges[i], config
-                    )
-                    if math.isfinite(time_s):
-                        served += 1
-                        kinds[i] = self._CACHED
-                        commit(i, config, time_s)
-                        continue
-                    # A neighbour's configuration violates this
-                    # operator's memory wall: a miss, as in
-                    # _cached_config.
-            if algorithm is bhj:
-                if small_gb < 0:
-                    raise ResourcePlanningError(
-                        f"small_gb must be >= 0, got {small_gb}"
-                    )
-                if small_gb / bhj_fraction > bhj_max_gb:
-                    kinds[i] = self._WALL
-                    commit(i, None, math.inf)
-                    continue
-            if hill_climb:
-                kinds[i] = self._SCALAR
-                has_tail = True
-                if cache is not None:
-                    # join_cost repeats this lookup, and counts it.
-                    looked -= 1
-                    found -= config is not None
-            else:
-                kinds[i] = self._KERNEL
-                kernel_rows.append(i)
-            if cache is not None:
-                pending.add(model_key, small_gb)
-        counters.memo_hits += memo_hits
-        counters.batch_memo_hits += memo_hits
-        if cache is not None:
-            # The cache's statistics count an infeasible hit as a hit,
-            # the counters as a miss.
-            cache.stats.hits += found
-            cache.stats.misses += looked - found
-            counters.cache_hits += served
-            counters.cache_misses += looked - served
-
-        if kernel_rows:
-            self._run_kernel(
-                batch,
-                kernel_rows,
-                codes,
-                model_keys,
-                smalls,
-                larges,
-                context,
-                commit,
-            )
-
-        # The tail walk and span emission, in candidate order (span
-        # ordinals under the plan span must match the scalar loop's
-        # creation order).
         tracer = context.tracer
         traced = tracer.active
-        if has_tail or traced:
-            for i in range(n):
-                kind = kinds[i]
-                if kind == self._TAIL and cache is not None:
-                    config = cache.peek(
-                        model_keys[codes[i]], smalls[i], cluster
+        if traced:
+            start = dataclasses.replace(counters)
+        with tracer.span("cost-batch", kind="planner") as span:
+            counters.batched_calls += 1
+            n = len(batch)
+            context.batch_sizes.append(n)
+            cache = self.cache
+            cluster = context.cluster
+            model = self.model
+            rate = self.price_model.dollars_per_gb_hour
+            # Result columns as Python lists, converted to arrays once.
+            times = [math.inf] * n
+            money = [math.inf] * n
+            configs: List[Optional[ResourceConfiguration]] = [None] * n
+            kinds = [self._DONE] * n
+            alias_of: Dict[int, int] = {}
+            memo = context.resource_plan_memo if self.memoize else None
+            memo_keys: List[Optional[Tuple]] = [None] * n
+            #: First in-batch candidate computing each memo key.
+            batch_first: Dict[Tuple, int] = {}
+
+            def commit(
+                index: int,
+                config: Optional[ResourceConfiguration],
+                time_s: float,
+            ) -> None:
+                """Record one candidate's outcome, priced as the scalar path
+                prices it: ``cost_of_gb_seconds(config.gb_seconds(time_s))``,
+                inlined. No configuration, or a time that is not finite, is
+                infeasible."""
+                if config is None or not math.isfinite(time_s):
+                    config, time_s, money_usd = None, math.inf, math.inf
+                else:
+                    money_usd = (
+                        config.num_containers
+                        * config.container_gb
+                        * time_s
+                        / 3600.0
+                        * rate
                     )
+                times[index] = time_s
+                money[index] = money_usd
+                configs[index] = config
+                memo_key = memo_keys[index]
+                if memo is not None and memo_key is not None:
+                    memo[memo_key] = (time_s, money_usd, config)
+
+            # Model keys are pure per-algorithm strings, looked up by the
+            # batch's operator codes; the BHJ wall is
+            # `feasible_bhj_start(...) is None`, which only compares
+            # small_gb / hash_memory_fraction against the largest container
+            # size on the grid. Per-candidate columns as Python lists
+            # (tolist() keeps every float's bits).
+            algorithms = batch.algorithms
+            codes = batch.algorithm_codes.tolist()
+            model_keys = [model.model_key(algorithm) for algorithm in _BY_CODE]
+            smalls = batch.small_gb.tolist()
+            larges = batch.large_gb.tolist()
+            bhj = JoinAlgorithm.BROADCAST_HASH
+            bhj_fraction = model.hash_memory_fraction
+            bhj_max_gb = cluster.dimension("container_gb").largest
+            hill_climb = self.method is ResourcePlanningMethod.HILL_CLIMB
+            money_weight, time_weight = self.money_weight, self.time_weight
+            pending = _PendingKeys(
+                cache.threshold_gb
+                if cache is not None and cache.mode is not LookupMode.EXACT
+                else 0.0
+            )
+            # Memo hits, cache lookups, configurations found and hits
+            # served, counted locally and added once the partition is done.
+            memo_hits = looked = found = served = 0
+            kernel_rows: List[int] = []
+            has_tail = False
+            for i, code in enumerate(codes):
+                model_key = model_keys[code]
+                small_gb = smalls[i]
+                if memo is not None:
+                    memo_key = (
+                        model_key,
+                        small_gb,
+                        larges[i],
+                        money_weight,
+                        time_weight,
+                    )
+                    memoized = memo.get(memo_key)
+                    if memoized is not None:
+                        memo_hits += 1
+                        times[i], money[i], configs[i] = memoized
+                        continue
+                    first = batch_first.get(memo_key)
+                    if first is not None:
+                        # A duplicate of a still-pending candidate: by the
+                        # time the scalar loop reached it, the first
+                        # occurrence's result would be memoized.
+                        memo_hits += 1
+                        alias_of[i] = first
+                        continue
+                    batch_first[memo_key] = i
+                    memo_keys[i] = memo_key
+                algorithm = algorithms[i]
+                config = None
+                if cache is not None:
+                    if pending.near(model_key, small_gb):
+                        # The scalar loop would have inserted the pending
+                        # candidate's configuration before this lookup ran.
+                        kinds[i] = self._TAIL
+                        pending.add(model_key, small_gb)
+                        has_tail = True
+                        continue
+                    looked += 1
+                    config = cache.peek(model_key, small_gb, cluster)
                     if config is not None:
+                        found += 1
                         time_s = model.predict_time(
-                            algorithms[i], smalls[i], larges[i], config
+                            algorithm, small_gb, larges[i], config
                         )
                         if math.isfinite(time_s):
-                            cache.stats.hits += 1
-                            counters.cache_hits += 1
-                            kinds[i] = self._CACHED
+                            served += 1
                             commit(i, config, time_s)
-                            if traced:
-                                self._emit_candidate_span(
-                                    batch,
-                                    i,
-                                    self._CACHED,
-                                    times,
-                                    configs,
-                                    context,
-                                )
                             continue
-                    kind = self._SCALAR
-                if kind == self._SCALAR:
-                    # join_cost misses the within-run memo (this is the
-                    # key's first candidate) and memoizes the outcome.
-                    cost, configs[i] = self.join_cost(
-                        batch.left_tables[i],
-                        batch.right_tables[i],
-                        algorithms[i],
-                        context,
-                    )
-                    times[i] = cost.time_s
-                    money[i] = cost.money
-                elif traced and kind != self._DONE:
-                    self._emit_candidate_span(
-                        batch, i, kind, times, configs, context
-                    )
-        for i, source in alias_of.items():
-            times[i] = times[source]
-            money[i] = money[source]
-            configs[i] = configs[source]
-        time_column = np.array(times)
-        money_column = np.array(money)
+                        # A neighbour's configuration violates this
+                        # operator's memory wall: a miss, as in
+                        # _cached_config.
+                if algorithm is bhj:
+                    if small_gb < 0:
+                        raise ResourcePlanningError(
+                            f"small_gb must be >= 0, got {small_gb}"
+                        )
+                    if small_gb / bhj_fraction > bhj_max_gb:
+                        commit(i, None, math.inf)
+                        continue
+                if hill_climb:
+                    kinds[i] = self._SCALAR
+                    has_tail = True
+                    if cache is not None:
+                        # join_cost repeats this lookup, and counts it.
+                        looked -= 1
+                        found -= config is not None
+                else:
+                    kernel_rows.append(i)
+                if cache is not None:
+                    pending.add(model_key, small_gb)
+            counters.memo_hits += memo_hits
+            counters.batch_memo_hits += memo_hits
+            if cache is not None:
+                # The cache's statistics count an infeasible hit as a hit,
+                # the counters as a miss.
+                cache.stats.hits += found
+                cache.stats.misses += looked - found
+                counters.cache_hits += served
+                counters.cache_misses += looked - served
+
+            if kernel_rows:
+                self._run_kernel(
+                    batch,
+                    kernel_rows,
+                    codes,
+                    model_keys,
+                    smalls,
+                    larges,
+                    context,
+                    commit,
+                )
+
+            # The tail walk, in candidate order.
+            if has_tail:
+                for i in range(n):
+                    kind = kinds[i]
+                    if kind == self._TAIL and cache is not None:
+                        config = cache.peek(
+                            model_keys[codes[i]], smalls[i], cluster
+                        )
+                        if config is not None:
+                            time_s = model.predict_time(
+                                algorithms[i], smalls[i], larges[i], config
+                            )
+                            if math.isfinite(time_s):
+                                cache.stats.hits += 1
+                                counters.cache_hits += 1
+                                commit(i, config, time_s)
+                                continue
+                        kind = self._SCALAR
+                    if kind == self._SCALAR:
+                        # join_cost misses the within-run memo (this is the
+                        # key's first candidate) and memoizes the outcome.
+                        cost, configs[i] = self.join_cost(
+                            batch.left_tables[i],
+                            batch.right_tables[i],
+                            algorithms[i],
+                            context,
+                        )
+                        times[i] = cost.time_s
+                        money[i] = cost.money
+            for i, source in alias_of.items():
+                times[i] = times[source]
+                money[i] = money[source]
+                configs[i] = configs[source]
+            time_column = np.array(times)
+            money_column = np.array(money)
+            feasible = np.isfinite(time_column) & np.isfinite(money_column)
+            if traced:
+                span.set_attributes(
+                    {
+                        "candidates": n,
+                        "memo_hits": counters.memo_hits - start.memo_hits,
+                        "cache_hits": counters.cache_hits - start.cache_hits,
+                        "cache_misses": (
+                            counters.cache_misses - start.cache_misses
+                        ),
+                        "resource_iterations": (
+                            counters.resource_iterations
+                            - start.resource_iterations
+                        ),
+                        "feasible": int(np.count_nonzero(feasible)),
+                    }
+                )
         return BatchCostResult(
             time_s=time_column,
             money=money_column,
-            feasible=np.isfinite(time_column) & np.isfinite(money_column),
+            feasible=feasible,
             configs=tuple(configs),
         )
 
@@ -1174,53 +1174,6 @@ class RaqoCoster:
             weighted = self.time_weight * times + self.money_weight * money
         return np.where(np.isnan(weighted), math.inf, weighted)
 
-    def _emit_candidate_span(
-        self,
-        batch: CandidateBatch,
-        index: int,
-        kind: int,
-        times: List[float],
-        configs: List[Optional[ResourceConfiguration]],
-        context: PlanningContext,
-    ) -> None:
-        """Emit the spans the scalar path would have for one candidate.
-
-        Batched costing computes results out of band, so the
-        ``resource-planning`` (and, for kernel rows, ``grid-costing``)
-        spans are materialized afterwards with the same nesting,
-        creation order, and attributes as :meth:`_plan_and_cost` --
-        canonical span trees stay byte-identical to the scalar run.
-        """
-        with context.tracer.span(
-            "resource-planning", kind="planner"
-        ) as span:
-            if kind == self._KERNEL:
-                grid = context.cluster.config_grid()
-                with context.tracer.span(
-                    "grid-costing", kind="planner"
-                ) as inner:
-                    inner.set_attribute("iterations", grid.num_configs)
-            time_s = times[index]
-            config = configs[index]
-            span.set_attributes(
-                {
-                    "algorithm": batch.algorithms[index].value,
-                    "small_gb": float(batch.small_gb[index]),
-                    "large_gb": float(batch.large_gb[index]),
-                    "cache_hit": kind == self._CACHED,
-                    "feasible": math.isfinite(time_s),
-                }
-            )
-            if math.isfinite(time_s):
-                span.set_attribute("cost_time_s", time_s)
-            if config is not None:
-                span.set_attributes(
-                    {
-                        "num_containers": config.num_containers,
-                        "container_gb": config.container_gb,
-                    }
-                )
-
     def _plan_and_cost(
         self,
         algorithm: JoinAlgorithm,
@@ -1229,45 +1182,6 @@ class RaqoCoster:
         context: PlanningContext,
     ) -> Tuple[Cost, Optional[ResourceConfiguration]]:
         """The memo-miss path: cache lookup, then resource planning."""
-        if not context.tracer.active:
-            return self._plan_and_cost_impl(
-                algorithm, small_gb, large_gb, context
-            )
-        with context.tracer.span(
-            "resource-planning", kind="planner"
-        ) as span:
-            before_hits = context.counters.cache_hits
-            cost, config = self._plan_and_cost_impl(
-                algorithm, small_gb, large_gb, context
-            )
-            span.set_attributes(
-                {
-                    "algorithm": algorithm.value,
-                    "small_gb": small_gb,
-                    "large_gb": large_gb,
-                    "cache_hit": context.counters.cache_hits
-                    > before_hits,
-                    "feasible": cost.is_finite,
-                }
-            )
-            if cost.is_finite:
-                span.set_attribute("cost_time_s", cost.time_s)
-            if config is not None:
-                span.set_attributes(
-                    {
-                        "num_containers": config.num_containers,
-                        "container_gb": config.container_gb,
-                    }
-                )
-            return cost, config
-
-    def _plan_and_cost_impl(
-        self,
-        algorithm: JoinAlgorithm,
-        small_gb: float,
-        large_gb: float,
-        context: PlanningContext,
-    ) -> Tuple[Cost, Optional[ResourceConfiguration]]:
         cached = self._cached_config(
             algorithm, small_gb, large_gb, context
         )
@@ -1341,8 +1255,9 @@ class RaqoCoster:
                 key = (small_gb, large_gb)
                 memoized = memo.get(algorithm, context.cluster, key)
                 if memoized is not None:
-                    if memoized.config is not None:
-                        self._charged(lambda: memoized, context)
+                    context.counters.resource_iterations += (
+                        memoized.iterations
+                    )
                     return memoized
             memo.searched += 1
         outcome = self._search(algorithm, small_gb, large_gb, context)
@@ -1407,43 +1322,22 @@ class RaqoCoster:
             if start is None:
                 return None
 
-        def search() -> ResourcePlanOutcome:
-            if self.method is ResourcePlanningMethod.BRUTE_FORCE:
-                return brute_force_resource_plan(
-                    objective, cluster, grid_cost_fn=grid_objective
-                )
-            return hill_climb_resource_plan(
+        if self.method is ResourcePlanningMethod.BRUTE_FORCE:
+            outcome = brute_force_resource_plan(
+                objective, cluster, grid_cost_fn=grid_objective
+            )
+        else:
+            outcome = hill_climb_resource_plan(
                 objective,
                 cluster,
                 start=start,
                 grid_cost_fn=grid_objective,
             )
-
-        return self._charged(search, context)
-
-    def _charged(
-        self,
-        search: Callable[[], _Charged],
-        context: PlanningContext,
-    ) -> _Charged:
-        """Run (or replay) a search inside its span, charging the
-        configurations it read: the whole grid for brute force,
-        Algorithm 1's reads for a climb (not the grid lanes it costed),
-        on the grid and scalar searches alike."""
-        if not context.tracer.active:
-            outcome = search()
-            context.counters.resource_iterations += outcome.iterations
-            return outcome
-        span_name = (
-            "grid-costing"
-            if self.method is ResourcePlanningMethod.BRUTE_FORCE
-            else "hill-climb"
-        )
-        with context.tracer.span(span_name, kind="planner") as span:
-            outcome = search()
-            context.counters.resource_iterations += outcome.iterations
-            span.set_attribute("iterations", outcome.iterations)
-            return outcome
+        # The configurations the search read: the whole grid for brute
+        # force, Algorithm 1's reads for a climb (not the grid lanes it
+        # costed), on the grid and scalar searches alike.
+        context.counters.resource_iterations += outcome.iterations
+        return outcome
 
 
 # Trained default models are expensive to fit; share them per profile.

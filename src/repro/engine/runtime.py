@@ -373,7 +373,8 @@ class AdaptiveRuntime:
         algorithm: JoinAlgorithm,
         conditions: ClusterConditions,
     ) -> Optional[ResourceConfiguration]:
-        """Resources for the degraded implementation, via the coster."""
+        """Resources for ``algorithm`` on ``join`` under ``conditions``,
+        via the coster; None when the operator is infeasible there."""
         context = PlanningContext(
             estimator=self.estimator,
             cluster=conditions,
@@ -393,18 +394,8 @@ class AdaptiveRuntime:
         self, join: JoinNode, conditions: ClusterConditions
     ) -> ResourceConfiguration:
         """Consult the optimizer for one stage under new conditions."""
-        context = PlanningContext(
-            estimator=self.estimator,
-            cluster=conditions,
-            tracer=self.tracer,
-        )
-        cost, resources = self.coster.join_cost(
-            join.left.tables,
-            join.right.tables,
-            join.algorithm,
-            context,
-        )
-        if resources is not None and cost.is_finite:
+        resources = self._recost_degraded(join, join.algorithm, conditions)
+        if resources is not None:
             return resources
         # The operator is infeasible under the new envelope (e.g. a BHJ
         # whose broadcast no longer fits): fall back to the clamped

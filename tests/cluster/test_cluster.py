@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.cluster.cluster import ClusterConditions, ResourceDimension
 from repro.cluster.containers import ResourceConfiguration, ResourceError
 
+NAN, INF = float("nan"), float("inf")
+
 
 class TestResourceDimension:
     def test_num_values(self):
@@ -49,6 +51,16 @@ class TestResourceDimension:
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ResourceError):
             ResourceDimension("x", 5.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    @pytest.mark.parametrize("field", ["minimum", "maximum", "step"])
+    def test_non_finite_bound_or_step_rejected(self, field, bad):
+        """NaN passes every comparison and would reach ``num_values``
+        (ValueError, or OverflowError for inf) without this check."""
+        kwargs = dict(name="x", minimum=1.0, maximum=10.0, step=1.0)
+        kwargs[field] = bad
+        with pytest.raises(ResourceError, match="must be finite"):
+            ResourceDimension(**kwargs)
 
 
 class TestClusterConditions:
@@ -124,6 +136,24 @@ class TestClusterConditions:
                 container_gb_step=0.0,
             )
 
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "max_containers",
+            "max_container_gb",
+            "min_containers",
+            "min_container_gb",
+            "container_step",
+            "container_gb_step",
+        ],
+    )
+    def test_non_finite_bound_or_step_rejected(self, field, bad):
+        kwargs = dict(max_containers=10, max_container_gb=10.0)
+        kwargs[field] = bad
+        with pytest.raises(ResourceError, match=f"{field} must be finite"):
+            ClusterConditions(**kwargs)
+
     @given(
         st.integers(min_value=1, max_value=500),
         st.floats(min_value=0.5, max_value=64.0),
@@ -168,3 +198,4 @@ class TestPositionalAxisShim:
         assert cluster.min_container_gb == 1.0
         assert cluster.container_step == 1
         assert cluster.container_gb_step == 1.0
+

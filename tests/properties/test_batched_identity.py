@@ -115,7 +115,8 @@ class TestBatchedScalarIdentity:
 
     @pytest.mark.parametrize("config", CONFIGS[:2])
     def test_tpch_identical_span_trees(self, catalog, config):
-        """The synthetic per-candidate spans reproduce the scalar trace."""
+        """One ``cost-batch`` span per DP level, as the reference opens
+        around the same candidates."""
         queries = list(tpch.EVALUATION_QUERIES)
         _, tree_b = _plan_all(
             catalog, queries, batched=True, tracer_seed=7, **config

@@ -7,6 +7,12 @@ This module keeps the per-candidate forms those paths replaced, as
 oracles. Plans, ``Cost`` bits, counters (other than ``batched_calls`` /
 ``batch_memo_hits``) and canonical span trees must match them exactly.
 
+Production's RAQO coster opens one ``cost-batch`` span per
+``cost_batch`` call. The per-candidate forms open the same span, with
+the same attributes, around the candidates production costs in one
+call (:func:`reference_batch`): one span per non-empty DP level,
+randomized candidate plan or :func:`cost_batch_per_candidate` call.
+
 - :class:`FrozensetSelingerPlanner` and :class:`FrozensetBushyPlanner`
   are the DPs over frozenset table sets that the production planners'
   int-mask DPs replaced, one ``cost_batch`` call per level: every
@@ -58,6 +64,62 @@ from repro.planner.selinger import (
 Best = Dict[FrozenSet[str], Tuple[PlanNode, Cost]]
 
 
+class _ReferenceBatch:
+    """The candidates production would cost in one ``cost_batch`` call,
+    costed one ``join_cost`` call at a time and tallied."""
+
+    def __init__(self, coster, context):
+        self.coster = coster
+        self.context = context
+        self.before = dataclasses.replace(context.counters)
+        self.candidates = 0
+        self.feasible = 0
+
+    def join_cost(self, left, right, algorithm):
+        cost, config = self.coster.join_cost(
+            left, right, algorithm, self.context
+        )
+        self.candidates += 1
+        self.feasible += cost.is_finite
+        return cost, config
+
+
+@contextlib.contextmanager
+def reference_batch(coster, context):
+    """Cost one production batch's candidates inside the block through
+    the yielded tally's ``join_cost``; then, for a RAQO coster under a
+    real tracer, open the ``cost-batch`` span ``cost_batch`` would have.
+
+    Its attributes are the candidates, the feasible ones, and the
+    block's counter deltas. The per-candidate costing opens no span of
+    its own, so opening it after the block gives the span the place in
+    the tree it has in production. A block that costed nothing opens no
+    span: production sends no empty DP level or join-free plan to
+    ``cost_batch``.
+    """
+    tally = _ReferenceBatch(coster, context)
+    yield tally
+    tracer = context.tracer
+    if not tally.candidates or not tracer.active:
+        return
+    if not isinstance(coster, raqo.RaqoCoster):
+        return
+    before, after = tally.before, context.counters
+    with tracer.span("cost-batch", kind="planner") as span:
+        span.set_attributes(
+            {
+                "candidates": tally.candidates,
+                "memo_hits": after.memo_hits - before.memo_hits,
+                "cache_hits": after.cache_hits - before.cache_hits,
+                "cache_misses": after.cache_misses - before.cache_misses,
+                "resource_iterations": (
+                    after.resource_iterations - before.resource_iterations
+                ),
+                "feasible": tally.feasible,
+            }
+        )
+
+
 def get_plan_cost_per_join(plan, coster, context):
     """Cost a whole plan with one ``join_cost`` call per join.
 
@@ -66,15 +128,17 @@ def get_plan_cost_per_join(plan, coster, context):
     """
     total = ZERO_COST
 
-    def cost_one(join: JoinNode) -> JoinNode:
-        nonlocal total
-        cost, resources = coster.join_cost(
-            join.left.tables, join.right.tables, join.algorithm, context
-        )
-        total = total + cost
-        return join.with_resources(resources)
+    with reference_batch(coster, context) as batch:
 
-    annotated = plan.map_joins(cost_one)
+        def cost_one(join: JoinNode) -> JoinNode:
+            nonlocal total
+            cost, resources = batch.join_cost(
+                join.left.tables, join.right.tables, join.algorithm
+            )
+            total = total + cost
+            return join.with_resources(resources)
+
+        annotated = plan.map_joins(cost_one)
     return annotated, total
 
 
@@ -87,16 +151,16 @@ def cost_batch_per_candidate(coster, batch, context):
     times = np.empty(len(batch))
     money = np.empty(len(batch))
     configs = []
-    for index in range(len(batch)):
-        cost, config = coster.join_cost(
-            batch.left_tables[index],
-            batch.right_tables[index],
-            batch.algorithms[index],
-            context,
-        )
-        times[index] = cost.time_s
-        money[index] = cost.money
-        configs.append(config)
+    with reference_batch(coster, context) as tally:
+        for index in range(len(batch)):
+            cost, config = tally.join_cost(
+                batch.left_tables[index],
+                batch.right_tables[index],
+                batch.algorithms[index],
+            )
+            times[index] = cost.time_s
+            money[index] = cost.money
+            configs.append(config)
     return BatchCostResult(
         time_s=times,
         money=money,
@@ -245,21 +309,23 @@ class ReferenceSelingerPlanner(FrozensetSelingerPlanner):
 
     def _extend_level(self, size, all_tables, best, context):
         graph = context.estimator.join_graph
-        for combo in itertools.combinations(sorted(all_tables), size):
-            subset = frozenset(combo)
-            if size > 1 and not graph.is_connected(subset):
-                continue
-            entry = self._best_extension(subset, best, context)
-            if entry is not None:
-                best[subset] = entry
+        with reference_batch(self._coster, context) as batch:
+            for combo in itertools.combinations(sorted(all_tables), size):
+                subset = frozenset(combo)
+                if size > 1 and not graph.is_connected(subset):
+                    continue
+                entry = self._best_extension(subset, best, batch)
+                if entry is not None:
+                    best[subset] = entry
 
     def _best_extension(
         self,
         subset: FrozenSet[str],
         best: Best,
-        context: PlanningContext,
+        batch: _ReferenceBatch,
     ) -> Optional[Tuple[PlanNode, Cost]]:
         """The cheapest way to build ``subset`` by adding one relation."""
+        context = batch.context
         graph = context.estimator.join_graph
         champion: Optional[Tuple[PlanNode, Cost]] = None
         for table in sorted(subset):
@@ -274,8 +340,8 @@ class ReferenceSelingerPlanner(FrozensetSelingerPlanner):
             rest_plan, rest_cost = rest_entry
             for algorithm in JOIN_IMPLEMENTATIONS:
                 context.counters.join_costings += 1
-                cost, resources = self._coster.join_cost(
-                    rest, frozenset((table,)), algorithm, context
+                cost, resources = batch.join_cost(
+                    rest, frozenset((table,)), algorithm
                 )
                 total = rest_cost + cost
                 if not total.is_finite:
@@ -421,21 +487,23 @@ class ReferenceBushyPlanner(FrozensetBushyPlanner):
 
     def _split_level(self, size, all_tables, best, context):
         graph = context.estimator.join_graph
-        for combo in itertools.combinations(sorted(all_tables), size):
-            subset = frozenset(combo)
-            if not graph.is_connected(subset):
-                continue
-            entry = self._best_split(subset, best, context)
-            if entry is not None:
-                best[subset] = entry
+        with reference_batch(self._coster, context) as batch:
+            for combo in itertools.combinations(sorted(all_tables), size):
+                subset = frozenset(combo)
+                if not graph.is_connected(subset):
+                    continue
+                entry = self._best_split(subset, best, batch)
+                if entry is not None:
+                    best[subset] = entry
 
     def _best_split(
         self,
         subset: FrozenSet[str],
         best: Best,
-        context: PlanningContext,
+        batch: _ReferenceBatch,
     ) -> Optional[Tuple[PlanNode, Cost]]:
         """The cheapest (left, right) partition of ``subset``."""
+        context = batch.context
         graph = context.estimator.join_graph
         names = sorted(subset)
         champion: Optional[Tuple[PlanNode, Cost]] = None
@@ -457,8 +525,8 @@ class ReferenceBushyPlanner(FrozensetBushyPlanner):
                 right_plan, right_cost = right_entry
                 for algorithm in JOIN_IMPLEMENTATIONS:
                     context.counters.join_costings += 1
-                    cost, resources = self._coster.join_cost(
-                        left, right, algorithm, context
+                    cost, resources = batch.join_cost(
+                        left, right, algorithm
                     )
                     total = left_cost + right_cost + cost
                     if not total.is_finite:

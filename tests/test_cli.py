@@ -275,6 +275,26 @@ class TestObjectiveOption:
         err = capsys.readouterr().err
         assert "invalid objective" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--container-gb", "nan"],
+            ["--container-gb", "inf"],
+            ["--container-gb=-inf"],
+            ["--container-gb", "0.5"],
+            ["--containers", "0"],
+        ],
+    )
+    @pytest.mark.parametrize("command", ["plan", "run"])
+    def test_invalid_cluster_is_usage_error(self, command, flags, capsys):
+        """One line on stderr and exit 2, as for a bad --objective."""
+        assert main([command, "--query", "Q3", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("invalid --containers/--container-gb: ")
+        assert "\n" not in err and "Traceback" not in err
+
 
 class TestWorkloadSharding:
     def test_procs_and_workers_conflict_is_usage_error(self, capsys):
