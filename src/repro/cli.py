@@ -84,7 +84,7 @@ from repro.core.raqo import (
 from repro.engine.profiles import HIVE_PROFILE, SPARK_PROFILE
 from repro.obs.tracing import Tracer
 
-#: Figure-name -> experiments module (each exposes ``main()``).
+#: Figure-name -> experiments module (each declares one ``FIGURE``).
 FIGURE_MODULES = {
     "fig01": "repro.experiments.fig01_queue_cdf",
     "fig02": "repro.experiments.fig02_potential_gains",
@@ -910,8 +910,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    module = importlib.import_module(FIGURE_MODULES[args.name])
-    module.main()
+    from repro.experiments.claims import render
+
+    figure = importlib.import_module(FIGURE_MODULES[args.name]).FIGURE
+    print(render(figure, figure.run()))
     return 0
 
 

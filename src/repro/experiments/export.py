@@ -1,9 +1,8 @@
 """CSV export for experiment results.
 
-The benchmark harness prints human-readable tables; this module writes
-the same series as CSV files so they can be plotted against the paper's
-figures (every driver's result object exposes plain dataclasses, so the
-export is generic over (headers, rows)).
+``repro figure`` prints each figure's declared tables; this module writes
+the same tables as CSV files so they can be plotted against the paper's
+figures.
 """
 
 from __future__ import annotations
@@ -11,6 +10,8 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 from typing import Any, Iterable, List, Sequence, Union
+
+from repro.experiments.claims import Figure
 
 PathLike = Union[str, Path]
 
@@ -47,92 +48,16 @@ def read_csv(path: PathLike) -> List[List[str]]:
         return [row for row in csv.reader(handle)]
 
 
-def export_fig03(result: Any, directory: PathLike) -> List[Path]:
-    """Export both Fig 3 sweeps (see fig03_operator_switch.run)."""
-    base = Path(directory)
-    size_path = write_csv(
-        base / "fig03a_container_size.csv",
-        ["container_gb", "smj_s", "bhj_s", "winner"],
-        [
-            (
-                p.config.container_gb,
-                p.smj_time_s,
-                p.bhj_time_s,
-                p.winner,
-            )
-            for p in result.container_size_sweep
-        ],
-    )
-    count_path = write_csv(
-        base / "fig03b_container_count.csv",
-        ["num_containers", "smj_s", "bhj_s", "winner"],
-        [
-            (
-                p.config.num_containers,
-                p.smj_time_s,
-                p.bhj_time_s,
-                p.winner,
-            )
-            for p in result.container_count_sweep
-        ],
-    )
-    return [size_path, count_path]
-
-
-def export_fig12(result: Any, directory: PathLike) -> Path:
-    """Export the Fig 12 planning grid."""
-    return write_csv(
-        Path(directory) / "fig12_tpch_planning.csv",
-        [
-            "query",
-            "planner",
-            "qo_ms",
-            "raqo_ms",
-            "resource_iterations",
-        ],
-        [
-            (
-                r.query,
-                r.planner,
-                r.qo_runtime_ms,
-                r.raqo_runtime_ms,
-                r.resource_iterations,
-            )
-            for r in result.rows
-        ],
-    )
-
-
-def export_fig14(result: Any, directory: PathLike) -> Path:
-    """Export the Fig 14 cache-effectiveness series."""
-    return write_csv(
-        Path(directory) / "fig14_plan_cache.csv",
-        [
-            "variant",
-            "threshold_gb",
-            "resource_iterations",
-            "runtime_ms",
-            "hits",
-            "misses",
-        ],
-        [
-            (
-                p.variant,
-                p.threshold_gb,
-                p.resource_iterations,
-                p.runtime_ms,
-                p.cache_hits,
-                p.cache_misses,
-            )
-            for p in result.points
-        ],
-    )
-
-
-def export_queue_cdf(result: Any, directory: PathLike) -> Path:
-    """Export the Fig 1 CDF points."""
-    return write_csv(
-        Path(directory) / "fig01_queue_cdf.csv",
-        ["fraction_of_jobs", "queue_runtime_ratio"],
-        list(result.cdf),
-    )
+def export_figure(
+    figure: Figure, result: Any, directory: PathLike
+) -> List[Path]:
+    """Write each of ``figure``'s declared tables as one CSV file,
+    ``<figure name><a, b, ...>.csv``, headed by the table's headers."""
+    return [
+        write_csv(
+            Path(directory) / f"{figure.name}{chr(ord('a') + index)}.csv",
+            table.headers,
+            table.rows(result),
+        )
+        for index, table in enumerate(figure.tables)
+    ]

@@ -22,7 +22,7 @@ from repro.cluster.trace import (
     ratio_cdf,
     simulate_trace,
 )
-from repro.experiments.report import print_table
+from repro.experiments.claims import EXACT, Claim, Figure, Table
 
 #: CDF fractions reported in the output series.
 REPORT_FRACTIONS = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
@@ -59,25 +59,24 @@ def run(
     )
 
 
-def main() -> QueueCdfResult:
-    """Print the Fig 1 series."""
-    result = run()
-    print_table(
-        ["fraction of jobs", "queue/runtime ratio"],
-        [(f"{frac:.2f}", ratio) for frac, ratio in result.cdf],
-        title="Fig 1: queue-time/runtime ratio CDF "
-        f"({result.num_jobs} jobs)",
-    )
-    print(
-        f"jobs with ratio >= 1: {result.fraction_ratio_ge_1:.1%} "
-        "(paper: >80%)"
-    )
-    print(
-        f"jobs with ratio >= 4: {result.fraction_ratio_ge_4:.1%} "
-        "(paper: >20%)"
-    )
-    return result
-
-
-if __name__ == "__main__":
-    main()
+FIGURE = Figure(
+    "fig01",
+    run,
+    tables=(
+        Table(
+            "Fig 1: queue-time/runtime ratio CDF",
+            ("fraction of jobs", "queue/runtime ratio"),
+            lambda r: [(f"{frac:.2f}", ratio) for frac, ratio in r.cdf],
+        ),
+    ),
+    claims=(
+        Claim(
+            "fig01.ratio_ge_1", "jobs with queue/runtime >= 1", "> 80%",
+            lambda r: r.fraction_ratio_ge_1, ">=", 0.80, EXACT,
+        ),
+        Claim(
+            "fig01.ratio_ge_4", "jobs with queue/runtime >= 4", "> 20%",
+            lambda r: r.fraction_ratio_ge_4, ">=", 0.20, EXACT,
+        ),
+    ),
+)

@@ -22,7 +22,7 @@ from repro.core.rules import DefaultThresholdRule
 from repro.engine.joins import best_join, join_execution
 from repro.engine.profiles import EngineProfile, HIVE_PROFILE, SPARK_PROFILE
 from repro.experiments import workload
-from repro.experiments.report import print_table
+from repro.experiments.claims import EXACT, Claim, Figure, Table
 
 
 @dataclass(frozen=True)
@@ -103,41 +103,47 @@ def run(profile: EngineProfile = HIVE_PROFILE) -> PotentialGainsResult:
     return PotentialGainsResult(engine=profile.name, points=tuple(points))
 
 
-def main() -> Tuple[PotentialGainsResult, PotentialGainsResult]:
-    """Print the Fig 2 series for Hive and SparkSQL."""
-    results = []
-    for profile in (HIVE_PROFILE, SPARK_PROFILE):
-        result = run(profile)
-        results.append(result)
-        print_table(
-            [
-                "config",
-                "default time (s)",
-                "best time (s)",
-                "default TB*s",
-                "best TB*s",
-            ],
-            [
-                (
-                    str(p.config),
-                    p.default_time_s,
-                    p.best_time_s,
-                    p.default_tb_s,
-                    p.best_tb_s,
-                )
-                for p in result.points
-            ],
-            title=f"Fig 2 ({result.engine}): default optimizer vs "
-            "query & resource optimization",
-        )
-        print(
-            f"{result.engine}: default up to "
-            f"{result.max_time_ratio:.2f}x slower, up to "
-            f"{result.max_resource_ratio:.2f}x more resources "
-            "(paper: up to 2x / 2x)\n"
-        )
-    return tuple(results)
+def _gains_table(index: int, engine: str) -> Table:
+    return Table(
+        f"Fig 2 ({engine}): default optimizer vs "
+        "query & resource optimization",
+        (
+            "config",
+            "default time (s)",
+            "best time (s)",
+            "default TB*s",
+            "best TB*s",
+        ),
+        lambda results: [
+            (
+                str(p.config),
+                p.default_time_s,
+                p.best_time_s,
+                p.default_tb_s,
+                p.best_tb_s,
+            )
+            for p in results[index].points
+        ],
+    )
 
 
-if __name__ == "__main__":
-    main()
+FIGURE = Figure(
+    "fig02",
+    lambda: (run(HIVE_PROFILE), run(SPARK_PROFILE)),
+    tables=(_gains_table(0, "hive"), _gains_table(1, "spark")),
+    claims=(
+        Claim(
+            "fig02.hive_time_ratio", "Hive default plan slower by (worst)",
+            "up to 2x", lambda r: r[0].max_time_ratio, ">=", 1.3, EXACT,
+        ),
+        Claim(
+            "fig02.spark_time_ratio", "Spark default plan slower by (worst)",
+            "up to 2x", lambda r: r[1].max_time_ratio, ">=", 1.2, EXACT,
+        ),
+        Claim(
+            "fig02.hive_resource_ratio",
+            "Hive default plan more resource-demanding by (worst)",
+            "up to 2x", lambda r: r[0].max_resource_ratio, ">=", 1.3, EXACT,
+        ),
+    ),
+)

@@ -20,7 +20,7 @@ from repro.cluster.containers import ResourceConfiguration
 from repro.engine.joins import bhj_execution, smj_execution
 from repro.engine.profiles import EngineProfile, HIVE_PROFILE
 from repro.experiments import workload
-from repro.experiments.report import print_table
+from repro.experiments.claims import EXACT, Claim, Figure, Table
 
 
 @dataclass(frozen=True)
@@ -107,47 +107,83 @@ def run(profile: EngineProfile = HIVE_PROFILE) -> OperatorSwitchResult:
     )
 
 
-def main() -> OperatorSwitchResult:
-    """Print the Fig 3 series."""
-    result = run()
-    print_table(
-        ["container size (GB)", "SMJ (s)", "BHJ (s)", "winner"],
-        [
-            (p.config.container_gb, p.smj_time_s, p.bhj_time_s, p.winner)
-            for p in result.container_size_sweep
-        ],
-        title=(
+def _bhj_min_feasible_gb(result: OperatorSwitchResult) -> float:
+    """The smallest container size where BHJ fits (paper: 5 GB)."""
+    return min(
+        p.config.container_gb
+        for p in result.container_size_sweep
+        if p.bhj_feasible
+    )
+
+
+def _smj_speedup_at_40(result: OperatorSwitchResult) -> float:
+    """BHJ time over SMJ time at 40 containers (paper: ~2x)."""
+    (point,) = [
+        p
+        for p in result.container_count_sweep
+        if p.config.num_containers == 40
+    ]
+    return point.bhj_time_s / point.smj_time_s
+
+
+def _smj_size_spread(result: OperatorSwitchResult) -> float:
+    """Slowest over fastest SMJ time across the container-size sweep."""
+    times = [p.smj_time_s for p in result.container_size_sweep]
+    return max(times) / min(times)
+
+
+FIGURE = Figure(
+    "fig03",
+    run,
+    tables=(
+        Table(
             "Fig 3(a): varying container size "
             f"(orders={workload.ORDERS_LARGE_GB} GB, "
-            f"nc={workload.CONTAINER_SIZE_SWEEP_NC})"
+            f"nc={workload.CONTAINER_SIZE_SWEEP_NC})",
+            ("container size (GB)", "SMJ (s)", "BHJ (s)", "winner"),
+            lambda r: [
+                (p.config.container_gb, p.smj_time_s, p.bhj_time_s, p.winner)
+                for p in r.container_size_sweep
+            ],
         ),
-    )
-    print_table(
-        ["#containers", "SMJ (s)", "BHJ (s)", "winner"],
-        [
-            (
-                p.config.num_containers,
-                p.smj_time_s,
-                p.bhj_time_s,
-                p.winner,
-            )
-            for p in result.container_count_sweep
-        ],
-        title=(
+        Table(
             "Fig 3(b): varying #containers "
             f"(orders={workload.ORDERS_SMALL_GB} GB, "
-            f"cs={workload.CONTAINER_COUNT_SWEEP_GB} GB)"
+            f"cs={workload.CONTAINER_COUNT_SWEEP_GB} GB)",
+            ("#containers", "SMJ (s)", "BHJ (s)", "winner"),
+            lambda r: [
+                (
+                    p.config.num_containers,
+                    p.smj_time_s,
+                    p.bhj_time_s,
+                    p.winner,
+                )
+                for p in r.container_count_sweep
+            ],
         ),
-    )
-    print(
-        "switch container size:",
-        result.switch_container_gb(),
-        "GB (paper: 7 GB) | switch #containers:",
-        result.switch_container_count(),
-        "(paper: 20)",
-    )
-    return result
-
-
-if __name__ == "__main__":
-    main()
+    ),
+    claims=(
+        Claim(
+            "fig03.switch_gb", "(a) switch container size (GB)", "7 GB",
+            lambda r: r.switch_container_gb(), "==", 7.0, EXACT,
+        ),
+        Claim(
+            "fig03.bhj_min_feasible_gb",
+            "(a) smallest container size BHJ fits in (GB)", "5 GB",
+            _bhj_min_feasible_gb, "==", 5.0, EXACT,
+        ),
+        Claim(
+            "fig03.switch_count", "(b) switch container count", "20",
+            lambda r: r.switch_container_count(), "==", 20, EXACT,
+        ),
+        Claim(
+            "fig03.smj_speedup_40", "(b) SMJ speedup over BHJ at 40",
+            "~2x", _smj_speedup_at_40, ">=", 1.6, EXACT,
+        ),
+        Claim(
+            "fig03.smj_size_spread",
+            "(a) SMJ slowest/fastest over container size",
+            "relatively stable", _smj_size_spread, "<", 1.01, EXACT,
+        ),
+    ),
+)

@@ -17,7 +17,6 @@ both the data statistics and the available resources."
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -26,7 +25,7 @@ from repro.core.switch_points import SwitchPoint, find_switch_point
 from repro.engine.joins import bhj_execution, smj_execution
 from repro.engine.profiles import EngineProfile, HIVE_PROFILE
 from repro.experiments import workload
-from repro.experiments.report import print_table
+from repro.experiments.claims import EXACT, SHAPE, Claim, Figure, Table
 
 
 @dataclass(frozen=True)
@@ -105,31 +104,53 @@ def run(profile: EngineProfile = HIVE_PROFILE) -> DataSwitchResult:
     )
 
 
-def main() -> DataSwitchResult:
-    """Print the Fig 4 series and switch points."""
-    result = run()
-    for label, series in result.series.items():
-        rows = []
-        for i, data_gb in enumerate(series.data_gb):
-            bhj = series.bhj_time_s[i]
-            rows.append(
-                (
-                    data_gb,
-                    series.smj_time_s[i],
-                    bhj if math.isfinite(bhj) else float("inf"),
-                )
-            )
-        print_table(
-            ["smaller table (GB)", "SMJ (s)", "BHJ (s)"],
-            rows,
-            title=f"Fig 4 series {label}",
-        )
-        print(
-            f"{label}: switch at {series.switch.switch_gb:.2f} GB "
-            f"(OOM wall {series.switch.wall_gb:.2f} GB)\n"
-        )
-    return result
+def _series_table(label: str) -> Table:
+    return Table(
+        f"Fig 4 series {label}",
+        ("smaller table (GB)", "SMJ (s)", "BHJ (s)"),
+        lambda r: zip(
+            r.series[label].data_gb,
+            r.series[label].smj_time_s,
+            r.series[label].bhj_time_s,
+        ),
+    )
 
 
-if __name__ == "__main__":
-    main()
+FIGURE = Figure(
+    "fig04",
+    run,
+    tables=tuple(
+        _series_table(label)
+        for label in ("cs=3GB,nc=10", "cs=9GB,nc=10", "cs=3GB,nc=40")
+    )
+    + (
+        Table(
+            "Fig 4: switch points",
+            ("series", "switch (GB)", "OOM wall (GB)"),
+            lambda r: [
+                (label, s.switch.switch_gb, s.switch.wall_gb)
+                for label, s in r.series.items()
+            ],
+        ),
+    ),
+    claims=(
+        Claim(
+            "fig04.switch_3gb", "(a) switch @ 3 GB containers (GB)",
+            "3.4 GB (then OOM)", lambda r: r.switch_gb("cs=3GB,nc=10"),
+            "[]", (3.3, 3.6), EXACT,
+        ),
+        Claim(
+            "fig04.switch_9gb", "(a) switch @ 9 GB containers (GB)",
+            "6.4 GB", lambda r: r.switch_gb("cs=9GB,nc=10"),
+            "[]", (5.0, 7.0), EXACT,
+        ),
+        Claim(
+            "fig04.switch_40_vs_10",
+            "(b) switch @ 40 over @ 10 containers (3 GB each)",
+            "2.1 -> 3.8 GB (rising)",
+            lambda r: r.switch_gb("cs=3GB,nc=40")
+            / r.switch_gb("cs=3GB,nc=10"),
+            "<", 1.0, SHAPE,
+        ),
+    ),
+)

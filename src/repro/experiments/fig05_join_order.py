@@ -29,7 +29,8 @@ from repro.cluster.containers import ResourceConfiguration
 from repro.engine.executor import execute_plan
 from repro.engine.joins import JoinAlgorithm
 from repro.engine.profiles import EngineProfile, HIVE_PROFILE
-from repro.experiments.report import print_table
+from repro.experiments import claims
+from repro.experiments.claims import EXACT, SHAPE, Claim, Figure
 from repro.planner.plan import JoinNode, PlanNode, ScanNode
 
 #: SF-100 cardinalities; orders subsampled to ~850 MB as in the paper.
@@ -170,42 +171,79 @@ def run(profile: EngineProfile = HIVE_PROFILE) -> JoinOrderResult:
     )
 
 
-def main() -> JoinOrderResult:
-    """Print the Fig 5 series."""
-    result = run()
-    print_table(
-        ["container size (GB)", "Plan 1 (s)", "Plan 2 (s)", "winner"],
-        [
-            (
-                p.config.container_gb,
-                p.plan1_time_s,
-                p.plan2_time_s,
-                p.winner,
-            )
-            for p in result.container_size_sweep
-        ],
-        title="Fig 5(a): join orders over container size (nc=10)",
-    )
-    print_table(
-        ["#containers", "Plan 1 (s)", "Plan 2 (s)", "winner"],
-        [
-            (
-                p.config.num_containers,
-                p.plan1_time_s,
-                p.plan2_time_s,
-                p.winner,
-            )
-            for p in result.container_count_sweep
-        ],
-        title="Fig 5(b): join orders over #containers (cs=3 GB)",
-    )
-    print(
-        "plan 2 overtakes at",
-        result.crossover_containers(),
-        "containers (paper: 32)",
-    )
-    return result
+def _plan2_size_spread(result: JoinOrderResult) -> float:
+    """Plan 2's slowest over fastest time across container sizes."""
+    times = [p.plan2_time_s for p in result.container_size_sweep]
+    return max(times) / min(times)
 
 
-if __name__ == "__main__":
-    main()
+def _plan1_min_feasible_gb(result: JoinOrderResult) -> float:
+    """The smallest container size plan 1 fits in."""
+    return min(
+        p.config.container_gb
+        for p in result.container_size_sweep
+        if math.isfinite(p.plan1_time_s)
+    )
+
+
+def _plan1_wins_where_feasible(result: JoinOrderResult) -> bool:
+    return all(
+        p.winner == "Plan 1"
+        for p in result.container_size_sweep
+        if math.isfinite(p.plan1_time_s)
+    )
+
+
+FIGURE = Figure(
+    "fig05",
+    run,
+    tables=(
+        claims.Table(
+            "Fig 5(a): join orders over container size (nc=10)",
+            ("container size (GB)", "Plan 1 (s)", "Plan 2 (s)", "winner"),
+            lambda r: [
+                (
+                    p.config.container_gb,
+                    p.plan1_time_s,
+                    p.plan2_time_s,
+                    p.winner,
+                )
+                for p in r.container_size_sweep
+            ],
+        ),
+        claims.Table(
+            "Fig 5(b): join orders over #containers (cs=3 GB)",
+            ("#containers", "Plan 1 (s)", "Plan 2 (s)", "winner"),
+            lambda r: [
+                (
+                    p.config.num_containers,
+                    p.plan1_time_s,
+                    p.plan2_time_s,
+                    p.winner,
+                )
+                for p in r.container_count_sweep
+            ],
+        ),
+    ),
+    claims=(
+        Claim(
+            "fig05.plan2_size_spread",
+            "plan 2 slowest/fastest over container size", "insignificant",
+            _plan2_size_spread, "<", 1.1, EXACT,
+        ),
+        Claim(
+            "fig05.plan1_wins_sizes",
+            "plan 1 wins across container sizes (where it fits)", "yes",
+            _plan1_wins_where_feasible, "==", True, SHAPE,
+        ),
+        Claim(
+            "fig05.plan1_min_feasible_gb",
+            "smallest container size plan 1 fits in (GB)", "6 GB",
+            _plan1_min_feasible_gb, ">", 2.0, EXACT,
+        ),
+        Claim(
+            "fig05.crossover", "plan 2 overtakes at (#containers)", "32",
+            lambda r: r.crossover_containers(), "[]", (24, 44), EXACT,
+        ),
+    ),
+)

@@ -19,7 +19,7 @@ from repro.cluster.pricing import PriceModel
 from repro.core.monetary import MonetaryComparison, monetary_cost_curve
 from repro.engine.profiles import EngineProfile, HIVE_PROFILE
 from repro.experiments import workload
-from repro.experiments.report import print_table
+from repro.experiments.claims import EXACT, Claim, Figure, Table
 
 
 @dataclass(frozen=True)
@@ -28,16 +28,6 @@ class MonetaryResult:
 
     container_size_sweep: Tuple[MonetaryComparison, ...]
     container_count_sweep: Tuple[MonetaryComparison, ...]
-
-    def cheapest_overall(self) -> MonetaryComparison:
-        """The configuration with the lowest best-implementation cost."""
-        all_points = (
-            self.container_size_sweep + self.container_count_sweep
-        )
-        return min(
-            all_points,
-            key=lambda p: min(p.smj_dollars, p.bhj_dollars),
-        )
 
 
 def run(
@@ -69,46 +59,56 @@ def run(
     )
 
 
-def main() -> MonetaryResult:
-    """Print the Fig 6 series."""
-    result = run()
-    print_table(
-        ["container size (GB)", "SMJ ($)", "BHJ ($)", "cheaper"],
-        [
-            (
-                p.config.container_gb,
-                p.smj_dollars,
-                p.bhj_dollars if math.isfinite(p.bhj_dollars) else
-                float("inf"),
-                str(p.cheaper),
-            )
+def _cheaper_implementations(result: MonetaryResult) -> int:
+    """How many implementations are the cheaper one somewhere."""
+    return len(
+        {
+            p.cheaper
             for p in result.container_size_sweep
-        ],
-        title="Fig 6(a): monetary cost over container size "
-        f"(orders={workload.ORDERS_LARGE_GB} GB, nc=10)",
+            + result.container_count_sweep
+            if math.isfinite(p.bhj_dollars)
+        }
     )
-    print_table(
-        ["#containers", "SMJ ($)", "BHJ ($)", "cheaper"],
-        [
-            (
-                p.config.num_containers,
-                p.smj_dollars,
-                p.bhj_dollars if math.isfinite(p.bhj_dollars) else
-                float("inf"),
-                str(p.cheaper),
-            )
-            for p in result.container_count_sweep
-        ],
-        title="Fig 6(b): monetary cost over #containers "
-        f"(orders={workload.ORDERS_SMALL_GB} GB, cs=3 GB)",
-    )
-    cheapest = result.cheapest_overall()
-    print(
-        f"cheapest configuration: {cheapest.config} at "
-        f"${min(cheapest.smj_dollars, cheapest.bhj_dollars):.3f}"
-    )
-    return result
 
 
-if __name__ == "__main__":
-    main()
+FIGURE = Figure(
+    "fig06",
+    run,
+    tables=(
+        Table(
+            "Fig 6(a): monetary cost over container size "
+            f"(orders={workload.ORDERS_LARGE_GB} GB, nc=10)",
+            ("container size (GB)", "SMJ ($)", "BHJ ($)", "cheaper"),
+            lambda r: [
+                (
+                    p.config.container_gb,
+                    p.smj_dollars,
+                    p.bhj_dollars,
+                    str(p.cheaper),
+                )
+                for p in r.container_size_sweep
+            ],
+        ),
+        Table(
+            "Fig 6(b): monetary cost over #containers "
+            f"(orders={workload.ORDERS_SMALL_GB} GB, cs=3 GB)",
+            ("#containers", "SMJ ($)", "BHJ ($)", "cheaper"),
+            lambda r: [
+                (
+                    p.config.num_containers,
+                    p.smj_dollars,
+                    p.bhj_dollars,
+                    str(p.cheaper),
+                )
+                for p in r.container_count_sweep
+            ],
+        ),
+    ),
+    claims=(
+        Claim(
+            "fig06.cheaper_implementations",
+            "implementations that are the cheaper one somewhere", "both",
+            _cheaper_implementations, "==", 2, EXACT,
+        ),
+    ),
+)

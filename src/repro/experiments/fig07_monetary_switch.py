@@ -20,7 +20,7 @@ from repro.engine.profiles import EngineProfile, HIVE_PROFILE
 from repro.experiments import workload
 from repro.experiments.fig06_monetary import MonetaryComparison
 from repro.core.monetary import compare_monetary
-from repro.experiments.report import print_table
+from repro.experiments.claims import EXACT, Claim, Figure, Table
 
 
 @dataclass(frozen=True)
@@ -88,36 +88,40 @@ def run(
     return MonetarySwitchResult(series=series)
 
 
-def main() -> MonetarySwitchResult:
-    """Print the Fig 7 switch points."""
-    result = run()
-    rows = []
-    for label, entry in result.series.items():
-        bhj_region = sum(
-            1
-            for c in entry.comparisons
-            if c.cheaper is JoinAlgorithm.BROADCAST_HASH
-        )
-        rows.append(
+FIGURE = Figure(
+    "fig07",
+    run,
+    tables=(
+        Table(
+            "Fig 7: monetary switch points over data size",
             (
-                label,
-                entry.switch.switch_gb,
-                entry.switch.wall_gb,
-                bhj_region,
-            )
-        )
-    print_table(
-        [
-            "configuration",
-            "monetary switch (GB)",
-            "OOM wall (GB)",
-            "#points where BHJ cheaper",
-        ],
-        rows,
-        title="Fig 7: monetary switch points over data size",
-    )
-    return result
-
-
-if __name__ == "__main__":
-    main()
+                "configuration",
+                "monetary switch (GB)",
+                "OOM wall (GB)",
+                "#points where BHJ cheaper",
+            ),
+            lambda r: [
+                (
+                    label,
+                    entry.switch.switch_gb,
+                    entry.switch.wall_gb,
+                    sum(
+                        1
+                        for c in entry.comparisons
+                        if c.cheaper is JoinAlgorithm.BROADCAST_HASH
+                    ),
+                )
+                for label, entry in r.series.items()
+            ],
+        ),
+    ),
+    claims=(
+        Claim(
+            "fig07.distinct_switches",
+            "distinct monetary switch points across configurations",
+            "vary with resources",
+            lambda r: len({e.switch.switch_gb for e in r.series.values()}),
+            ">", 1, EXACT,
+        ),
+    ),
+)

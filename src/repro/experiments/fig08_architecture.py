@@ -1,16 +1,17 @@
 """Fig 8: the big data system stack, current practice vs the RAQO vision.
 
-The paper's architecture figure, realised two ways: (i) a rendering of
-both stacks for documentation, and (ii) a structural description mapping
-each layer to the package that implements it in this reproduction --
-which is the actual evidence that the RAQO layer exists as one component
+The paper's architecture figure as a structural description mapping
+each layer of both stacks to the package that implements it in this
+reproduction -- the evidence that the RAQO layer exists as one component
 here rather than two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
+
+from repro.experiments.claims import Figure, Table
 
 #: (layer, examples, implementing package) for the current-practice stack.
 CURRENT_STACK: Tuple[Tuple[str, str, str], ...] = (
@@ -98,30 +99,19 @@ def run() -> ArchitectureResult:
     return ArchitectureResult(current=CURRENT_STACK, raqo=RAQO_STACK)
 
 
-def render(result: ArchitectureResult) -> str:
-    """ASCII rendering of both stacks side by side conceptually."""
-    lines: List[str] = []
-    for title, stack in (
-        ("(a) Current practice: two separate steps", result.current),
-        ("(b) The RAQO vision: one combined layer", result.raqo),
-    ):
-        lines.append(title)
-        width = max(len(layer) for layer, _, _ in stack) + 2
-        for layer, examples, package in stack:
-            lines.append("  +" + "-" * width + "+")
-            lines.append(f"  | {layer.ljust(width - 2)} |  e.g. {examples}")
-            lines.append(f"  | {('-> ' + package).ljust(width - 2)} |")
-        lines.append("  +" + "-" * width + "+")
-        lines.append("")
-    return "\n".join(lines)
-
-
-def main() -> ArchitectureResult:
-    """Print the Fig 8 stacks."""
-    result = run()
-    print(render(result))
-    return result
-
-
-if __name__ == "__main__":
-    main()
+FIGURE = Figure(
+    "fig08",
+    run,
+    tables=(
+        Table(
+            "(a) Current practice: two separate steps",
+            ("layer", "e.g.", "implemented by"),
+            lambda r: r.current,
+        ),
+        Table(
+            "(b) The RAQO vision: one combined layer",
+            ("layer", "e.g.", "implemented by"),
+            lambda r: r.raqo,
+        ),
+    ),
+)

@@ -14,11 +14,11 @@ a point, and (iii) the default 10 MB rule is way off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.switch_points import SwitchPoint, switch_point_surface
 from repro.engine.profiles import EngineProfile, HIVE_PROFILE, SPARK_PROFILE
-from repro.experiments.report import print_table
+from repro.experiments.claims import EXACT, SHAPE, Claim, Figure, Table
 
 #: Container sizes swept for both engines (the paper's 3-11 GB x-axis).
 CONTAINER_SIZES_GB = (3.0, 5.0, 7.0, 9.0, 11.0)
@@ -92,37 +92,53 @@ def run(
     )
 
 
-def main() -> Tuple[SwitchSpaceResult, SwitchSpaceResult]:
-    """Print the Fig 9 surfaces for Hive and Spark."""
-    results = []
-    for profile in (HIVE_PROFILE, SPARK_PROFILE):
-        result = run(profile)
-        results.append(result)
-        unit = "GB" if result.engine == "hive" else "MB"
-        scale = 1.0 if result.engine == "hive" else 1024.0
-        rows: List[Tuple] = []
-        for (nc, nr), points in result.curves.items():
-            label = f"<{nc},{nr if nr is not None else 'default'}>"
-            rows.append(
-                tuple(
-                    [label]
-                    + [round(p.switch_gb * scale, 2) for p in points]
-                )
-            )
-        print_table(
-            ["<#containers,#reducers>"]
-            + [f"cs={int(cs)}GB ({unit})" for cs in CONTAINER_SIZES_GB],
-            rows,
-            title=f"Fig 9 ({result.engine}): switch points over the "
-            "data-resource space",
-        )
-        print(
-            f"{result.engine}: default 10 MB rule is at least "
-            f"{result.default_rule_error() * scale:.1f} {unit} below "
-            "every real switch point\n"
-        )
-    return tuple(results)
+def _surface_table(index: int, engine: str, unit: str) -> Table:
+    scale = 1.0 if unit == "GB" else 1024.0
+    return Table(
+        f"Fig 9 ({engine}): switch points over the data-resource space",
+        ("<#containers,#reducers>",)
+        + tuple(f"cs={int(cs)}GB ({unit})" for cs in CONTAINER_SIZES_GB),
+        lambda results: [
+            (f"<{nc},{nr if nr is not None else 'default'}>",)
+            + tuple(round(p.switch_gb * scale, 2) for p in points)
+            for (nc, nr), points in results[index].curves.items()
+        ],
+    )
 
 
-if __name__ == "__main__":
-    main()
+def _switch_range_gb(result: SwitchSpaceResult) -> Tuple[float, float]:
+    """The lowest and highest switch point anywhere on the surface."""
+    switches = [p.switch_gb for c in result.curves.values() for p in c]
+    return (min(switches), max(switches))
+
+
+def _rises_with_container_size(result: SwitchSpaceResult) -> bool:
+    return all(
+        [p.switch_gb for p in curve] == sorted(p.switch_gb for p in curve)
+        for curve in result.curves.values()
+    )
+
+
+FIGURE = Figure(
+    "fig09",
+    lambda: (run(HIVE_PROFILE), run(SPARK_PROFILE)),
+    tables=(_surface_table(0, "hive", "GB"), _surface_table(1, "spark", "MB")),
+    claims=(
+        Claim(
+            "fig09.hive_default_rule_gap",
+            "10 MB default rule below every Hive switch point by (GB)",
+            "way off", lambda r: r[0].default_rule_error(), ">", 1.0, EXACT,
+        ),
+        Claim(
+            "fig09.spark_switch_range",
+            "lowest and highest Spark switch point (GB)",
+            "hundreds of MB", lambda r: _switch_range_gb(r[1]),
+            "[]", (0.05, 1.5), EXACT,
+        ),
+        Claim(
+            "fig09.hive_rises_with_container_size",
+            "every Hive switch-point curve rises with container size", "yes",
+            lambda r: _rises_with_container_size(r[0]), "==", True, SHAPE,
+        ),
+    ),
+)

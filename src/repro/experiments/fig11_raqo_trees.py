@@ -11,12 +11,12 @@ Hive and 7 for Spark."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
+from typing import Optional
 
 from repro.core.rules import RaqoDecisionTreeRule
 from repro.core.switch_points import labeled_samples
 from repro.engine.profiles import EngineProfile, HIVE_PROFILE, SPARK_PROFILE
+from repro.experiments.claims import EXACT, Claim, Figure, Table
 
 #: Training grids per engine: data sizes tuned to each engine's switch
 #: range (GB for Hive, hundreds of MB for Spark).
@@ -82,23 +82,35 @@ def run(
     )
 
 
-def main() -> Tuple[RaqoTreeResult, RaqoTreeResult]:
-    """Print both Fig 11 trees."""
-    results = []
-    for profile in (HIVE_PROFILE, SPARK_PROFILE):
-        result = run(profile)
-        results.append(result)
-        print(f"Fig 11 ({result.engine}): RAQO decision tree")
-        print(result.rule.export_text())
-        print(
-            f"samples={result.num_samples} "
-            f"accuracy={result.training_accuracy:.3f} "
-            f"max path length={result.max_path_length} "
-            "(paper: 6 for Hive, 7 for Spark) "
-            f"leaves={result.num_leaves}\n"
-        )
-    return tuple(results)
-
-
-if __name__ == "__main__":
-    main()
+FIGURE = Figure(
+    "fig11",
+    lambda: (run(HIVE_PROFILE), run(SPARK_PROFILE)),
+    tables=(
+        Table(
+            "Fig 11: RAQO decision trees (repro trees prints them)",
+            ("engine", "samples", "accuracy", "max path length", "leaves"),
+            lambda results: [
+                (
+                    r.engine,
+                    r.num_samples,
+                    r.training_accuracy,
+                    r.max_path_length,
+                    r.num_leaves,
+                )
+                for r in results
+            ],
+        ),
+    ),
+    claims=(
+        Claim(
+            "fig11.max_path_length", "max path length (Hive, Spark)",
+            "6 (Hive), 7 (Spark)",
+            lambda r: tuple(x.max_path_length for x in r), "<=", 7, EXACT,
+        ),
+        Claim(
+            "fig11.accuracy", "training accuracy (Hive, Spark)", "n/a",
+            lambda r: tuple(x.training_accuracy for x in r), ">=", 0.95,
+            EXACT,
+        ),
+    ),
+)

@@ -22,7 +22,7 @@ from typing import List, Tuple
 from repro.catalog import tpch
 from repro.catalog.queries import Query
 from repro.core.raqo import PlannerKind, RaqoPlanner
-from repro.experiments.report import print_table
+from repro.experiments.claims import EXACT, SHAPE, TIMING, Claim, Figure, Table
 
 #: TPC-H scale factor used throughout the planning evaluation.
 SCALE_FACTOR = 100.0
@@ -63,7 +63,7 @@ class TpchPlanningResult:
 
 def run(
     queries: Tuple[Query, ...] = tpch.EVALUATION_QUERIES,
-    repetitions: int = 3,
+    repetitions: int = 9,
 ) -> TpchPlanningResult:
     """Run the Fig 12 grid; each runtime is the median of
     ``repetitions`` runs.
@@ -129,34 +129,62 @@ def _median_runtimes_ms(
     return tuple(statistics.median(times) * 1000.0 for times in runs)
 
 
-def main() -> TpchPlanningResult:
-    """Print the Fig 12 grid."""
-    result = run()
-    print_table(
-        [
-            "query",
-            "planner",
-            "QO (ms)",
-            "RAQO (ms)",
-            "overhead",
-            "#resource iters",
-        ],
-        [
+def _iterations_grow(result: TpchPlanningResult) -> bool:
+    """Each planner explores more configurations for each larger query
+    (the evaluation queries run from Q12, the smallest, to All)."""
+    counts = [
+        [r.resource_iterations for r in result.rows if r.planner == planner]
+        for planner in {r.planner for r in result.rows}
+    ]
+    return all(c == sorted(c) for c in counts)
+
+
+FIGURE = Figure(
+    "fig12",
+    run,
+    tables=(
+        Table(
+            "Fig 12: RAQO planning on TPC-H (SF "
+            f"{SCALE_FACTOR:g}, 100 x 10 GB cluster)",
             (
-                r.query,
-                r.planner,
-                r.qo_runtime_ms,
-                r.raqo_runtime_ms,
-                f"{r.overhead:.1f}x",
-                r.resource_iterations,
-            )
-            for r in result.rows
-        ],
-        title="Fig 12: RAQO planning on TPC-H (SF "
-        f"{SCALE_FACTOR:g}, 100 x 10 GB cluster)",
-    )
-    return result
-
-
-if __name__ == "__main__":
-    main()
+                "query",
+                "planner",
+                "QO (ms)",
+                "RAQO (ms)",
+                "overhead",
+                "#resource iters",
+            ),
+            lambda result: [
+                (
+                    r.query,
+                    r.planner,
+                    r.qo_runtime_ms,
+                    r.raqo_runtime_ms,
+                    f"{r.overhead:.1f}x",
+                    r.resource_iterations,
+                )
+                for r in result.rows
+            ],
+        ),
+    ),
+    claims=(
+        Claim(
+            "fig12.fr_all_iterations",
+            "resource configs explored, FastRandomized All",
+            "more than half a million",
+            lambda r: r.row("All", "fast_randomized").resource_iterations,
+            ">", 100_000, EXACT,
+        ),
+        Claim(
+            "fig12.raqo_overhead", "RAQO over QO planning time, per cell",
+            "RAQO adds overhead",
+            lambda r: tuple(row.overhead for row in r.rows), ">=", 1.0,
+            TIMING,
+        ),
+        Claim(
+            "fig12.iterations_grow",
+            "explored configs grow with query size, per planner", "yes",
+            _iterations_grow, "==", True, SHAPE,
+        ),
+    ),
+)

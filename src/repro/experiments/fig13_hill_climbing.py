@@ -8,15 +8,19 @@ observe similar improvements in runtime as well."
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 from repro.catalog import tpch
 from repro.catalog.queries import Query
 from repro.core.raqo import RaqoPlanner, ResourcePlanningMethod
+from repro.experiments.claims import EXACT, TIMING, Claim, Figure, Table
 from repro.experiments.fig12_tpch_planning import SCALE_FACTOR
-from repro.experiments.report import print_table
 from repro.planner.cost_interface import PlanningResult
+
+#: Timed runs per method and query; each runtime is their median.
+REPETITIONS = 5
 
 
 @dataclass(frozen=True)
@@ -62,11 +66,19 @@ def run(
 ) -> HillClimbResult:
     """Compare both resource-planning methods per query.
 
-    Each query gets fresh planners: a reused one would serve searches
-    from its cross-query memo, and later queries' timings would then
-    depend on the ones planned before them.
+    Each runtime is the median of :data:`REPETITIONS` runs, the two
+    methods taking turns, after one untimed warm-up of each (the first
+    ``optimize`` pays one-time costs). Every run gets a fresh planner:
+    a reused one would serve searches from its cross-query memo, and
+    later runs' timings would then depend on the ones before them.
     """
+    if not queries:
+        raise ValueError("queries must be non-empty")
     catalog = tpch.tpch_catalog(SCALE_FACTOR)
+    methods = (
+        ResourcePlanningMethod.BRUTE_FORCE,
+        ResourcePlanningMethod.HILL_CLIMB,
+    )
 
     def plan(
         query: Query, method: ResourcePlanningMethod
@@ -78,51 +90,65 @@ def run(
 
     rows = []
     for query in queries:
-        brute = plan(query, ResourcePlanningMethod.BRUTE_FORCE)
-        climb = plan(query, ResourcePlanningMethod.HILL_CLIMB)
+        brute, climb = (plan(query, method) for method in methods)
+        runs: List[List[float]] = [[], []]
+        for _ in range(REPETITIONS):
+            for method, times in zip(methods, runs):
+                times.append(plan(query, method).wall_time_s)
+        brute_ms, climb_ms = (
+            statistics.median(times) * 1000.0 for times in runs
+        )
         rows.append(
             HillClimbRow(
                 query=query.name,
                 brute_force_iterations=brute.resource_iterations,
                 hill_climb_iterations=climb.resource_iterations,
-                brute_force_ms=brute.wall_time_s * 1000.0,
-                hill_climb_ms=climb.wall_time_s * 1000.0,
+                brute_force_ms=brute_ms,
+                hill_climb_ms=climb_ms,
             )
         )
     return HillClimbResult(rows=tuple(rows))
 
 
-def main() -> HillClimbResult:
-    """Print the Fig 13 series."""
-    result = run()
-    print_table(
-        [
-            "query",
-            "brute force iters",
-            "hill climb iters",
-            "reduction",
-            "brute force (ms)",
-            "hill climb (ms)",
-        ],
-        [
+FIGURE = Figure(
+    "fig13",
+    run,
+    tables=(
+        Table(
+            "Fig 13: hill climbing vs brute force (Selinger planner)",
             (
-                r.query,
-                r.brute_force_iterations,
-                r.hill_climb_iterations,
-                f"{r.iteration_reduction:.1f}x",
-                r.brute_force_ms,
-                r.hill_climb_ms,
-            )
-            for r in result.rows
-        ],
-        title="Fig 13: hill climbing vs brute force (Selinger planner)",
-    )
-    print(
-        "mean explored-configuration reduction: "
-        f"{result.mean_iteration_reduction:.1f}x (paper: ~4x)"
-    )
-    return result
-
-
-if __name__ == "__main__":
-    main()
+                "query",
+                "brute force iters",
+                "hill climb iters",
+                "reduction",
+                "brute force (ms)",
+                "hill climb (ms)",
+            ),
+            lambda result: [
+                (
+                    r.query,
+                    r.brute_force_iterations,
+                    r.hill_climb_iterations,
+                    f"{r.iteration_reduction:.1f}x",
+                    r.brute_force_ms,
+                    r.hill_climb_ms,
+                )
+                for r in result.rows
+            ],
+        ),
+    ),
+    claims=(
+        Claim(
+            "fig13.iteration_reduction",
+            "explored-configuration reduction, mean over queries", "~4x",
+            lambda r: r.mean_iteration_reduction, ">", 2.0, EXACT,
+        ),
+        Claim(
+            "fig13.runtime_reduction",
+            "brute force over hill climbing planning time, per query",
+            "similar to the iteration reduction",
+            lambda r: tuple(row.runtime_reduction for row in r.rows),
+            ">", 1.0, TIMING, deviation="ROADMAP item 2",
+        ),
+    ),
+)

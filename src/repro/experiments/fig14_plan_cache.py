@@ -20,8 +20,8 @@ from repro.catalog import tpch
 from repro.catalog.queries import Query
 from repro.core.plan_cache import LookupMode
 from repro.core.raqo import RaqoPlanner
+from repro.experiments.claims import EXACT, SHAPE, TIMING, Claim, Figure, Table
 from repro.experiments.fig12_tpch_planning import SCALE_FACTOR
-from repro.experiments.report import print_table
 
 #: The paper's x-axis: data-delta thresholds in GB (0 = exact only).
 THRESHOLDS_GB = (0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
@@ -115,42 +115,78 @@ def run(
     )
 
 
-def main() -> PlanCacheResult:
-    """Print the Fig 14 series."""
-    result = run()
-    print(
-        f"HillClimbing (no cache): {result.baseline_iterations} "
-        f"iterations, {result.baseline_runtime_ms:.1f} ms"
+def _runtime_reduction(result: PlanCacheResult) -> float:
+    """Baseline over cached planner runtime at the 0.1 GB threshold
+    (the better of the two lookup variants)."""
+    fastest = min(
+        p.runtime_ms for p in result.points if p.threshold_gb == 0.1
     )
-    print_table(
-        [
-            "variant",
-            "threshold (GB)",
-            "#resource iters",
-            "runtime (ms)",
-            "hits",
-            "misses",
-        ],
-        [
+    return result.baseline_runtime_ms / fastest
+
+
+def _never_explores_more(result: PlanCacheResult) -> bool:
+    """A larger threshold never explores more configurations."""
+    series = [
+        [p.resource_iterations for p in result.points if p.variant == v]
+        for v in ("HC+Caching_NN", "HC+Caching_WA")
+    ]
+    return all(s == sorted(s, reverse=True) for s in series)
+
+
+FIGURE = Figure(
+    "fig14",
+    run,
+    tables=(
+        Table(
+            "Fig 14: resource plan cache effectiveness (TPC-H All)",
             (
-                p.variant,
-                f"{p.threshold_gb:g}",
-                p.resource_iterations,
-                p.runtime_ms,
-                p.cache_hits,
-                p.cache_misses,
-            )
-            for p in result.points
-        ],
-        title="Fig 14: resource plan cache effectiveness (TPC-H All)",
-    )
-    print(
-        "best explored-configuration reduction: "
-        f"{result.best_iteration_reduction():.1f}x (paper: up to ~10x "
-        "runtime at 0.1 GB threshold)"
-    )
-    return result
-
-
-if __name__ == "__main__":
-    main()
+                "variant",
+                "threshold (GB)",
+                "#resource iters",
+                "runtime (ms)",
+                "hits",
+                "misses",
+            ),
+            lambda r: [
+                (
+                    "HillClimbing (no cache)",
+                    "-",
+                    r.baseline_iterations,
+                    r.baseline_runtime_ms,
+                    "-",
+                    "-",
+                )
+            ]
+            + [
+                (
+                    p.variant,
+                    f"{p.threshold_gb:g}",
+                    p.resource_iterations,
+                    p.runtime_ms,
+                    p.cache_hits,
+                    p.cache_misses,
+                )
+                for p in r.points
+            ],
+        ),
+    ),
+    claims=(
+        Claim(
+            "fig14.iteration_reduction",
+            "resource-planning overhead reduction (explored configs)",
+            "up to 16x", lambda r: r.best_iteration_reduction(), ">", 4.0,
+            EXACT,
+        ),
+        Claim(
+            "fig14.runtime_reduction",
+            "planner runtime reduction at 0.1 GB threshold", "up to 10x",
+            _runtime_reduction, ">", 2.0, TIMING,
+        ),
+        Claim(
+            "fig14.threshold_monotone",
+            "a larger threshold never explores more configurations",
+            "caching more effective as threshold grows",
+            _never_explores_more, "==", True, SHAPE,
+        ),
+    ),
+)

@@ -35,7 +35,7 @@ from repro.catalog.schema import Catalog
 from repro.cluster.cluster import ClusterConditions
 from repro.core.plan_cache import LookupMode
 from repro.core.raqo import PlannerKind, RaqoPlanner
-from repro.experiments.report import print_table
+from repro.experiments.claims import EXACT, TIMING, Claim, Figure, Table
 
 #: Default query-size sweep (paper: 1..100 relations on a 100-table
 #: schema; the default keeps the pure-Python run short -- pass
@@ -120,6 +120,8 @@ def run_schema_scaling(
     iterations: int = 2,
 ) -> SchemaScaleResult:
     """Fig 15(a): QO vs RAQO vs RAQO+cache over query sizes."""
+    if not sizes:
+        raise ValueError("sizes must be non-empty")
     rng = np.random.default_rng(seed)
     catalog = random_catalog(
         RandomSchemaConfig(num_tables=num_tables), rng
@@ -220,6 +222,10 @@ def run_resource_scaling(
     iterations: int = 1,
 ) -> ResourceScaleResult:
     """Fig 15(b): planner runtimes over growing cluster conditions."""
+    if not container_scale or not size_scale_gb:
+        raise ValueError(
+            "container_scale and size_scale_gb must be non-empty"
+        )
     rng = np.random.default_rng(seed)
     catalog = random_catalog(
         RandomSchemaConfig(num_tables=num_tables), rng
@@ -269,67 +275,80 @@ def run_resource_scaling(
     )
 
 
-def main() -> Tuple[SchemaScaleResult, ResourceScaleResult]:
-    """Print both Fig 15 series."""
-    schema_result = run_schema_scaling()
-    print_table(
-        [
-            "query size",
-            "QO (ms)",
-            "RAQO (ms)",
-            "RAQO+cache (ms)",
-            "RAQO iters",
-            "cached iters",
-        ],
-        [
+FIGURE = Figure(
+    "fig15",
+    lambda: (run_schema_scaling(), run_resource_scaling()),
+    tables=(
+        Table(
+            "Fig 15(a): scalability over schema size",
             (
-                p.query_size,
-                p.qo_ms,
-                p.raqo_ms,
-                p.raqo_cached_ms,
-                p.raqo_iterations,
-                p.raqo_cached_iterations,
-            )
-            for p in schema_result.points
-        ],
-        title="Fig 15(a): scalability over schema size",
-    )
-    print(
-        f"cache speedup: {schema_result.mean_cache_speedup:.1f}x "
-        "(paper: ~6x) | overhead vs QO: "
-        f"{schema_result.mean_overhead_vs_qo:.2f}x (paper: 1.29x)\n"
-    )
-    resource_result = run_resource_scaling()
-    print_table(
-        [
-            "max containers",
-            "max GB",
-            "QO (ms)",
-            "RAQO (ms)",
-            "RAQO across-query (ms)",
-            "RAQO iters",
-        ],
-        [
+                "query size",
+                "QO (ms)",
+                "RAQO (ms)",
+                "RAQO+cache (ms)",
+                "RAQO iters",
+                "cached iters",
+            ),
+            lambda r: [
+                (
+                    p.query_size,
+                    p.qo_ms,
+                    p.raqo_ms,
+                    p.raqo_cached_ms,
+                    p.raqo_iterations,
+                    p.raqo_cached_iterations,
+                )
+                for p in r[0].points
+            ],
+        ),
+        Table(
+            "Fig 15(b): scalability over cluster conditions "
+            "(30-relation query)",
             (
-                p.max_containers,
-                p.max_container_gb,
-                p.qo_ms,
-                p.raqo_ms,
-                p.raqo_across_query_ms,
-                p.raqo_iterations,
-            )
-            for p in resource_result.points
-        ],
-        title="Fig 15(b): scalability over cluster conditions "
-        f"({resource_result.query_size}-relation query)",
-    )
-    print(
-        "across-query caching gain at >=10K containers: "
-        f"{resource_result.across_query_gain_at_scale():.2f}x "
-        "(paper: ~1.3x)"
-    )
-    return schema_result, resource_result
-
-
-if __name__ == "__main__":
-    main()
+                "max containers",
+                "max GB",
+                "QO (ms)",
+                "RAQO (ms)",
+                "RAQO across-query (ms)",
+                "RAQO iters",
+            ),
+            lambda r: [
+                (
+                    p.max_containers,
+                    p.max_container_gb,
+                    p.qo_ms,
+                    p.raqo_ms,
+                    p.raqo_across_query_ms,
+                    p.raqo_iterations,
+                )
+                for p in r[1].points
+            ],
+        ),
+    ),
+    claims=(
+        Claim(
+            "fig15.cache_speedup", "(a) cached RAQO over non-cached",
+            "~6x faster", lambda r: r[0].mean_cache_speedup, ">", 2.0,
+            TIMING,
+        ),
+        Claim(
+            "fig15.overhead_vs_qo", "(a) cached RAQO over plain QO",
+            "1.29x slower", lambda r: r[0].mean_overhead_vs_qo, "<", 2.0,
+            TIMING,
+        ),
+        Claim(
+            "fig15.iterations_grow",
+            "(b) explored configs, 100K over 100 containers",
+            "negligible -> 5x overhead",
+            lambda r: r[1].points[-1].raqo_iterations
+            / r[1].points[0].raqo_iterations,
+            ">", 1.0, EXACT,
+        ),
+        Claim(
+            "fig15.across_query_gain",
+            "(b) across-query caching speedup at >= 10K containers",
+            "~30%", lambda r: r[1].across_query_gain_at_scale(), ">", 1.0,
+            TIMING,
+        ),
+    ),
+)

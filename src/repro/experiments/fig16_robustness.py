@@ -27,7 +27,7 @@ import numpy as np
 from repro.api import RaqoSession
 from repro.catalog import tpch
 from repro.engine.profiles import EngineProfile, HIVE_PROFILE
-from repro.experiments.report import print_table
+from repro.experiments.claims import Figure, Table
 from repro.faults.model import FaultPlan, FaultSpec
 from repro.faults.recovery import DEFAULT_RECOVERY
 from repro.workloads.generator import WorkloadSpec, generate_workload
@@ -149,13 +149,24 @@ def run(
     return RobustnessResult(series=series)
 
 
-def main() -> RobustnessResult:
-    """Print the robustness sweep."""
-    result = run()
-    rows: List[Tuple] = []
-    for label, points in result.series.items():
-        for point in points:
-            rows.append(
+FIGURE = Figure(
+    "fig16",
+    run,
+    tables=(
+        Table(
+            "Fig 16: executed-time degradation under fault injection "
+            f"({NUM_QUERIES} queries, seed {SEED})",
+            (
+                "planner",
+                "intensity",
+                "time (s)",
+                "slowdown",
+                "faults",
+                "retries",
+                "degraded",
+                "failed",
+            ),
+            lambda r: [
                 (
                     label,
                     point.intensity,
@@ -166,33 +177,9 @@ def main() -> RobustnessResult:
                     point.degraded_stages,
                     point.failed_queries,
                 )
-            )
-    print_table(
-        [
-            "planner",
-            "intensity",
-            "time (s)",
-            "slowdown",
-            "faults",
-            "retries",
-            "degraded",
-            "failed",
-        ],
-        rows,
-        title=(
-            "Fig 16: executed-time degradation under fault injection "
-            f"({NUM_QUERIES} queries, seed {SEED})"
+                for label, points in r.series.items()
+                for point in points
+            ],
         ),
-    )
-    raqo_worst = result.max_slowdown("raqo")
-    baseline_worst = result.max_slowdown("two_step")
-    print(
-        f"worst-case slowdown: raqo {raqo_worst:.2f}x vs two-step "
-        f"{baseline_worst:.2f}x -- resource-aware plans keep more "
-        "memory headroom and so absorb OOM pressure more gracefully"
-    )
-    return result
-
-
-if __name__ == "__main__":
-    main()
+    ),
+)

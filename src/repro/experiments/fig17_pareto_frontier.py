@@ -34,7 +34,7 @@ from repro.catalog import tpch
 from repro.cluster.cluster import ClusterConditions
 from repro.core.pareto import ParetoPlanningResult
 from repro.core.raqo import ResourcePlanningMethod
-from repro.experiments.report import print_table
+from repro.experiments.claims import Figure, Table
 
 #: Cluster sizes swept: (max_containers, max_container_gb).
 CLUSTER_SIZES: Tuple[Tuple[int, float], ...] = (
@@ -68,26 +68,12 @@ class FrontierPoint:
             return 1.0
         return self.fastest_dollars / self.cheapest_dollars
 
-    @property
-    def latency_ratio(self) -> float:
-        """How much slower the cheapest point runs than the fastest."""
-        if self.fastest_s <= 0.0:
-            return 1.0
-        return self.cheapest_s / self.fastest_s
-
 
 @dataclass(frozen=True)
 class FrontierResult:
     """The full sweep: (query, containers) -> frontier summary."""
 
     points: Tuple[FrontierPoint, ...]
-
-    def for_cluster(
-        self, max_containers: int
-    ) -> Tuple[FrontierPoint, ...]:
-        return tuple(
-            p for p in self.points if p.max_containers == max_containers
-        )
 
 
 def run(
@@ -130,48 +116,37 @@ def run(
     return FrontierResult(points=tuple(points))
 
 
-def main() -> FrontierResult:
-    """Print the Fig 17 frontier-shape table."""
-    result = run()
-    rows = [
-        [
-            point.query,
-            f"{point.max_containers}x{point.max_container_gb:g}GB",
-            point.frontier_size,
-            f"{point.fastest_s:.1f}",
-            f"${point.fastest_dollars:.3f}",
-            f"{point.cheapest_s:.1f}",
-            f"${point.cheapest_dollars:.3f}",
-            f"{point.dollar_ratio:.2f}x",
-            point.dominated_pruned,
-        ]
-        for point in result.points
-    ]
-    print_table(
-        [
-            "query",
-            "cluster",
-            "points",
-            "fastest (s)",
-            "$ fastest",
-            "cheapest (s)",
-            "$ cheapest",
-            "$ ratio",
-            "pruned",
-        ],
-        rows,
-        title="Fig 17: latency/dollar Pareto frontier per query",
-    )
-    widest = max(result.points, key=lambda p: p.frontier_size)
-    print(
-        f"\nWidest frontier: {widest.query} on "
-        f"{widest.max_containers} x {widest.max_container_gb:g} GB "
-        f"({widest.frontier_size} points; cheapest runs "
-        f"{widest.latency_ratio:.1f}x slower for "
-        f"{widest.dollar_ratio:.2f}x fewer dollars at the fast end)."
-    )
-    return result
-
-
-if __name__ == "__main__":
-    main()
+FIGURE = Figure(
+    "fig17",
+    run,
+    tables=(
+        Table(
+            "Fig 17: latency/dollar Pareto frontier per query",
+            (
+                "query",
+                "cluster",
+                "points",
+                "fastest (s)",
+                "$ fastest",
+                "cheapest (s)",
+                "$ cheapest",
+                "$ ratio",
+                "pruned",
+            ),
+            lambda r: [
+                (
+                    point.query,
+                    f"{point.max_containers}x{point.max_container_gb:g}GB",
+                    point.frontier_size,
+                    f"{point.fastest_s:.1f}",
+                    f"${point.fastest_dollars:.3f}",
+                    f"{point.cheapest_s:.1f}",
+                    f"${point.cheapest_dollars:.3f}",
+                    f"{point.dollar_ratio:.2f}x",
+                    point.dominated_pruned,
+                )
+                for point in r.points
+            ],
+        ),
+    ),
+)

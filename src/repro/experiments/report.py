@@ -1,7 +1,7 @@
 """Plain-text tables for experiment output.
 
-The benchmark harness prints the same rows/series the paper's figures
-plot; this module renders them consistently.
+Every figure's declared tables (:mod:`repro.experiments.claims`) and the
+benchmark harness's ablation tables render through :func:`format_table`.
 """
 
 from __future__ import annotations
@@ -57,12 +57,3 @@ def format_table(
         )
     return "\n".join(lines)
 
-
-def print_table(
-    headers: Sequence[str],
-    rows: Iterable[Sequence],
-    title: Optional[str] = None,
-) -> None:
-    """Print an aligned plain-text table."""
-    print(format_table(headers, rows, title))
-    print()

@@ -7,10 +7,10 @@ from repro.experiments import (
     fig03_operator_switch,
     fig08_architecture,
 )
+from repro.experiments.claims import render
 from repro.experiments.export import (
     ExportError,
-    export_fig03,
-    export_queue_cdf,
+    export_figure,
     read_csv,
     write_csv,
 )
@@ -42,19 +42,21 @@ class TestWriteCsv:
 class TestFigureExports:
     def test_export_fig03(self, tmp_path):
         result = fig03_operator_switch.run()
-        paths = export_fig03(result, tmp_path)
-        assert len(paths) == 2
+        paths = export_figure(fig03_operator_switch.FIGURE, result, tmp_path)
+        assert [p.name for p in paths] == ["fig03a.csv", "fig03b.csv"]
         size_rows = read_csv(paths[0])
-        assert size_rows[0] == ["container_gb", "smj_s", "bhj_s", "winner"]
+        assert size_rows[0] == [
+            "container size (GB)", "SMJ (s)", "BHJ (s)", "winner"
+        ]
         assert len(size_rows) == len(result.container_size_sweep) + 1
 
     def test_export_queue_cdf(self, tmp_path):
         from repro.cluster.trace import TraceConfig
 
         result = fig01_queue_cdf.run(TraceConfig(num_jobs=300))
-        path = export_queue_cdf(result, tmp_path)
+        (path,) = export_figure(fig01_queue_cdf.FIGURE, result, tmp_path)
         rows = read_csv(path)
-        assert rows[0] == ["fraction_of_jobs", "queue_runtime_ratio"]
+        assert rows[0] == ["fraction of jobs", "queue/runtime ratio"]
         assert len(rows) == len(result.cdf) + 1
 
 
@@ -79,7 +81,7 @@ class TestFig08:
 
     def test_render_mentions_both_stacks(self):
         result = fig08_architecture.run()
-        text = fig08_architecture.render(result)
+        text = render(fig08_architecture.FIGURE, result)
         assert "Current practice" in text
         assert "RAQO vision" in text
         assert "repro.core" in text

@@ -214,3 +214,7 @@ class TestFig13:
         for row in result.rows:
             assert row.iteration_reduction > 1.5
         assert result.mean_iteration_reduction > 2.0
+
+    def test_empty_queries_rejected(self):
+        with pytest.raises(ValueError, match="queries"):
+            fig13_hill_climbing.run(queries=())

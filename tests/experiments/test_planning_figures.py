@@ -96,6 +96,17 @@ class TestFig15:
         iterations = [p.raqo_iterations for p in result.points]
         assert iterations[-1] > iterations[0]
 
+    def test_empty_schema_sweep_rejected(self):
+        with pytest.raises(ValueError, match="sizes"):
+            fig15_scalability.run_schema_scaling(sizes=())
+
+    @pytest.mark.parametrize(
+        "sweep", [{"container_scale": ()}, {"size_scale_gb": ()}]
+    )
+    def test_empty_resource_sweep_rejected(self, sweep):
+        with pytest.raises(ValueError, match="must be non-empty"):
+            fig15_scalability.run_resource_scaling(**sweep)
+
     def test_scaled_cluster_levels(self):
         small = fig15_scalability.scaled_cluster(100, 10.0)
         large = fig15_scalability.scaled_cluster(100_000, 100.0)
